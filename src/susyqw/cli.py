@@ -12,16 +12,18 @@ an explicit ``rad``/``deg`` suffix in config files (e.g. ``"137deg"``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
 from .bloch import band_condition_value, band_structure, winding_numbers
-from .errors import ConfigError, SusyqwError
+from .errors import ConfigError, ProfileError, SusyqwError
 from .midgap import (anomaly_expectation, find_midgap, full_spectrum,
                      ring_with_interfaces, site_polarization)
 from .optics import (jitter_intensities, long_time_extrapolation, measure_bases,
@@ -29,42 +31,60 @@ from .optics import (jitter_intensities, long_time_extrapolation, measure_bases,
 from .walk import (Frame, Lattice, Topology, evolve, make_coin_profile,
                    segment_for, to_frame)
 
-_SCHEMAS = {
-    "evolve": {"phi1", "phi2", "kind", "steps", "input_site", "plates", "size",
-               "frame", "out"},
-    "bands": {"phi1", "phi2", "resolution", "out"},
-    "winding": {"phi1", "phi2", "resolution", "out"},
-    "midgap": {"n", "phi1", "phi2", "tol", "out"},
-    "scan": {"phi1", "phi2", "steps", "probe_site", "angles", "cell", "out"},
-    "tomo": {"phi1", "phi2", "steps", "site", "plates", "noise", "seed",
-             "frame", "out"},
-}
 
-_FRAME_CHOICES = {"lab": (Frame.LAB,), "primed": (Frame.PRIMED,),
-                  "both": (Frame.LAB, Frame.PRIMED)}
+def _integer(value) -> int:
+    """A JSON integer or an integer string; booleans and floats are refused."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError):
+            return int(value)
+    raise ConfigError(f"must be an integer, got {value!r}")
 
 
-def _frames(value) -> tuple[Frame, ...]:
-    try:
-        return _FRAME_CHOICES[str(value)]
-    except KeyError:
-        raise ConfigError(f"frame must be lab, primed or both, got {value!r}") from None
+def _real(value) -> float:
+    """A finite number or number string; booleans are refused."""
+    out = math.nan
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError, OverflowError):
+            out = float(value)
+    if not math.isfinite(out):
+        raise ConfigError(f"must be a finite number, got {value!r}")
+    return out
 
 
-def _parse_angle(value, default_unit: str) -> float:
+def _at_least(parse, low, strict=False):
+    """``parse`` followed by the bound ``> low`` (strict) or ``>= low``."""
+    def bounded(value):
+        out = parse(value)
+        if out < low or (strict and out == low):
+            raise ConfigError(f"must be {'>' if strict else '>='} {low}, got {value!r}")
+        return out
+    return bounded
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"must be true or false, got {value!r}")
+    return value
+
+
+class _Choice(dict):
+    """Parser for one word of a fixed set; returns the value the word maps to."""
+
+    def __call__(self, value):
+        if isinstance(value, str) and value in self:
+            return self[value]
+        raise ConfigError(f"must be one of {', '.join(self)}, got {value!r}")
+
+
+def _parse_angle(value, default_unit: str = "rad") -> float:
     """Angle in its native unit; strings may carry a rad/deg suffix."""
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         out = float(value)
     else:
         text = str(value).strip().lower()
-        unit = default_unit
-        for suffix in ("rad", "deg"):
-            if text.endswith(suffix):
-                unit = suffix
-                text = text[: -len(suffix)]
-                break
+        unit = text[-3:] if text.endswith(("rad", "deg")) else default_unit
         try:
-            out = float(text)
+            out = float(text.removesuffix(unit))
         except ValueError:
             raise ConfigError(f"cannot parse angle {value!r}") from None
         if unit != default_unit:
@@ -75,14 +95,14 @@ def _parse_angle(value, default_unit: str) -> float:
 
 
 def _parse_plates(raw) -> list[tuple[str, float]]:
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"must be a list, got {raw!r}")
     plates = []
     for item in raw:
-        if isinstance(item, str):
-            kind, _, angle = item.partition(":")
-            if not angle:
-                raise ConfigError(f"plate spec {item!r} needs kind:angle")
-        else:
-            kind, angle = item
+        pair = item.split(":") if isinstance(item, str) else item
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ConfigError(f"plate {item!r} must be \"kind:angle\" or [kind, angle]")
+        kind, angle = pair
         kind = str(kind).lower()
         if kind not in ("qwp", "hwp"):
             raise ConfigError(f"unknown plate kind {kind!r}")
@@ -90,51 +110,34 @@ def _parse_plates(raw) -> list[tuple[str, float]]:
     return plates
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec) -> np.ndarray:
     try:
-        start, stop, step = (float(p) for p in spec.split(":"))
+        start, stop, step = (float(p) for p in str(spec).split(":"))
     except ValueError:
         raise ConfigError(f"angle grid {spec!r} must be start:stop:step (degrees)") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"angle grid {spec!r} needs finite bounds")
     if step <= 0 or stop <= start:
         raise ConfigError(f"empty angle grid {spec!r}")
     return np.arange(start, stop, step)
 
 
-def _load_config(command: str, path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(cfg) - _SCHEMAS[command]
-    if unknown:
-        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
-    return cfg
+def _size(value):
+    return value if value == "auto" else _integer(value)
 
 
-def _setting(args, cfg, key, default=None):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    return cfg.get(key, default)
+_count = _at_least(_integer, 0)
+_FRAMES = _Choice(lab=(Frame.LAB,), primed=(Frame.PRIMED,), both=(Frame.LAB, Frame.PRIMED))
+_PLATES = ("--plate", _parse_plates, (),
+           "input waveplate kind:angle, repeatable (e.g. qwp:137deg)")
 
 
-def _require_int(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-
-
-def _require_steps(value) -> int:
-    steps = _require_int(value, "steps")
-    if steps < 0:
-        raise ConfigError("step count must be >= 0")
-    return steps
+def _common(phi1: float, phi2: float) -> dict:
+    """The rows every command has: output file and the two coin angles."""
+    return {"out": ("--out", str, None, "output file (default: stdout)"),
+            "phi1": ("--phi1", _parse_angle, phi1,
+                     "first coin angle (radians; rad/deg suffix allowed)"),
+            "phi2": ("--phi2", _parse_angle, phi2, "second coin angle (radians)")}
 
 
 class _Output:
@@ -169,46 +172,31 @@ class _Output:
             sys.stdout.write(tail)
 
 
-def _coin_profile_for(kind: str, phi1: float, phi2: float, lattice: Lattice):
-    if kind == "uniform":
-        return make_coin_profile("uniform", lattice, phi=phi1)
-    if kind in ("bulk", "interface"):
-        return make_coin_profile(kind, lattice, phi1=phi1, phi2=phi2)
-    raise ConfigError(f"unknown configuration kind {kind!r}")
-
-
 def _fmt(x) -> str:
     return repr(float(x))
 
 
-def cmd_evolve(args) -> int:
-    cfg = _load_config("evolve", args.config)
-    phi1 = _parse_angle(_setting(args, cfg, "phi1", 1.29), "rad")
-    phi2 = _parse_angle(_setting(args, cfg, "phi2", 0.17), "rad")
-    kind = _setting(args, cfg, "kind", "interface")
-    steps = _require_steps(_setting(args, cfg, "steps", 13))
-    x0 = _require_int(_setting(args, cfg, "input_site", 1), "input_site")
-    plates = _parse_plates(_setting(args, cfg, "plates", []) or [])
-    size = _setting(args, cfg, "size", "auto")
-    if size == "auto":
-        lattice = segment_for(x0, steps)
+def cmd_evolve(opts) -> int:
+    if opts.size == "auto":
+        lattice = segment_for(opts.input_site, opts.steps)
     else:
-        size = _require_int(size, "size")
-        lattice = Lattice(size, Topology.SEGMENT, origin=x0 - size // 2)
-    frames = _frames(_setting(args, cfg, "frame", "both"))
-    profile = _coin_profile_for(kind, phi1, phi2, lattice)
-    state = prepare_input(x0, plates, lattice)
-    trajectory = evolve(state, profile, steps, record=True)
+        lattice = Lattice(opts.size, Topology.SEGMENT, origin=opts.input_site - opts.size // 2)
+    if opts.kind == "uniform":
+        profile = make_coin_profile("uniform", lattice, phi=opts.phi1)
+    else:
+        profile = make_coin_profile(opts.kind, lattice, phi1=opts.phi1, phi2=opts.phi2)
+    state = prepare_input(opts.input_site, opts.plates, lattice)
+    trajectory = evolve(state, profile, opts.steps, record=True)
 
-    out = _Output(_setting(args, cfg, "out"))
+    out = _Output(opts.out)
     w = out.writer()
     header = ["step", "x"]
-    for frame in frames:
+    for frame in opts.frame:
         header += [f"p_{frame.value}_h", f"p_{frame.value}_v"]
     w.writerow(header)
     coords = lattice.coords()
     for st in trajectory:
-        tables = [to_frame(st, profile, f).probabilities() for f in frames]
+        tables = [to_frame(st, profile, f).probabilities() for f in opts.frame]
         for i, x in enumerate(coords):
             row = [st.t, x]
             for table in tables:
@@ -216,8 +204,8 @@ def cmd_evolve(args) -> int:
             w.writerow(row)
     final = trajectory[-1]
     probs = final.probabilities().sum(axis=1)
-    out.note("kind", kind)
-    out.note("steps", steps)
+    out.note("kind", opts.kind)
+    out.note("steps", opts.steps)
     out.note("final_norm", float(final.norm()))
     out.note("heaviest_site", int(coords[int(np.argmax(probs))]))
     out.note("heaviest_probability", float(probs.max()))
@@ -225,41 +213,33 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def cmd_bands(args) -> int:
-    cfg = _load_config("bands", args.config)
-    phi1 = _parse_angle(_setting(args, cfg, "phi1", 1.0), "rad")
-    phi2 = _parse_angle(_setting(args, cfg, "phi2", 0.2), "rad")
-    resolution = _require_int(_setting(args, cfg, "resolution", 512), "resolution")
-    bands = band_structure(phi1, phi2, resolution=resolution)
+def cmd_bands(opts) -> int:
+    bands = band_structure(opts.phi1, opts.phi2, resolution=opts.resolution)
 
-    out = _Output(_setting(args, cfg, "out"))
+    out = _Output(opts.out)
     w = out.writer()
     w.writerow(["k", "eps1", "eps2", "eps3", "eps4", "re_lambda_sq", "residual"])
     for i, k in enumerate(bands.k_grid):
         lam2 = bands.eigenvalues[i] ** 2
-        target = band_condition_value(k, phi1, phi2)
+        target = band_condition_value(k, opts.phi1, opts.phi2)
         resid = float(np.abs(lam2.real - target).max())
         row = [_fmt(k)] + [_fmt(e) for e in bands.quasienergies[i]]
         row += [_fmt(float(lam2.real.mean())), _fmt(resid)]
         w.writerow(row)
-    out.note("phi1", phi1)
-    out.note("phi2", phi2)
-    out.note("resolution", resolution)
+    out.note("phi1", opts.phi1)
+    out.note("phi2", opts.phi2)
+    out.note("resolution", opts.resolution)
     out.note("gap_at_real", bands.gap_at_real())
     out.note("gap_at_imag", bands.gap_at_imag())
     out.finish()
     return 0
 
 
-def cmd_winding(args) -> int:
-    cfg = _load_config("winding", args.config)
-    phi1 = _parse_angle(_setting(args, cfg, "phi1", 1.29), "rad")
-    phi2 = _parse_angle(_setting(args, cfg, "phi2", 0.17), "rad")
-    resolution = _require_int(_setting(args, cfg, "resolution", 1024), "resolution")
-    fwd = winding_numbers(phi1, phi2, resolution)
-    rev = winding_numbers(phi2, phi1, resolution)
+def cmd_winding(opts) -> int:
+    fwd = winding_numbers(opts.phi1, opts.phi2, opts.resolution)
+    rev = winding_numbers(opts.phi2, opts.phi1, opts.resolution)
 
-    out = _Output(_setting(args, cfg, "out"))
+    out = _Output(opts.out)
     for tag, rep in (("forward", fwd), ("swapped", rev)):
         out.write_text(f"[{tag}] phi1={_fmt(rep.phi1)} phi2={_fmt(rep.phi2)} "
                        f"resolution={rep.resolution}\n")
@@ -277,26 +257,21 @@ def cmd_winding(args) -> int:
     return 0
 
 
-def cmd_midgap(args) -> int:
-    cfg = _load_config("midgap", args.config)
-    n = _require_int(_setting(args, cfg, "n", 40), "n")
-    phi1 = _parse_angle(_setting(args, cfg, "phi1", 1.29), "rad")
-    phi2 = _parse_angle(_setting(args, cfg, "phi2", 0.17), "rad")
-    tol = _setting(args, cfg, "tol")
-    profile = ring_with_interfaces(n, phi1, phi2)
+def cmd_midgap(opts) -> int:
+    profile = ring_with_interfaces(opts.n, opts.phi1, opts.phi2)
     spectrum = full_spectrum(profile)
-    states = find_midgap(spectrum, None if tol is None else float(tol))
+    states = find_midgap(spectrum, opts.tol)
 
-    out = _Output(_setting(args, cfg, "out"))
+    out = _Output(opts.out)
     w = out.writer()
     w.writerow(["state", "x", "prob", "s1", "s2", "s3"])
     for j, st in enumerate(states):
         probs = (np.abs(st.amplitudes) ** 2).sum(axis=1)
-        for x in range(n):
+        for x in range(opts.n):
             if probs[x] > 1e-10:
                 s1, s2, s3 = site_polarization(st, profile, x)
                 w.writerow([j, x, _fmt(probs[x]), _fmt(s1), _fmt(s2), _fmt(s3)])
-    out.note("n", n)
+    out.note("n", opts.n)
     out.note("midgap_count", len(states))
     for j, st in enumerate(states):
         lam = st.eigenvalue
@@ -309,32 +284,23 @@ def cmd_midgap(args) -> int:
     return 0
 
 
-def cmd_scan(args) -> int:
-    cfg = _load_config("scan", args.config)
-    phi1 = _parse_angle(_setting(args, cfg, "phi1", 1.29), "rad")
-    phi2 = _parse_angle(_setting(args, cfg, "phi2", 0.17), "rad")
-    steps = _require_steps(_setting(args, cfg, "steps", 13))
-    probe = _require_int(_setting(args, cfg, "probe_site", 0), "probe_site")
-    grid = _parse_grid(str(_setting(args, cfg, "angles", "0:180:1")))
-    cell = bool(_setting(args, cfg, "cell", False))
-    lattice = segment_for(1, steps)
+def cmd_scan(opts) -> int:
+    lattice = segment_for(1, opts.steps)
+    scan = long_time_extrapolation if opts.cell else qwp_scan
     curves = {}
     for kind in ("interface", "bulk"):
-        profile = make_coin_profile(kind, lattice, phi1=phi1, phi2=phi2)
-        if cell:
-            curves[kind] = long_time_extrapolation(profile, steps, probe, grid)
-        else:
-            curves[kind] = qwp_scan(profile, steps, probe, grid)
+        profile = make_coin_profile(kind, lattice, phi1=opts.phi1, phi2=opts.phi2)
+        curves[kind] = scan(profile, opts.steps, opts.probe_site, opts.angles)
 
-    out = _Output(_setting(args, cfg, "out"))
+    out = _Output(opts.out)
     w = out.writer()
     w.writerow(["angle_deg", "interface", "bulk"])
-    for i, th in enumerate(grid):
+    for i, th in enumerate(opts.angles):
         w.writerow([_fmt(th), _fmt(curves["interface"].intensities[i]),
                     _fmt(curves["bulk"].intensities[i])])
-    out.note("steps", steps)
-    out.note("probe_site", probe)
-    out.note("cell_probe", cell)
+    out.note("steps", opts.steps)
+    out.note("probe_site", opts.probe_site)
+    out.note("cell_probe", opts.cell)
     for kind in ("interface", "bulk"):
         vals = curves[kind].intensities
         out.note(f"{kind}_max", float(vals.max()))
@@ -344,30 +310,21 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def cmd_tomo(args) -> int:
-    cfg = _load_config("tomo", args.config)
-    phi1 = _parse_angle(_setting(args, cfg, "phi1", 1.29), "rad")
-    phi2 = _parse_angle(_setting(args, cfg, "phi2", 0.17), "rad")
-    steps = _require_steps(_setting(args, cfg, "steps", 17))
-    site = _require_int(_setting(args, cfg, "site", 0), "site")
-    plates = _parse_plates(_setting(args, cfg, "plates", []) or [])
-    noise = float(_setting(args, cfg, "noise", 0.0))
-    seed = _setting(args, cfg, "seed")
-    frames = _frames(_setting(args, cfg, "frame", "both"))
-    lattice = segment_for(1, steps)
-    profile = make_coin_profile("interface", lattice, phi1=phi1, phi2=phi2)
-    state = prepare_input(1, plates, lattice)
-    final = evolve(state, profile, steps)
+def cmd_tomo(opts) -> int:
+    lattice = segment_for(1, opts.steps)
+    profile = make_coin_profile("interface", lattice, phi1=opts.phi1, phi2=opts.phi2)
+    state = prepare_input(1, opts.plates, lattice)
+    final = evolve(state, profile, opts.steps)
 
-    out = _Output(_setting(args, cfg, "out"))
-    rng = np.random.default_rng(0 if seed is None else int(seed))
-    for frame in frames:
-        intens = measure_bases(final, site, frame, profile)
-        if noise > 0:
-            intens = jitter_intensities(intens, noise, rng)
+    out = _Output(opts.out)
+    rng = np.random.default_rng(opts.seed)
+    for frame in opts.frame:
+        intens = measure_bases(final, opts.site, frame, profile)
+        if opts.noise > 0:
+            intens = jitter_intensities(intens, opts.noise, rng)
         rho = tomography(intens)
         ref = to_frame(final, profile, frame)
-        spinor = ref.amplitudes[lattice.index(site)]
+        spinor = ref.amplitudes[lattice.index(opts.site)]
         fid = pure_state_fidelity(rho, spinor)
         amp_h, amp_v, phase = rho.decomposition()
         tag = frame.value
@@ -378,11 +335,60 @@ def cmd_tomo(args) -> int:
         out.note(f"{tag}_phase_over_pi", phase / np.pi)
         out.note(f"{tag}_fidelity", fid)
         out.note(f"{tag}_clipped", rho.clipped)
-    out.note("site", site)
-    out.note("steps", steps)
-    out.note("site_probability", float(final.site_probability(site)))
+    out.note("site", opts.site)
+    out.note("steps", opts.steps)
+    out.note("site_probability", float(final.site_probability(opts.site)))
     out.finish()
     return 0
+
+
+# name -> (run, help, settings).  Each setting is declared once, as key ->
+# (flag or None for config-only, parser, default, help): the flag beats the
+# config file, which beats the default, and all three go through the parser.
+_COMMANDS = {
+    "evolve": (cmd_evolve, "record a walk trajectory", {
+        **_common(1.29, 0.17),
+        "kind": ("--kind", _Choice(bulk="bulk", interface="interface", uniform="uniform"),
+                 "interface", None),
+        "steps": ("--steps", _count, 13, None),
+        "input_site": ("--input-site", _integer, 1, None),
+        "plates": _PLATES,
+        "frame": ("--frame", _FRAMES, "both", "probability basis to emit (default both)"),
+        "size": (None, _size, "auto", None),
+    }),
+    "bands": (cmd_bands, "band structure over the Brillouin zone", {
+        **_common(1.0, 0.2),
+        "resolution": ("--resolution", _integer, 512, None),
+    }),
+    "winding": (cmd_winding, "torus-angle winding numbers, both angle orders", {
+        **_common(1.29, 0.17),
+        "resolution": ("--resolution", _integer, 1024, None),
+    }),
+    "midgap": (cmd_midgap, "interface-ring midgap states and anomaly", {
+        **_common(1.29, 0.17),
+        "n": ("--n", _integer, 40, "ring size (even, >= 12)"),
+        "tol": ("--tol", _at_least(_real, 0, strict=True), None, "midgap detection tolerance"),
+    }),
+    "scan": (cmd_scan, "trapped intensity vs input QWP angle", {
+        **_common(1.29, 0.17),
+        "steps": ("--steps", _count, 13, None),
+        "probe_site": ("--probe-site", _integer, 0, None),
+        "angles": ("--angles", _parse_grid, "0:180:1", "grid start:stop:step in degrees"),
+        "cell": ("--cell", _boolean, False, "sum the probe bond pair (for long runs)"),
+    }),
+    "tomo": (cmd_tomo, "site polarization tomography", {
+        **_common(1.29, 0.17),
+        "steps": ("--steps", _count, 17, None),
+        "site": ("--site", _integer, 0, None),
+        "plates": _PLATES,
+        "frame": ("--frame", _FRAMES, "both", "reconstruction basis (default both)"),
+        "noise": ("--noise", _at_least(_real, 0), 0.0, "relative intensity jitter"),
+        "seed": ("--seed", _count, 0, None),
+    }),
+}
+
+# argparse action of the flags that are not a single string
+_ACTIONS = {"cell": {"action": "store_const", "const": True}, "plates": {"action": "append"}}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -392,68 +398,49 @@ def _build_parser() -> argparse.ArgumentParser:
                     "midgap states and polarization tomography")
     parser.add_argument("--version", action="version", version=f"susyqw {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_run, help_text, table) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--phi1", help="first coin angle (radians; rad/deg suffix allowed)")
-        p.add_argument("--phi2", help="second coin angle (radians)")
-
-    p = sub.add_parser("evolve", help="record a walk trajectory")
-    common(p)
-    p.add_argument("--kind", choices=["bulk", "interface", "uniform"])
-    p.add_argument("--steps", type=int)
-    p.add_argument("--input-site", dest="input_site", type=int)
-    p.add_argument("--plate", dest="plates", action="append",
-                   help="input waveplate kind:angle, repeatable (e.g. qwp:137deg)")
-    p.add_argument("--frame", choices=["lab", "primed", "both"],
-                   help="probability basis to emit (default both)")
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("bands", help="band structure over the Brillouin zone")
-    common(p)
-    p.add_argument("--resolution", type=int)
-    p.set_defaults(func=cmd_bands)
-
-    p = sub.add_parser("winding", help="torus-angle winding numbers, both angle orders")
-    common(p)
-    p.add_argument("--resolution", type=int)
-    p.set_defaults(func=cmd_winding)
-
-    p = sub.add_parser("midgap", help="interface-ring midgap states and anomaly")
-    common(p)
-    p.add_argument("--n", type=int, help="ring size (even, >= 12)")
-    p.add_argument("--tol", type=float, help="midgap detection tolerance")
-    p.set_defaults(func=cmd_midgap)
-
-    p = sub.add_parser("scan", help="trapped intensity vs input QWP angle")
-    common(p)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--probe-site", dest="probe_site", type=int)
-    p.add_argument("--angles", help="grid start:stop:step in degrees")
-    p.add_argument("--cell", action="store_const", const=True,
-                   help="sum the probe bond pair (for long runs)")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("tomo", help="site polarization tomography")
-    common(p)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--site", type=int)
-    p.add_argument("--plate", dest="plates", action="append")
-    p.add_argument("--frame", choices=["lab", "primed", "both"],
-                   help="reconstruction basis (default both)")
-    p.add_argument("--noise", type=float, help="relative intensity jitter")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_tomo)
+        for key, (flag, parse, _default, flag_help) in table.items():
+            if flag is not None:
+                metavar = "{%s}" % ",".join(parse) if isinstance(parse, _Choice) else None
+                p.add_argument(flag, dest=key, help=flag_help, metavar=metavar,
+                               **_ACTIONS.get(key, {}))
     return parser
 
 
+def _resolve(command: str, args: argparse.Namespace) -> argparse.Namespace:
+    """Each setting of ``command``: its flag, else the config, else its default."""
+    table = _COMMANDS[command][2]
+    cfg = {}
+    if args.config is not None:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = set(cfg) - set(table)
+        if unknown:
+            raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
+    settings = {}
+    for key, (_flag, parse, default, _help) in table.items():
+        raw = getattr(args, key, None)
+        if raw is None:
+            raw = cfg.get(key, default)
+        try:
+            settings[key] = None if raw is None and default is None else parse(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    return argparse.Namespace(**settings)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
+        return _COMMANDS[args.command][0](_resolve(args.command, args))
+    except (ConfigError, ProfileError) as exc:  # a bad ring, segment or site is user input
         print(f"susyqw: configuration error: {exc}", file=sys.stderr)
         return 2
     except (SusyqwError, np.linalg.LinAlgError, ValueError) as exc:

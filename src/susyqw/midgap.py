@@ -188,6 +188,9 @@ def _fit_decay(probs: np.ndarray, center: int) -> tuple[float, float]:
         if p > floor:
             ds.append(d)
             ps.append(p)
+    if len(ds) < 2:
+        raise ValueError(f"decay fit around site {center} has {len(ds)} occupied distances, "
+                         "needs 2 (midgap tolerance too large?)")
     ds, logp = np.asarray(ds, dtype=float), np.log(np.asarray(ps))
     slope, intercept = np.polyfit(ds, logp, 1)
     fitted = slope * ds + intercept
@@ -257,8 +260,8 @@ def find_midgap(spectrum: SpectrumResult, tol: float | None = None) -> list[Midg
         if gap <= 0:
             return []
         tol = 1e-4 * gap
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not np.isfinite(tol) or tol <= 0:
+        raise ValueError("tolerance must be positive and finite")
 
     out: list[MidgapState] = []
     n_sites = profile.lattice.size

@@ -1,9 +1,13 @@
+import contextlib
 import csv
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from susyqw.cli import main
 
@@ -70,12 +74,46 @@ def test_evolve_angle_suffix_parsing(tmp_path, capsys):
     assert float(summary_dict(out)["final_norm"]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_config_type_errors_exit_two(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"steps": "many"}))
-    code, _, err = run_cli(["evolve", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert "integer" in err
+# (command, config or None, flags, text stderr must hold).  A bad setting is
+# named as "key:"; a ring, segment or site the library rejects is named by
+# the library's own message.
+MISREAD_INPUTS = [
+    pytest.param("evolve", {"steps": "many"}, [], "steps: must be an integer",
+                 id="evolve-steps-many"),
+    pytest.param("scan", {"cell": "false"}, [], "cell:", id="scan-cell-string"),
+    pytest.param("evolve", {"steps": 2.7}, [], "steps:", id="evolve-steps-float"),
+    pytest.param("evolve", {"steps": True}, [], "steps:", id="evolve-steps-bool"),
+    pytest.param("evolve", {"steps": -1}, [], "steps:", id="evolve-steps-negative"),
+    pytest.param("midgap", {"n": 40.9}, [], "n:", id="midgap-n-float"),
+    pytest.param("midgap", {"tol": float("nan")}, [], "tol:", id="midgap-tol-nan"),
+    pytest.param("midgap", None, ["--tol", "nan"], "tol:", id="midgap-tol-nan-flag"),
+    pytest.param("midgap", None, ["--tol", "inf"], "tol:", id="midgap-tol-inf-flag"),
+    pytest.param("tomo", {"noise": float("nan")}, [], "noise:", id="tomo-noise-nan"),
+    pytest.param("tomo", {"noise": -0.5}, [], "noise:", id="tomo-noise-negative"),
+    pytest.param("tomo", {"noise": "abc"}, [], "noise:", id="tomo-noise-string"),
+    pytest.param("midgap", {"tol": "x"}, [], "tol:", id="midgap-tol-string"),
+    pytest.param("tomo", {"seed": "s"}, [], "seed:", id="tomo-seed-string"),
+    pytest.param("midgap", None, ["--n", "13"], "even N", id="midgap-odd-ring"),
+    pytest.param("tomo", None, ["--steps", "3", "--site", "1000"], "site 1000",
+                 id="tomo-site-outside"),
+    pytest.param("evolve", {"size": 1}, [], "at least 2 sites", id="evolve-size-one"),
+    pytest.param("scan", None, ["--angles", "nan:180:1"], "angles:", id="scan-grid-nan"),
+    pytest.param("evolve", {"plates": [["qwp", 10, 3]]}, [], "plates:",
+                 id="evolve-plate-triple"),
+    pytest.param("evolve", {"kind": "ring"}, [], "kind:", id="evolve-kind-unknown"),
+]
+
+
+@pytest.mark.parametrize("command, config, flags, expected", MISREAD_INPUTS)
+def test_config_type_errors_exit_two(command, config, flags, expected, tmp_path, capsys):
+    argv = [command, *flags]
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2, out
+    assert err.startswith("susyqw: configuration error: ") and expected in err
 
 
 def test_evolve_small_lattice_hits_boundary(tmp_path, capsys):
@@ -157,6 +195,12 @@ def test_midgap_report_and_table(tmp_path, capsys):
             assert sgn == (xs[ref_x] if (x - ref_x) % 2 == 0 else -xs[ref_x])
 
 
+def test_midgap_large_tolerance_fails_cleanly(capsys):
+    code, _, err = run_cli(["midgap", "--n", "12", "--tol", "2.5"], capsys)
+    assert code == 3
+    assert err.count("\n") == 1 and "tolerance" in err and "Traceback" not in err
+
+
 def test_midgap_trivial_angles_report_zero(capsys):
     code, out, _ = run_cli(["midgap", "--n", "40", "--phi1", "0.7", "--phi2", "0.7"], capsys)
     assert code == 0
@@ -206,3 +250,41 @@ def test_cli_outputs_are_byte_identical(tmp_path, capsys):
         assert code == 0
         pairs.append(out_file.read_bytes())
     assert pairs[0] == pairs[1]
+
+
+def _run_to_file(argv, out_file):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([*argv, "--out", str(out_file)])
+    assert code == 0
+    return stdout.getvalue(), out_file.read_bytes()
+
+
+@settings(max_examples=12, deadline=None)
+@given(command=st.sampled_from(["scan", "tomo"]),
+       steps=st.integers(min_value=0, max_value=4).map(lambda k: 2 * k + 1),
+       phi1=st.floats(min_value=1.1, max_value=1.4),
+       phi2=st.floats(min_value=0.1, max_value=0.3),
+       plate=st.floats(min_value=0.0, max_value=180.0),
+       cell=st.booleans())
+def test_flags_and_config_give_identical_output(command, steps, phi1, phi2, plate, cell):
+    """One setting reaches the same parser whether it comes as a flag or a config key.
+
+    Step counts are odd: the walker starts on site 1 and site 0, where tomo
+    measures, is empty after an even number of steps.
+    """
+    flags = [command, "--steps", str(steps), "--phi1", repr(phi1), "--phi2", repr(phi2)]
+    config = {"steps": steps, "phi1": phi1, "phi2": phi2}
+    if command == "scan":
+        flags += ["--angles", "0:180:30"] + (["--cell"] if cell else [])
+        config.update(angles="0:180:30", cell=cell)
+    else:
+        flags += ["--plate", f"qwp:{plate!r}"]
+        config.update(plates=[["qwp", plate]])
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "run.json").write_text(json.dumps(config))
+        from_flags = _run_to_file(flags, tmp / "flags.out")
+        from_config = _run_to_file([command, "--config", str(tmp / "run.json")],
+                                   tmp / "config.out")
+    assert from_flags == from_config

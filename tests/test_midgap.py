@@ -211,3 +211,13 @@ def test_full_spectrum_requires_ring():
     prof = make_coin_profile("bulk", Lattice(10, Topology.SEGMENT), phi1=1.0, phi2=0.2)
     with pytest.raises(ProfileError):
         full_spectrum(prof)
+
+
+def test_find_midgap_rejects_unusable_tolerances():
+    spectrum = full_spectrum(ring_with_interfaces(12, 1.29, 0.17))
+    for tol in (float("inf"), float("nan"), 0.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            find_midgap(spectrum, tol)
+    # tol >= 2 selects the whole spectrum; each canonical vector sits on one site
+    with pytest.raises(ValueError, match="decay fit"):
+        find_midgap(spectrum, 2.5)
