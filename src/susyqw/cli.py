@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -181,6 +182,11 @@ def cmd_evolve(opts) -> int:
         lattice = segment_for(opts.input_site, opts.steps)
     else:
         lattice = Lattice(opts.size, Topology.SEGMENT, origin=opts.input_site - opts.size // 2)
+    first, last = lattice.origin, lattice.origin + lattice.size - 1
+    if opts.kind == "interface" and not first <= 0 < last:
+        raise ConfigError(f"input_site: the segment [{first}, {last}] around input site "
+                          f"{opts.input_site} misses the interface bond (0, 1); "
+                          f"choose an input site nearer the interface")
     if opts.kind == "uniform":
         profile = make_coin_profile("uniform", lattice, phi=opts.phi1)
     else:
@@ -358,11 +364,11 @@ _COMMANDS = {
     }),
     "bands": (cmd_bands, "band structure over the Brillouin zone", {
         **_common(1.0, 0.2),
-        "resolution": ("--resolution", _integer, 512, None),
+        "resolution": ("--resolution", _at_least(_integer, 1), 512, None),
     }),
     "winding": (cmd_winding, "torus-angle winding numbers, both angle orders", {
         **_common(1.29, 0.17),
-        "resolution": ("--resolution", _integer, 1024, None),
+        "resolution": ("--resolution", _at_least(_integer, 256), 1024, None),
     }),
     "midgap": (cmd_midgap, "interface-ring midgap states and anomaly", {
         **_common(1.29, 0.17),
@@ -391,7 +397,9 @@ _COMMANDS = {
 _ACTIONS = {"cell": {"action": "store_const", "const": True}, "plates": {"action": "append"}}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="susyqw",
         description="single-step quantum walk: dynamics, bands, winding, "

@@ -20,14 +20,18 @@ from .operators import SX, SY, SZ, rotation
 _PLATE_RETARDANCE = {"qwp": np.diag([1.0, 1j]), "hwp": np.diag([1.0, -1.0])}
 
 
-def waveplate(kind: str, theta_deg: float) -> np.ndarray:
-    """Jones matrix of a wave plate with fast axis at theta_deg from horizontal."""
+def waveplate(kind: str, theta_deg) -> np.ndarray:
+    """Jones matrix of a wave plate with fast axis at theta_deg from horizontal.
+
+    An array of angles gives one matrix per angle, shape (..., 2, 2).
+    """
     try:
         ret = _PLATE_RETARDANCE[kind.lower()]
     except KeyError:
         raise ValueError(f"unknown waveplate kind {kind!r} (use 'qwp' or 'hwp')") from None
     th = np.deg2rad(theta_deg)
-    return rotation(th) @ ret.astype(complex) @ rotation(-th)
+    rot, back = (np.moveaxis(rotation(a), (0, 1), (-2, -1)) for a in (th, -th))
+    return rot @ ret.astype(complex) @ back
 
 
 def prepare_input(x0: int, plates: Sequence, lattice: Lattice) -> WalkerState:
@@ -150,6 +154,7 @@ class ScanCurve:
     tag: str                 # profile kind: bulk / interface / ...
     steps: int
     x_probe: int
+    sphere_max: float        # probe maximum over every input polarization
     cell_probe: bool = False  # True when the probe sums the bond pair (x, x+1)
 
 
@@ -164,19 +169,27 @@ def _scan_lattice(profile: CoinProfile, x0: int, steps: int) -> CoinProfile:
 
 def _run_scan(profile: CoinProfile, steps: int, x_probe: int,
               angles_deg: np.ndarray, cell_probe: bool, x0: int) -> ScanCurve:
+    """Probe intensities of QWP(theta)|H> inputs by linearity of the walk.
+
+    The final state of a|H> + b|V> is a psi_H + b psi_V, so with the probe
+    amplitudes of the two basis evolutions as the columns of Psi, the probe
+    intensity of the input spinor c is c^dag G c with G = Psi^dag Psi.  The
+    largest eigenvalue of G is the maximum over the whole polarization sphere.
+    """
     if angles_deg.size == 0:
         raise ValueError("angle grid is empty")
     prof = _scan_lattice(profile, x0, steps)
-    vals = np.empty(angles_deg.size)
-    for i, th in enumerate(angles_deg):
-        state = prepare_input(x0, [("qwp", float(th))], prof.lattice)
-        final = evolve(state, prof, steps)
-        p = final.site_probability(x_probe)
-        if cell_probe:
-            p += final.site_probability(x_probe + 1)
-        vals[i] = p
-    return ScanCurve(np.asarray(angles_deg, dtype=float), vals, profile.kind,
-                     steps, x_probe, cell_probe)
+    lattice = prof.lattice
+    rows = [lattice.index(x) for x in (x_probe, x_probe + 1)[:1 + cell_probe]]
+    finals = [evolve(localized_state(lattice, x0, coin), prof, steps)
+              for coin in ((1.0, 0.0), (0.0, 1.0))]
+    psi = np.stack([final.amplitudes[rows].ravel() for final in finals], axis=1)
+    gram = psi.conj().T @ psi
+    coins = waveplate("qwp", angles_deg)[:, :, 0]
+    vals = np.einsum("ka,ab,kb->k", coins.conj(), gram, coins).real
+    return ScanCurve(np.asarray(angles_deg, dtype=float), vals, profile.kind, steps,
+                     x_probe, sphere_max=float(np.linalg.eigvalsh(gram)[-1]),
+                     cell_probe=cell_probe)
 
 
 def qwp_scan(profile: CoinProfile, steps: int, x_probe: int,

@@ -215,11 +215,36 @@ def _check_shared_lattice(state: WalkerState, profile: CoinProfile) -> None:
         raise LatticeMismatchError("state and profile live on different lattices")
 
 
+def _coin_factors(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cos, i sin, -i sin) of the angles: C(phi) = [[c, -i s], [-i s, c]]."""
+    s = np.sin(angles)
+    return np.cos(angles), 1j * s, -1j * s
+
+
+def _coin(amps: np.ndarray, factors) -> tuple[np.ndarray, np.ndarray]:
+    """The H and V columns of C(phi_x) applied sitewise to (N, 2) amplitudes."""
+    c, i_s, minus_i_s = factors
+    h, v = amps[:, 0], amps[:, 1]
+    return c * h - i_s * v, minus_i_s * h + c * v
+
+
+def _shift_into(out: np.ndarray, h: np.ndarray, v: np.ndarray, topology: Topology) -> None:
+    """Write S(h, v) into ``out``: H one site up, V one site down.
+
+    On a segment the wrapped entries are the zeros the boundary check found.
+    ``out`` must not share memory with ``h`` or ``v``.
+    """
+    if topology is Topology.SEGMENT and (h[-1] != 0 or v[0] != 0):
+        raise BoundaryReachedError("walk reached boundary")
+    out[1:, 0] = h[:-1]
+    out[0, 0] = h[-1]
+    out[:-1, 1] = v[1:]
+    out[-1, 1] = v[0]
+
+
 def _rotate_half(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Apply C(angles[x]) sitewise to an (N, 2) amplitude array."""
-    c, s = np.cos(angles), np.sin(angles)
-    h, v = amps[:, 0], amps[:, 1]
-    return np.stack([c * h - 1j * s * v, -1j * s * h + c * v], axis=1)
+    return np.stack(_coin(amps, _coin_factors(angles)), axis=1)
 
 
 def apply_coin(state: WalkerState, profile: CoinProfile) -> WalkerState:
@@ -231,32 +256,39 @@ def apply_coin(state: WalkerState, profile: CoinProfile) -> WalkerState:
 def apply_shift(state: WalkerState) -> WalkerState:
     """Move the H component one site up and the V component one site down."""
     amps = state.amplitudes
-    if state.lattice.topology is Topology.SEGMENT:
-        if amps[-1, 0] != 0 or amps[0, 1] != 0:
-            raise BoundaryReachedError("walk reached boundary")
-    shifted = np.stack([np.roll(amps[:, 0], 1), np.roll(amps[:, 1], -1)], axis=1)
+    shifted = np.empty_like(amps)
+    _shift_into(shifted, amps[:, 0], amps[:, 1], state.lattice.topology)
     return replace(state, amplitudes=shifted)
 
 
 def step(state: WalkerState, profile: CoinProfile) -> WalkerState:
     """One full protocol step, shift after coin; increments the step counter."""
-    if state.frame is not Frame.LAB:
-        raise ValueError("evolution acts on lab-frame amplitudes")
-    out = apply_shift(apply_coin(state, profile))
-    return replace(out, t=state.t + 1)
+    return evolve(state, profile, 1)
 
 
 def evolve(state: WalkerState, profile: CoinProfile, steps: int,
            record: bool = False) -> WalkerState | list[WalkerState]:
-    """Iterate ``step`` ``steps`` times; with record=True return the whole trajectory."""
+    """Apply ``steps`` protocol steps; with record=True return the whole trajectory.
+
+    The amplitudes advance in one buffer: the coin is evaluated from it and
+    the shift writes the result back by slice assignment.
+    """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     trajectory = [state]
-    for _ in range(steps):
-        state = step(state, profile)
+    if steps == 0:
+        return trajectory if record else state
+    if state.frame is not Frame.LAB:
+        raise ValueError("evolution acts on lab-frame amplitudes")
+    _check_shared_lattice(state, profile)
+    factors = _coin_factors(profile.angles)
+    lattice, topology = state.lattice, state.lattice.topology
+    amps = state.amplitudes.astype(complex)
+    for t in range(state.t + 1, state.t + steps + 1):
+        _shift_into(amps, *_coin(amps, factors), topology)
         if record:
-            trajectory.append(state)
-    return trajectory if record else state
+            trajectory.append(WalkerState(amps.copy(), lattice, t))
+    return trajectory if record else WalkerState(amps, lattice, state.t + steps)
 
 
 def to_frame(state: WalkerState, profile: CoinProfile, frame: Frame) -> WalkerState:

@@ -101,6 +101,11 @@ MISREAD_INPUTS = [
     pytest.param("evolve", {"plates": [["qwp", 10, 3]]}, [], "plates:",
                  id="evolve-plate-triple"),
     pytest.param("evolve", {"kind": "ring"}, [], "kind:", id="evolve-kind-unknown"),
+    pytest.param("bands", None, ["--resolution", "0"], "resolution:", id="bands-resolution-zero"),
+    pytest.param("bands", None, ["--resolution", "-3"], "resolution:",
+                 id="bands-resolution-negative"),
+    pytest.param("winding", None, ["--resolution", "10"], "resolution:",
+                 id="winding-resolution-low"),
 ]
 
 
@@ -114,6 +119,26 @@ def test_config_type_errors_exit_two(command, config, flags, expected, tmp_path,
     code, out, err = run_cli(argv, capsys)
     assert code == 2, out
     assert err.startswith("susyqw: configuration error: ") and expected in err
+
+
+def test_evolve_far_input_site_names_the_interface(capsys):
+    code, out, err = run_cli(["evolve", "--steps", "2", "--input-site", "1000000"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("susyqw: configuration error: input_site:")
+    assert "1000000" in err and "interface bond (0, 1)" in err
+
+
+def test_cached_parser_survives_early_exits(capsys):
+    argv = ["tomo", "--steps", "5", "--plate", "qwp:30"]
+    first = run_cli(argv, capsys)
+    with pytest.raises(SystemExit) as version:
+        main(["--version"])
+    assert version.value.code == 0
+    with pytest.raises(SystemExit) as usage:
+        main(["tomo", "--no-such-flag"])
+    assert usage.value.code == 2
+    capsys.readouterr()
+    assert run_cli(argv, capsys) == first
 
 
 def test_evolve_small_lattice_hits_boundary(tmp_path, capsys):

@@ -148,6 +148,21 @@ def test_qwp_scan_interface_extremes():
     assert curve.intensities.min() <= 0.30
 
 
+def test_sphere_max_bounds_the_scan():
+    # the maximum over every input polarization, quoted in the README and in
+    # the criterion-6 comment, lies above the QWP-only maximum of 0.775
+    lat = segment_for(1, 13)
+    prof = make_coin_profile("interface", lat, phi1=1.29, phi2=0.17)
+    curve = qwp_scan(prof, 13, 0, np.arange(0.0, 180.0, 1.0))
+    assert curve.sphere_max == pytest.approx(0.784, abs=1e-3)
+    assert curve.intensities.max() <= curve.sphere_max
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        spinor = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        final = evolve(localized_state(lat, 1, spinor), prof, 13)
+        assert final.site_probability(0) <= curve.sphere_max + 1e-12
+
+
 def test_qwp_scan_bulk_range_smaller():
     grid = np.arange(0.0, 180.0, 2.0)
     lat = segment_for(1, 13)

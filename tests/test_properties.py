@@ -1,0 +1,65 @@
+"""Property tests of the walk kernel and the QWP scans built on it.
+
+Coin angles are drawn from the gapped box phi1 in [1.1, 1.4], phi2 in
+[0.1, 0.3], which stays clear of the gap closing at phi1 = phi2.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from susyqw import (Lattice, Topology, WalkerState, evolve, long_time_extrapolation,
+                    make_coin_profile, one_step_matrix, prepare_input, qwp_scan)
+
+PHI1 = st.floats(min_value=1.1, max_value=1.4)
+PHI2 = st.floats(min_value=0.1, max_value=0.3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["interface", "bulk", "uniform"]),
+       phi1=PHI1, phi2=PHI2, steps=st.integers(min_value=0, max_value=30),
+       x0=st.integers(min_value=-3, max_value=3), cell=st.booleans(),
+       angles=st.lists(st.floats(min_value=0.0, max_value=180.0), min_size=1, max_size=5))
+def test_linear_scan_matches_per_angle_evolution(data, kind, phi1, phi2, steps, x0,
+                                                 cell, angles):
+    """Two basis evolutions and a 2x2 form give every per-angle probe intensity."""
+    # wide enough for the walk from x0 and, for the interface, the bond (0, 1)
+    lattice = Lattice(2 * steps + 12, Topology.SEGMENT, origin=-steps - 5)
+    if kind == "uniform":
+        profile = make_coin_profile("uniform", lattice, phi=phi1)
+    else:
+        profile = make_coin_profile(kind, lattice, phi1=phi1, phi2=phi2)
+    probe = data.draw(st.integers(min_value=x0 - steps - 1, max_value=x0 + steps))
+    scan = long_time_extrapolation if cell else qwp_scan
+    curve = scan(profile, steps, probe, angles_deg=angles, x0=x0)
+
+    expected = []
+    for theta in angles:
+        final = evolve(prepare_input(x0, [("qwp", theta)], lattice), profile, steps)
+        expected.append(sum(final.site_probability(x) for x in (probe, probe + 1)[:1 + cell]))
+    np.testing.assert_allclose(curve.intensities, expected, rtol=0, atol=1e-12)
+    assert curve.intensities.max() <= curve.sphere_max + 1e-12
+    assert curve.sphere_max <= 1 + 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["interface", "bulk"]), phi1=PHI1, phi2=PHI2,
+       cells=st.integers(min_value=2, max_value=6),
+       steps=st.integers(min_value=0, max_value=30),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_ring_evolution_matches_matrix_power(kind, phi1, phi2, cells, steps, seed):
+    """The in-place kernel is U^t on a ring, and it keeps the norm."""
+    ring = Lattice(2 * cells, Topology.RING)
+    cuts = (1, cells + 1) if kind == "interface" else None
+    profile = make_coin_profile(kind, ring, phi1=phi1, phi2=phi2, cuts=cuts)
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal((ring.size, 2)) + 1j * rng.standard_normal((ring.size, 2))
+    amps /= np.linalg.norm(amps)
+
+    trajectory = evolve(WalkerState(amps, ring), profile, steps, record=True)
+    final = trajectory[-1]
+    expected = np.linalg.matrix_power(one_step_matrix(profile), steps) @ amps.ravel()
+    np.testing.assert_allclose(final.amplitudes.ravel(), expected, rtol=0, atol=1e-12)
+    assert abs(final.norm() - 1.0) <= 1e-12
+    assert [s.t for s in trajectory] == list(range(steps + 1))
+    np.testing.assert_array_equal(evolve(WalkerState(amps, ring), profile, steps).amplitudes,
+                                  final.amplitudes)
