@@ -20,9 +20,14 @@ import numpy as np
 from .bloch import protected_gaps
 from .errors import ProfileError, UnoccupiedSiteError
 from .walk import CoinProfile, Frame, Lattice, Topology, WalkerState, \
-    make_coin_profile, one_step_matrix, _rotate_half
+    make_coin_profile, _rotate_half
 
 _PROJECTION_TOL = 1e-10
+_CENTER_RTOL = 1e-9
+# Eigenvalue groups of the odd parity block M (see _invariant_groups).
+_GROUP_GAP = 1e-9
+_MERGE_TOL = 1e-12
+_MERGE_GAP = 1e-2
 
 
 def ring_with_interfaces(N: int, phi1: float, phi2: float) -> CoinProfile:
@@ -40,7 +45,7 @@ def ring_with_interfaces(N: int, phi1: float, phi2: float) -> CoinProfile:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
-    """Full eigen-decomposition of the dense one-step ring operator."""
+    """Full eigen-decomposition of the one-step ring operator."""
 
     eigenvalues: np.ndarray   # (2N,) on the unit circle
     eigenvectors: np.ndarray  # (2N, 2N), column j belongs to eigenvalues[j]
@@ -51,19 +56,107 @@ class SpectrumResult:
         return self.eigenvectors[:, j].reshape(-1, 2)
 
 
+def _parity_hop(rows: np.ndarray, angles: np.ndarray, up: int, down: int) -> np.ndarray:
+    """One coin-and-shift step from one sublattice of a ring to the other.
+
+    Amplitudes are in the real gauge (h, -i v), where the coin C(phi) is the
+    rotation [[cos, sin], [-sin, cos]] and the walk is a real orthogonal map.
+    Row 2j + c of the (2n, k) array ``rows`` holds coin c of site j of the
+    source sublattice, whose n sites carry ``angles``; after the coin, H
+    lands on target site j + up and V on j + down (mod n).
+    """
+    cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    src = rows.reshape(angles.size, 2, -1)
+    h, v = src[:, 0], src[:, 1]
+    out = np.empty_like(src)
+    out[:, 0] = np.roll(cos * h + sin * v, up, axis=0)
+    out[:, 1] = np.roll(cos * v - sin * h, down, axis=0)
+    return out.reshape(rows.shape)
+
+
+def _invariant_groups(q: np.ndarray, mq: np.ndarray, re_mu: np.ndarray):
+    """Yield (columns, M restricted to them) for the M-invariant groups of q.
+
+    q holds the eigenvectors of the symmetric part of the real M, sorted by
+    its eigenvalues re_mu.  A group starts as a run of re_mu closer than
+    _GROUP_GAP.  Where eigenvalues of M are close on the unit circle, eigh
+    mixes their eigenvectors across a small gap in Re mu, so a group whose
+    residual ||M Q_g - Q_g (Q_g^T M Q_g)|| exceeds _MERGE_TOL is merged with
+    the neighbour across its smaller gap, if that gap is below _MERGE_GAP.
+    A group left with a residual above _PROJECTION_TOL is an error.
+    """
+    n = re_mu.size
+    gaps = np.diff(re_mu)
+    cuts = [0, *(np.flatnonzero(gaps > _GROUP_GAP) + 1), n]
+    restricted = {}
+
+    def restrict(s: int, e: int) -> tuple[np.ndarray, float]:
+        if (s, e) not in restricted:
+            block = q[:, s:e].T @ mq[:, s:e]
+            restricted[s, e] = block, np.linalg.norm(mq[:, s:e] - q[:, s:e] @ block)
+        return restricted[s, e]
+
+    while True:
+        merge = set()
+        for s, e in zip(cuts[:-1], cuts[1:]):
+            sides = [c for c in (s, e) if 0 < c < n and gaps[c - 1] < _MERGE_GAP]
+            if restrict(s, e)[1] > _MERGE_TOL and sides:
+                merge.add(min(sides, key=lambda c: gaps[c - 1]))
+        if not merge:
+            break
+        cuts = [c for c in cuts if c not in merge]
+    for s, e in zip(cuts[:-1], cuts[1:]):
+        block, residual = restrict(s, e)
+        if residual > _PROJECTION_TOL:
+            raise np.linalg.LinAlgError(
+                f"parity-block eigenvectors {s}..{e - 1} not invariant (residual {residual:.1e})")
+        yield slice(s, e), block
+
+
 def full_spectrum(profile: CoinProfile) -> SpectrumResult:
-    """Dense diagonalization of the one-step walk matrix on a ring."""
+    """Diagonalize the one-step walk matrix U of a ring through its parity blocks.
+
+    The shift flips site parity, so with A (odd sites -> even sites) and B
+    (even -> odd) U^2 is block diagonal and its odd block M = B A is an N x N
+    orthogonal matrix in the real gauge (see _parity_hop).  M is diagonalized
+    by ``eigh`` of its symmetric part, whose eigenvalue Re mu is degenerate
+    for each conjugate pair mu, conj(mu); each group of equal Re mu is
+    resolved by a small ``eig`` of M restricted to it.  An eigenpair (mu, v)
+    of M gives the two eigenpairs lambda = +-sqrt(mu),
+    psi = (v, A v / lambda) / sqrt(2) of U.
+    """
     if profile.lattice.topology is not Topology.RING:
         raise ProfileError("full spectrum needs a ring profile")
     if 2 * profile.lattice.size > 4096:
         raise ProfileError("dense solve limited to 2N <= 4096")
-    umat = one_step_matrix(profile)
-    lam, vec = np.linalg.eig(umat)
-    mod = np.abs(lam)
+    n = profile.lattice.size  # parity-block dimension: N/2 sites x 2 coins
+    odd, even = profile.angles[1::2], profile.angles[0::2]
+    m_mat = _parity_hop(_parity_hop(np.eye(n), odd, 1, 0), even, 0, -1)
+    re_mu, q = np.linalg.eigh((m_mat + m_mat.T) / 2)
+    aq = _parity_hop(q, odd, 1, 0)
+    mq = _parity_hop(aq, even, 0, -1)
+
+    mu = np.empty(n, dtype=complex)
+    vec, avec = np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex)
+    for g, block in _invariant_groups(q, mq, re_mu):
+        mu[g], rot = np.linalg.eig(block)
+        vec[:, g], avec[:, g] = q[:, g] @ rot, aq[:, g] @ rot
+    mod = np.abs(mu)
     if np.max(np.abs(mod - 1.0)) > _PROJECTION_TOL:
         raise np.linalg.LinAlgError("ring eigenvalues off the unit circle")
-    vec = vec / np.linalg.norm(vec, axis=0, keepdims=True)
-    return SpectrumResult(lam / mod, vec, profile)
+    lam = np.sqrt(mu / mod)
+
+    # back from the real gauge to lab amplitudes (h, v), with the 1/sqrt(2) of psi
+    gauge = np.sqrt(0.5) * np.tile([1, 1j], n // 2)[:, None]
+    vec *= gauge
+    avec *= gauge / lam
+    # row 2x + c with x = 2j + parity; column branch * n + k for lambda = +-lam[k]
+    psi = np.empty((n // 2, 2, 2, 2, n), dtype=complex)
+    psi[:, 1] = vec.reshape(n // 2, 2, 1, n)
+    psi[:, 0, :, 0] = avec.reshape(n // 2, 2, n)
+    psi[:, 0, :, 1] = -psi[:, 0, :, 0]
+    psi = psi.reshape(2 * n, 2 * n)
+    return SpectrumResult(np.concatenate([lam, -lam]), psi, profile)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +165,7 @@ class MidgapState:
 
     eigenvalue: complex
     amplitudes: np.ndarray  # (N, 2) lab-frame
-    center: int             # site with maximal probability
+    center: int             # first site with maximal probability
     interface_cut: int      # the interchange bond (cut-1, cut) it is bound to
     decay_length: float
     fit_r2: float
@@ -274,7 +367,9 @@ def find_midgap(spectrum: SpectrumResult, tol: float | None = None) -> list[Midg
         for j in range(basis.shape[1]):
             amps = basis[:, j].reshape(n_sites, 2)
             probs = (np.abs(amps) ** 2).sum(axis=1)
-            center = int(np.argmax(probs))
+            # first site within rounding of the maximum: the two sites of an
+            # interface bond carry equal probability
+            center = int(np.flatnonzero(probs >= probs.max() * (1 - _CENTER_RTOL))[0])
             xi, r2 = _fit_decay(probs, center)
             cut = _nearest_cut(profile, center) if profile.cuts else 0
             out.append(MidgapState(lam, amps, center, cut, xi, r2))

@@ -313,16 +313,12 @@ def one_step_matrix(profile: CoinProfile) -> np.ndarray:
     if profile.lattice.topology is not Topology.RING:
         raise ProfileError("dense one-step matrix is assembled on rings only")
     N = profile.lattice.size
-    dim = 2 * N
-    cmat = np.zeros((dim, dim), dtype=complex)
+    x = np.arange(N)
     cos, sin = np.cos(profile.angles), np.sin(profile.angles)
-    for x in range(N):
-        cmat[2 * x, 2 * x] = cos[x]
-        cmat[2 * x, 2 * x + 1] = -1j * sin[x]
-        cmat[2 * x + 1, 2 * x] = -1j * sin[x]
-        cmat[2 * x + 1, 2 * x + 1] = cos[x]
-    smat = np.zeros((dim, dim), dtype=complex)
-    for x in range(N):
-        smat[2 * ((x + 1) % N), 2 * x] = 1.0
-        smat[2 * ((x - 1) % N) + 1, 2 * x + 1] = 1.0
-    return smat @ cmat
+    h_row, v_row = 2 * ((x + 1) % N), 2 * ((x - 1) % N) + 1  # H moves up, V down
+    umat = np.zeros((2 * N, 2 * N), dtype=complex)
+    umat[h_row, 2 * x] = cos
+    umat[h_row, 2 * x + 1] = -1j * sin
+    umat[v_row, 2 * x] = -1j * sin
+    umat[v_row, 2 * x + 1] = cos
+    return umat

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from susyqw import (Frame, Lattice, ProfileError, Topology, UnoccupiedSiteError,
-                    anomaly_expectation, band_structure, cell_z_expectation,
-                    coin_y_expectation, find_midgap, full_spectrum,
-                    make_coin_profile, protected_gaps, ring_with_interfaces,
-                    site_polarization)
+from susyqw import (Frame, Lattice, ProfileError, SpectrumResult, Topology,
+                    UnoccupiedSiteError, anomaly_expectation, band_structure,
+                    cell_z_expectation, coin_y_expectation, find_midgap, full_spectrum,
+                    make_coin_profile, one_step_matrix, protected_gaps,
+                    ring_with_interfaces, site_polarization)
 
 from helpers import ring_bloch_state
 
@@ -60,6 +60,19 @@ def test_spectrum_unit_circle_and_unitarity():
     np.testing.assert_allclose(np.abs(np.linalg.norm(v, axis=0)), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8])
+def test_spectrum_resolves_split_degeneracies(delta):
+    # one perturbed coin splits the degenerate momentum pairs of a bulk ring
+    # by about delta; the parity-block solve must still return eigenpairs
+    lat = Lattice(40, Topology.RING)
+    angles = make_coin_profile("bulk", lat, phi1=1.29, phi2=0.17).angles.copy()
+    angles[5] += delta
+    profile = make_coin_profile("explicit", lat, angles=angles)
+    spec = full_spectrum(profile)
+    residual = one_step_matrix(profile) @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues
+    assert np.linalg.norm(residual, axis=0).max() < 1e-12
+
+
 def test_bulk_ring_is_gapped_at_imaginary_axis(interface_ring):
     lat = Lattice(40, Topology.RING)
     prof = make_coin_profile("bulk", lat, phi1=1.29, phi2=0.17)
@@ -79,6 +92,29 @@ def test_two_interface_ring_pins_four_states(interface_ring):
     assert len(states) == 4
     assert {s.center for s in states} == {0, 20}
     assert {s.interface_cut for s in states} == {1, 21}
+
+
+def test_partner_states_share_center_and_decay():
+    # the two sites of an interface bond carry equal probability: the center
+    # is the first of them, not whichever one rounding favours
+    states = find_midgap(full_spectrum(ring_with_interfaces(400, 1.29, 0.17)))
+    plus, minus = states[:2], states[2:]
+    assert [s.center for s in plus] == [s.center for s in minus] == [0, 200]
+    for p, m in zip(plus, minus):
+        assert p.decay_length == pytest.approx(m.decay_length, rel=1e-5)
+
+
+@pytest.mark.parametrize("site", [0, 1])
+def test_center_is_first_site_of_a_tied_bond(interface_ring, site):
+    # rounding that favours either site of the bond (0, 1) leaves the center at 0
+    profile, _, states = interface_ring
+    amps = states[0].amplitudes.copy()
+    amps[site] *= 1 + 1e-12
+    amps /= np.linalg.norm(amps)
+    spectrum = SpectrumResult(np.array([1j]), amps.reshape(-1, 1), profile)
+    (state,) = find_midgap(spectrum)
+    assert state.center == 0
+    assert state.decay_length == pytest.approx(states[0].decay_length, rel=1e-9)
 
 
 def test_midgap_count_invariant_under_doubling():
@@ -211,6 +247,11 @@ def test_full_spectrum_requires_ring():
     prof = make_coin_profile("bulk", Lattice(10, Topology.SEGMENT), phi1=1.0, phi2=0.2)
     with pytest.raises(ProfileError):
         full_spectrum(prof)
+
+
+def test_full_spectrum_caps_ring_size():
+    with pytest.raises(ProfileError, match="2N <= 4096"):
+        full_spectrum(ring_with_interfaces(2050, 1.29, 0.17))
 
 
 def test_find_midgap_rejects_unusable_tolerances():

@@ -1,17 +1,22 @@
-"""Property tests of the walk kernel and the QWP scans built on it.
+"""Property tests of the walk kernel, the QWP scans and the ring spectrum.
 
-Coin angles are drawn from the gapped box phi1 in [1.1, 1.4], phi2 in
-[0.1, 0.3], which stays clear of the gap closing at phi1 = phi2.
+The walk and scan tests draw coin angles from the gapped box phi1 in
+[1.1, 1.4], phi2 in [0.1, 0.3], which stays clear of the gap closing at
+phi1 = phi2; the spectrum tests draw any angles, gap closings included.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from susyqw import (Lattice, Topology, WalkerState, evolve, long_time_extrapolation,
-                    make_coin_profile, one_step_matrix, prepare_input, qwp_scan)
+from susyqw import (Lattice, Topology, WalkerState, bloch_operator, evolve,
+                    full_spectrum, long_time_extrapolation, make_coin_profile,
+                    one_step_matrix, prepare_input, qwp_scan)
+
+from helpers import multiset_distance
 
 PHI1 = st.floats(min_value=1.1, max_value=1.4)
 PHI2 = st.floats(min_value=0.1, max_value=0.3)
+ANGLE = st.floats(min_value=-np.pi, max_value=np.pi)
 
 
 @settings(max_examples=30, deadline=None)
@@ -63,3 +68,28 @@ def test_ring_evolution_matches_matrix_power(kind, phi1, phi2, cells, steps, see
     assert [s.t for s in trajectory] == list(range(steps + 1))
     np.testing.assert_array_equal(evolve(WalkerState(amps, ring), profile, steps).amplitudes,
                                   final.amplitudes)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), cells=st.integers(min_value=2, max_value=30))
+def test_parity_block_spectrum_matches_dense_eig(data, cells):
+    """The parity-block solve gives the spectrum of the dense U and its eigenvectors."""
+    angles = data.draw(st.lists(ANGLE, min_size=2 * cells, max_size=2 * cells))
+    profile = make_coin_profile("explicit", Lattice(2 * cells, Topology.RING), angles=angles)
+    spectrum = full_spectrum(profile)
+    umat = one_step_matrix(profile)
+    lam, psi = spectrum.eigenvalues, spectrum.eigenvectors
+    assert multiset_distance(lam, np.linalg.eig(umat).eigenvalues) <= 1e-9
+    assert np.linalg.norm(umat @ psi - psi * lam, axis=0).max() <= 1e-12
+    np.testing.assert_allclose(np.linalg.norm(psi, axis=0), 1.0, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(phi1=ANGLE, phi2=ANGLE, cells=st.integers(min_value=2, max_value=24))
+def test_bulk_ring_spectrum_is_the_bloch_spectrum(phi1, phi2, cells):
+    """A bulk ring of m cells has the Bloch eigenvalues at the m momenta 2 pi j / m."""
+    ring = make_coin_profile("bulk", Lattice(2 * cells, Topology.RING), phi1=phi1, phi2=phi2)
+    bloch = np.concatenate([np.linalg.eigvals(bloch_operator(2 * np.pi * j / cells,
+                                                             phi1, phi2).matrix)
+                            for j in range(cells)])
+    assert multiset_distance(full_spectrum(ring).eigenvalues, bloch) <= 1e-9
