@@ -5,6 +5,12 @@ on (sublattice x coin).  In the site-local primed basis it anticommutes with
 the sublattice Pauli CELL_Z (unitary supersymmetry) and is chiral under the
 coin Pauli COIN_Y; together these pin protected gaps at quasi-energy 0, pi
 (lambda = +-1) and pi/2, 3pi/2 (lambda = +-i).
+
+While those gaps are open, band b stays in the quadrant
+b pi/2 <= epsilon < (b + 1) pi/2 of the quasi-energy circle, so ordering the
+four eigenvalues by quasi-energy at each k connects the bands; no overlap
+matching is needed.  All k points are assembled and diagonalized as one
+stack, and ``torus_angles`` accepts stacks of eigenvectors as well.
 """
 
 from __future__ import annotations
@@ -55,6 +61,21 @@ class BlochOperator:
     frame: Frame
 
 
+def _bloch_matrices(ks, phi1: float, phi2: float, frame: Frame) -> np.ndarray:
+    """One-step unitaries u(k) stacked over k, shape ``k.shape + (4, 4)``."""
+    upper = SX @ shift_phase(-ks) @ SX
+    lower = shift_phase(ks)
+    if frame is Frame.LAB:
+        u12, u21 = upper @ coin_matrix(phi2), lower @ coin_matrix(phi1)
+    else:
+        h1, h2 = coin_matrix(phi1 / 2), coin_matrix(phi2 / 2)
+        u12, u21 = h1 @ upper @ h2, h2 @ lower @ h1
+    u = np.zeros(lower.shape[:-2] + (4, 4), dtype=complex)
+    u[..., :2, 2:] = u12
+    u[..., 2:, :2] = u21
+    return u
+
+
 def bloch_operator(k: float, phi1: float, phi2: float,
                    frame: Frame = Frame.LAB) -> BlochOperator:
     """4x4 one-step unitary at wave number k.
@@ -62,17 +83,8 @@ def bloch_operator(k: float, phi1: float, phi2: float,
     Lab frame:     [[0, sx f(-k) sx C(phi2)], [f(k) C(phi1), 0]]
     Primed frame:  half-angle coins attached on both sides of each block.
     """
-    u = np.zeros((4, 4), dtype=complex)
-    upper = SX @ shift_phase(-k) @ SX
-    lower = shift_phase(k)
-    if frame is Frame.LAB:
-        u[:2, 2:] = upper @ coin_matrix(phi2)
-        u[2:, :2] = lower @ coin_matrix(phi1)
-    else:
-        h1, h2 = coin_matrix(phi1 / 2), coin_matrix(phi2 / 2)
-        u[:2, 2:] = h1 @ upper @ h2
-        u[2:, :2] = h2 @ lower @ h1
-    return BlochOperator(u, float(k), float(phi1), float(phi2), frame)
+    return BlochOperator(_bloch_matrices(float(k), phi1, phi2, frame),
+                         float(k), float(phi1), float(phi2), frame)
 
 
 def to_primed(op: BlochOperator) -> BlochOperator:
@@ -111,12 +123,25 @@ def susy_partners(k: float, phi1: float, phi2: float,
     return u12 @ u21, u21 @ u12
 
 
+def _gaps(eps: np.ndarray) -> tuple[float, float]:
+    """Least quasi-energy distances of a grid to lambda = +-1 and to lambda = +-i."""
+    def gap(*targets):
+        return float(min(_circle_distance(eps, t).min() for t in targets))
+    return gap(0.0, np.pi), gap(np.pi / 2, 3 * np.pi / 2)
+
+
 @dataclass(frozen=True, eq=False)
 class BandStructure:
-    """Connected bands over a sorted k grid, gauge-fixed eigenvectors included."""
+    """Bands over a sorted k grid in quasi-energy order, with eigenvectors.
+
+    Column b holds the b-th smallest quasi-energy at every k.  With both
+    protected gaps open that is band b in the quadrant [b pi/2, (b+1) pi/2);
+    where a gap closes, touching bands keep this order instead of following
+    the crossing.
+    """
 
     k_grid: np.ndarray          # (nk,)
-    eigenvalues: np.ndarray     # (nk, 4), unit circle, band-ordered
+    eigenvalues: np.ndarray     # (nk, 4), unit circle, quasi-energy order
     quasienergies: np.ndarray   # (nk, 4)
     eigenvectors: np.ndarray    # (nk, 4, 4), column b is band b
     phi1: float
@@ -125,44 +150,26 @@ class BandStructure:
 
     def gap_at_real(self) -> float:
         """Minimal quasi-energy distance to lambda = +-1 over the grid."""
-        eps = self.quasienergies
-        return float(min(_circle_distance(eps, 0.0).min(), _circle_distance(eps, np.pi).min()))
+        return _gaps(self.quasienergies)[0]
 
     def gap_at_imag(self) -> float:
         """Minimal quasi-energy distance to lambda = +-i over the grid."""
-        eps = self.quasienergies
-        return float(min(_circle_distance(eps, np.pi / 2).min(),
-                         _circle_distance(eps, 3 * np.pi / 2).min()))
-
-
-def _eig_on_circle(mat: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        lam, vec = np.linalg.eig(mat)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails on 4x4
-        raise np.linalg.LinAlgError(f"eigensolver failed at k={k}") from exc
-    mod = np.abs(lam)
-    if np.max(np.abs(mod - 1.0)) > _UNIT_CIRCLE_TOL:
-        raise np.linalg.LinAlgError(f"eigenvalues off the unit circle at k={k}")
-    return lam / mod, vec
-
-
-def _fix_gauge(vec: np.ndarray) -> np.ndarray:
-    """Largest-magnitude component made real positive."""
-    j = int(np.argmax(np.abs(vec)))
-    phase = vec[j] / abs(vec[j])
-    return vec / phase
+        return _gaps(self.quasienergies)[1]
 
 
 def band_structure(phi1: float, phi2: float,
                    k_grid: np.ndarray | None = None,
                    resolution: int = 512,
                    frame: Frame = Frame.PRIMED) -> BandStructure:
-    """Diagonalize the Bloch operator over a k grid and connect the bands.
+    """Diagonalize the Bloch operator over a k grid in one batched eigensolve.
 
-    Bands are matched between neighbouring k points by maximal eigenvector
-    overlap (eigenvalue proximity breaks ties) and labelled by ascending
-    quasi-energy at the first grid point.  Eigenvalues are projected onto
-    the unit circle; the projection delta is asserted below 1e-10.
+    Eigenvalues are projected onto the unit circle; the projection delta is
+    asserted below 1e-10.  The four eigenpairs are sorted by ascending
+    quasi-energy at every k, which keeps each band in its own quadrant while
+    the protected gaps are open; where a gap closes, touching bands keep
+    that order rather than following the crossing.  Each eigenvector has its
+    largest component made real positive, then a phase carried along k that
+    makes the overlaps of neighbouring k points real positive.
     """
     if k_grid is None:
         k_grid = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
@@ -172,39 +179,23 @@ def band_structure(phi1: float, phi2: float,
     if np.any(np.diff(ks) < 0):
         raise ValueError("k grid must be sorted")
 
-    nk = ks.size
-    lams = np.empty((nk, 4), dtype=complex)
-    vecs = np.empty((nk, 4, 4), dtype=complex)
-    for i, k in enumerate(ks):
-        lam, vec = _eig_on_circle(bloch_operator(k, phi1, phi2, frame).matrix, k)
-        if i == 0:
-            order = np.argsort(quasi_energies(lam))
-        else:
-            order = _match_bands(vecs[i - 1], lams[i - 1], vec, lam)
-        lam, vec = lam[order], vec[:, order]
-        for b in range(4):
-            v = _fix_gauge(vec[:, b])
-            if i > 0:
-                ov = np.vdot(vecs[i - 1][:, b], v)
-                if abs(ov) > 1e-12:
-                    v = v * (ov.conjugate() / abs(ov))
-            vec[:, b] = v
-        lams[i], vecs[i] = lam, vec
-    return BandStructure(ks, lams, quasi_energies(lams), vecs,
-                         float(phi1), float(phi2), frame)
+    lams, vecs = np.linalg.eig(_bloch_matrices(ks, phi1, phi2, frame))
+    mod = np.abs(lams)
+    off = ~(np.abs(mod - 1.0) <= _UNIT_CIRCLE_TOL)
+    if off.any():
+        raise np.linalg.LinAlgError(
+            f"eigenvalues off the unit circle at k={ks[off.any(axis=1)][0]}")
+    lams /= mod
+    eps = quasi_energies(lams)
+    order = np.argsort(eps, axis=1)
+    lams, eps = np.take_along_axis(lams, order, 1), np.take_along_axis(eps, order, 1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], 2)
 
-
-def _match_bands(prev_vecs, prev_lams, vec, lam) -> np.ndarray:
-    """Greedy maximal-overlap assignment of new eigenpairs to band slots."""
-    score = np.abs(prev_vecs.conj().T @ vec) ** 2
-    score = score - 1e-9 * np.abs(prev_lams[:, None] - lam[None, :])
-    order = np.full(4, -1)
-    for _ in range(4):
-        a, b = np.unravel_index(np.argmax(score), score.shape)
-        order[a] = b
-        score[a, :] = -np.inf
-        score[:, b] = -np.inf
-    return order
+    top = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=1)[:, None, :], 1)
+    vecs /= top / np.abs(top)
+    overlaps = np.einsum("kab,kab->kb", vecs[:-1].conj(), vecs[1:])
+    vecs[1:] *= np.exp(-1j * np.cumsum(np.angle(overlaps), axis=0))[:, None, :]
+    return BandStructure(ks, lams, eps, vecs, float(phi1), float(phi2), frame)
 
 
 def quadruple_closure_distance(lams: np.ndarray) -> float:
@@ -217,38 +208,43 @@ def quadruple_closure_distance(lams: np.ndarray) -> float:
     return worst
 
 
-_PAIR_OPS = (
+# (cos, sin) operator pairs of alpha, beta and gamma, shape (3, 2, 4, 4)
+_PAIR_OPS = np.array([
     (COIN_X @ (ID4 + CELL_Z), COIN_Z @ (ID4 + CELL_Z)),
     (COIN_X @ (ID4 - CELL_Z), COIN_Z @ (ID4 - CELL_Z)),
     (CELL_X @ (ID4 - COIN_Y), CELL_Y @ (ID4 - COIN_Y)),
-)
+])
 
 _RADIUS_TOL = 1e-6
 
 
-def torus_angles(vec: np.ndarray, radius_tol: float = _RADIUS_TOL) -> tuple[float, float, float]:
+def torus_angles(vec: np.ndarray, radius_tol: float = _RADIUS_TOL
+                 ) -> tuple[float, float, float] | np.ndarray:
     """The three torus angles (alpha, beta, gamma) of a bulk eigenvector.
 
     Each angle comes from a (cos, sin) pair of operator expectations that
     lies on the unit circle for bulk eigenstates away from lambda = +-1, +-i;
-    a pair radius off 1 beyond ``radius_tol`` raises SymmetryViolationError.
+    a pair radius off 1 beyond ``radius_tol``, or a zero or non-finite
+    vector, raises SymmetryViolationError.  A single 4-vector gives a
+    tuple of floats; a stack of shape (..., 4) gives an array (..., 3).
     """
     v = np.asarray(vec, dtype=complex)
-    if v.shape != (4,):
+    if v.ndim == 0 or v.shape[-1] != 4:
         raise ValueError("expected a 4-component Bloch eigenvector")
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-8:
-        v = v / nrm
-    angles = []
-    for op_cos, op_sin in _PAIR_OPS:
-        c = float(np.vdot(v, op_cos @ v).real)
-        s = float(np.vdot(v, op_sin @ v).real)
-        r = np.hypot(c, s)
-        if abs(r - 1.0) > radius_tol:
-            raise SymmetryViolationError(
-                f"state violates bulk symmetry constraints (pair radius {r:.6f})")
-        angles.append(float(np.arctan2(s / r, c / r)))
-    return tuple(angles)
+    if not np.isfinite(v).all():
+        raise SymmetryViolationError("state has non-finite components")
+    nrm = np.linalg.norm(v, axis=-1, keepdims=True)
+    if not (nrm > 0).all():
+        raise SymmetryViolationError("state has zero norm")
+    v = v / np.where(np.abs(nrm - 1.0) > 1e-8, nrm, 1.0)
+    pairs = np.einsum("...i,pqij,...j->...pq", v.conj(), _PAIR_OPS, v).real
+    r = np.hypot(pairs[..., 0], pairs[..., 1])
+    bad = ~(np.abs(r - 1.0) <= radius_tol)
+    if bad.any():
+        raise SymmetryViolationError(
+            f"state violates bulk symmetry constraints (pair radius {r[bad].flat[0]:.6f})")
+    angles = np.arctan2(pairs[..., 1] / r, pairs[..., 0] / r)
+    return tuple(angles.tolist()) if v.ndim == 1 else angles
 
 
 @dataclass(frozen=True)
@@ -268,26 +264,18 @@ def winding_numbers(phi1: float, phi2: float, resolution: int = 512) -> WindingR
     """Accumulate the torus angles along a closed k loop and round to integers."""
     if resolution < 256:
         raise ValueError("winding needs resolution >= 256")
-    bands = band_structure(phi1, phi2, resolution=resolution, frame=Frame.PRIMED)
-    gap_real, gap_imag = bands.gap_at_real(), bands.gap_at_imag()
-    if min(gap_real, gap_imag) < 1e-6:
+    # the default band_structure grid plus k = 2pi, which closes the loop
+    loop = band_structure(phi1, phi2, k_grid=np.linspace(0.0, 2 * np.pi, resolution + 1),
+                          frame=Frame.PRIMED)
+    gap_real, gap_imag = _gaps(loop.quasienergies[:-1])
+    # the analytic gaps catch a closing that falls between grid points
+    if min(gap_real, gap_imag, *protected_gaps(phi1, phi2)) < 1e-6:
         raise PhaseTransitionError("cannot compute winding at a phase transition")
 
-    # Close the loop: diagonalize k = 2pi and match it to the last grid point.
-    lam_end, vec_end = _eig_on_circle(bloch_operator(2 * np.pi, phi1, phi2, Frame.PRIMED).matrix,
-                                   2 * np.pi)
-    order = _match_bands(bands.eigenvectors[-1], bands.eigenvalues[-1], vec_end, lam_end)
-    vec_end = vec_end[:, order]
-
-    windings, residuals = [], []
-    for b in range(4):
-        path = [torus_angles(bands.eigenvectors[i][:, b]) for i in range(bands.k_grid.size)]
-        path.append(torus_angles(vec_end[:, b]))
-        arr = np.asarray(path)
-        deltas = np.mod(np.diff(arr, axis=0) + np.pi, 2 * np.pi) - np.pi
-        total = deltas.sum(axis=0) / (2 * np.pi)
-        w = np.rint(total)
-        windings.append(tuple(int(x) for x in w))
-        residuals.append(float(np.abs(total - w).max()))
+    angles = torus_angles(np.swapaxes(loop.eigenvectors, 1, 2))   # (k, band, 3)
+    deltas = np.mod(np.diff(angles, axis=0) + np.pi, 2 * np.pi) - np.pi
+    total = deltas.sum(axis=0) / (2 * np.pi)
+    w = np.rint(total)
     return WindingReport(float(phi1), float(phi2), resolution,
-                         tuple(windings), tuple(residuals), gap_real, gap_imag)
+                         tuple(tuple(int(x) for x in row) for row in w),
+                         tuple(np.abs(total - w).max(axis=1).tolist()), gap_real, gap_imag)

@@ -63,3 +63,28 @@ def ring_bloch_state(v, n_cells, m_momentum):
         amps[(2 * m + 1) % N] = phase * v[:2]
         amps[(2 * m + 2) % N] = phase * v[2:]
     return amps / np.linalg.norm(amps)
+
+
+def bloch_oracle(k, phi1, phi2):
+    """Primed-frame Bloch matrix from the real-space step acting on a plane wave.
+
+    Cell m holds the odd site 2m+1 (angle phi1) and the even site 2m+2
+    (angle phi2), with amplitudes exp(i k m) (v[:2], v[2:]).  One step
+    applies each site's coin, then moves H one site right and V one site
+    left; reading cell 0 back gives column j for v = e_j.  The primed frame
+    conjugates by the half-angle coins C(phi1/2) (+) C(phi2/2).  An array
+    of k gives the stack of shape k.shape + (4, 4).
+    """
+    k = np.asarray(k, dtype=float)
+    cols = []
+    for j in range(4):
+        v = np.eye(4)[j]
+        coined = {}
+        for m in (-1, 0, 1):
+            for x, part in ((2 * m + 1, v[:2]), (2 * m + 2, v[2:])):
+                coined[x] = np.exp(1j * k * m)[..., None] * (coin_2x2(phi1 if x % 2 else phi2) @ part)
+        cols.append(np.stack([coined[0][..., 0], coined[2][..., 1],
+                              coined[1][..., 0], coined[3][..., 1]], axis=-1))
+    half = np.zeros((4, 4), dtype=complex)
+    half[:2, :2], half[2:, 2:] = coin_2x2(phi1 / 2), coin_2x2(phi2 / 2)
+    return half @ np.stack(cols, axis=-1) @ half.conj().T

@@ -127,9 +127,25 @@ def test_torus_angles_reject_gap_closing_state():
         torus_angles(anomalous)
 
 
-def test_torus_angles_reject_non_eigenstate():
+@pytest.mark.parametrize("vec", [[1.0, 0, 0, 0], [0.0, 0, 0, 0],
+                                 [np.nan, 0, 0, 0], [np.inf, 0, 0, 0]],
+                         ids=["basis", "zero", "nan", "inf"])
+def test_torus_angles_reject_non_eigenstate(vec):
+    v = np.array(vec, dtype=complex)
     with pytest.raises(SymmetryViolationError):
-        torus_angles(np.array([1.0, 0, 0, 0], dtype=complex))
+        torus_angles(v)
+    good = band_structure(1.29, 0.17, k_grid=np.array([0.4])).eigenvectors[0].T
+    with pytest.raises(SymmetryViolationError):
+        torus_angles(np.vstack([good, v]))
+
+
+def test_torus_angles_of_a_stack_match_single_vectors():
+    bands = band_structure(1.29, 0.17, resolution=8)
+    stack = np.swapaxes(bands.eigenvectors, 1, 2)
+    angles = torus_angles(stack)
+    assert angles.shape == (8, 4, 3)
+    single = [[torus_angles(v) for v in row] for row in stack]
+    np.testing.assert_allclose(angles, single, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n_cells", [4, 8, 16])
@@ -173,6 +189,18 @@ def test_winding_stable_under_resolution_doubling():
     hi = winding_numbers(1.0, 0.2, 1024)
     assert lo.windings == hi.windings
     assert max(hi.residuals) < 1e-6
+
+
+def test_gap_closing_keeps_quasi_energy_order():
+    # touching bands stay sorted by quasi-energy instead of following the crossing
+    bands = band_structure(0.7, 0.7, resolution=511)
+    assert np.all(np.diff(bands.quasienergies, axis=1) >= 0)
+    for k, lam in zip(bands.k_grid, bands.eigenvalues):
+        ref = np.linalg.eigvals(bloch_operator(k, 0.7, 0.7, Frame.PRIMED).matrix)
+        assert multiset_distance(lam, ref) <= 1e-12
+    # an odd grid misses k = pi, where the gap closes; the analytic gap still sees it
+    with pytest.raises(PhaseTransitionError):
+        winding_numbers(0.7, 0.7 - 1e-8, 511)
 
 
 def test_winding_rejects_phase_transition():

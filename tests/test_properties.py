@@ -1,18 +1,19 @@
-"""Property tests of the walk kernel, the QWP scans and the ring spectrum.
+"""Property tests of the walk kernel, the QWP scans, the ring spectrum and the bands.
 
 The walk and scan tests draw coin angles from the gapped box phi1 in
 [1.1, 1.4], phi2 in [0.1, 0.3], which stays clear of the gap closing at
-phi1 = phi2; the spectrum tests draw any angles, gap closings included.
+phi1 = phi2; the spectrum tests draw any angles, gap closings included;
+the band test draws any angles with both protected gaps open.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from susyqw import (Lattice, Topology, WalkerState, bloch_operator, evolve,
-                    full_spectrum, long_time_extrapolation, make_coin_profile,
-                    one_step_matrix, prepare_input, qwp_scan)
+from susyqw import (Lattice, Topology, WalkerState, band_structure, bloch_operator,
+                    evolve, full_spectrum, long_time_extrapolation, make_coin_profile,
+                    one_step_matrix, prepare_input, protected_gaps, qwp_scan)
 
-from helpers import multiset_distance
+from helpers import bloch_oracle, multiset_distance
 
 PHI1 = st.floats(min_value=1.1, max_value=1.4)
 PHI2 = st.floats(min_value=0.1, max_value=0.3)
@@ -93,3 +94,22 @@ def test_bulk_ring_spectrum_is_the_bloch_spectrum(phi1, phi2, cells):
                                                              phi1, phi2).matrix)
                             for j in range(cells)])
     assert multiset_distance(full_spectrum(ring).eigenvalues, bloch) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(phi1=ANGLE, phi2=ANGLE, resolution=st.integers(min_value=1, max_value=1024))
+def test_gapped_bands_keep_their_quadrants(phi1, phi2, resolution):
+    """With both protected gaps open, band b lies in [b pi/2, (b+1) pi/2) at every k."""
+    assume(min(protected_gaps(phi1, phi2)) >= 0.05)
+    bands = band_structure(phi1, phi2, resolution=resolution)
+    quadrant = np.arange(4) * np.pi / 2
+    assert np.all(bands.quasienergies >= quadrant)
+    assert np.all(bands.quasienergies < quadrant + np.pi / 2)
+    u = bloch_oracle(bands.k_grid, phi1, phi2)
+    residual = u @ bands.eigenvectors - bands.eigenvectors * bands.eigenvalues[:, None, :]
+    assert np.linalg.norm(residual, axis=1).max() <= 1e-12
+    if resolution >= 256:
+        # the gauge carries the phase along k, so neighbouring overlaps are real positive
+        overlaps = np.einsum("kab,kab->kb", bands.eigenvectors[:-1].conj(),
+                             bands.eigenvectors[1:])
+        assert overlaps.real.min() > 0.99
