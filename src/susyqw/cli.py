@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -92,7 +90,7 @@ def _parse_angle(value, default_unit: str = "rad") -> float:
             out = np.rad2deg(out) if default_unit == "deg" else np.deg2rad(out)
     if not np.isfinite(out):
         raise ConfigError(f"angle must be finite, got {value!r}")
-    return out
+    return float(out)
 
 
 def _parse_plates(raw) -> list[tuple[str, float]]:
@@ -142,18 +140,26 @@ def _common(phi1: float, phi2: float) -> dict:
 
 
 class _Output:
-    """Collects CSV rows and summary lines; writes a file or stdout."""
+    """Collects body parts (one per table block, never joined) and summary lines."""
 
     def __init__(self, out_path: str | None):
         self.out_path = out_path
-        self.buffer = io.StringIO()
+        self.body: list[str] = []
         self.summary: list[str] = []
 
-    def writer(self):
-        return csv.writer(self.buffer, lineterminator="\n")
+    def table(self, header: list[str], blocks):
+        """Header, then one row per index of each block of equal-length 1-d columns.
+
+        A cell is the ``repr`` of the column's int or float: the shortest text
+        that reads back as the same float64.
+        """
+        self.body.append(",".join(header) + "\n")
+        for block in blocks:
+            rows = zip(*(col.tolist() for col in block))
+            self.body.append("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
     def write_text(self, text: str):
-        self.buffer.write(text)
+        self.body.append(text)
 
     def note(self, key: str, value):
         if isinstance(value, float):
@@ -161,16 +167,14 @@ class _Output:
         self.summary.append(f"# {key} = {value}")
 
     def finish(self):
-        body = self.buffer.getvalue()
         tail = "".join(line + "\n" for line in self.summary)
         if self.out_path:
             with open(self.out_path, "w", encoding="utf-8") as fh:
-                fh.write(body)
+                fh.writelines(self.body)
                 fh.write(tail)
-            sys.stdout.write(tail)
         else:
-            sys.stdout.write(body)
-            sys.stdout.write(tail)
+            sys.stdout.writelines(self.body)
+        sys.stdout.write(tail)
 
 
 def _fmt(x) -> str:
@@ -195,19 +199,12 @@ def cmd_evolve(opts) -> int:
     trajectory = evolve(state, profile, opts.steps, record=True)
 
     out = _Output(opts.out)
-    w = out.writer()
-    header = ["step", "x"]
-    for frame in opts.frame:
-        header += [f"p_{frame.value}_h", f"p_{frame.value}_v"]
-    w.writerow(header)
     coords = lattice.coords()
-    for st in trajectory:
-        tables = [to_frame(st, profile, f).probabilities() for f in opts.frame]
-        for i, x in enumerate(coords):
-            row = [st.t, x]
-            for table in tables:
-                row += [_fmt(table[i, 0]), _fmt(table[i, 1])]
-            w.writerow(row)
+    # one block per step keeps a single step's cells in memory at a time
+    out.table(["step", "x"] + [f"p_{f.value}_{c}" for f in opts.frame for c in "hv"],
+              ([np.full(coords.size, st.t), coords,
+                *(col for f in opts.frame for col in to_frame(st, profile, f).probabilities().T)]
+               for st in trajectory))
     final = trajectory[-1]
     probs = final.probabilities().sum(axis=1)
     out.note("kind", opts.kind)
@@ -222,16 +219,12 @@ def cmd_evolve(opts) -> int:
 def cmd_bands(opts) -> int:
     bands = band_structure(opts.phi1, opts.phi2, resolution=opts.resolution)
 
+    re_lam2 = (bands.eigenvalues ** 2).real
+    target = band_condition_value(bands.k_grid, opts.phi1, opts.phi2)
     out = _Output(opts.out)
-    w = out.writer()
-    w.writerow(["k", "eps1", "eps2", "eps3", "eps4", "re_lambda_sq", "residual"])
-    for i, k in enumerate(bands.k_grid):
-        lam2 = bands.eigenvalues[i] ** 2
-        target = band_condition_value(k, opts.phi1, opts.phi2)
-        resid = float(np.abs(lam2.real - target).max())
-        row = [_fmt(k)] + [_fmt(e) for e in bands.quasienergies[i]]
-        row += [_fmt(float(lam2.real.mean())), _fmt(resid)]
-        w.writerow(row)
+    out.table(["k", "eps1", "eps2", "eps3", "eps4", "re_lambda_sq", "residual"],
+              [[bands.k_grid, *bands.quasienergies.T, re_lam2.mean(axis=1),
+                np.abs(re_lam2 - target[:, None]).max(axis=1)]])
     out.note("phi1", opts.phi1)
     out.note("phi2", opts.phi2)
     out.note("resolution", opts.resolution)
@@ -268,15 +261,16 @@ def cmd_midgap(opts) -> int:
     spectrum = full_spectrum(profile)
     states = find_midgap(spectrum, opts.tol)
 
-    out = _Output(opts.out)
-    w = out.writer()
-    w.writerow(["state", "x", "prob", "s1", "s2", "s3"])
-    for j, st in enumerate(states):
+    def block(j, st):
         probs = (np.abs(st.amplitudes) ** 2).sum(axis=1)
-        for x in range(opts.n):
-            if probs[x] > 1e-10:
-                s1, s2, s3 = site_polarization(st, profile, x)
-                w.writerow([j, x, _fmt(probs[x]), _fmt(s1), _fmt(s2), _fmt(s3)])
+        sites = np.flatnonzero(probs > 1e-10)
+        # one site at a time: scalar complex arithmetic rounds unlike array loops
+        stokes = np.array([site_polarization(st, profile, x) for x in sites.tolist()])
+        return [np.full(sites.size, j), sites, probs[sites], *stokes.T]
+
+    out = _Output(opts.out)
+    out.table(["state", "x", "prob", "s1", "s2", "s3"],
+              (block(j, st) for j, st in enumerate(states)))
     out.note("n", opts.n)
     out.note("midgap_count", len(states))
     for j, st in enumerate(states):
@@ -299,11 +293,8 @@ def cmd_scan(opts) -> int:
         curves[kind] = scan(profile, opts.steps, opts.probe_site, opts.angles)
 
     out = _Output(opts.out)
-    w = out.writer()
-    w.writerow(["angle_deg", "interface", "bulk"])
-    for i, th in enumerate(opts.angles):
-        w.writerow([_fmt(th), _fmt(curves["interface"].intensities[i]),
-                    _fmt(curves["bulk"].intensities[i])])
+    out.table(["angle_deg", "interface", "bulk"],
+              [[opts.angles, curves["interface"].intensities, curves["bulk"].intensities]])
     out.note("steps", opts.steps)
     out.note("probe_site", opts.probe_site)
     out.note("cell_probe", opts.cell)

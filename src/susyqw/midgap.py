@@ -281,6 +281,9 @@ def _fit_decay(probs: np.ndarray, center: int) -> tuple[float, float]:
         if p > floor:
             ds.append(d)
             ps.append(p)
+    if ds == [1]:
+        # confined to its bond (center and partner): xi -> 0, as for a coin angle of pi/2
+        return 0.0, 1.0
     if len(ds) < 2:
         raise ValueError(f"decay fit around site {center} has {len(ds)} occupied distances, "
                          "needs 2 (midgap tolerance too large?)")

@@ -95,14 +95,6 @@ class DensityMatrix:
     step: int
     clipped: bool = False
 
-    def stokes(self) -> tuple[float, float, float, float]:
-        rho = self.matrix
-        s0 = float(np.trace(rho).real)
-        return (s0,
-                float(np.trace(rho @ SZ).real),
-                float(np.trace(rho @ SX).real),
-                float(np.trace(rho @ SY).real))
-
     def decomposition(self) -> tuple[float, float, float]:
         """(|H| amplitude, |V| amplitude, relative phase) of the normalized state.
 

@@ -88,3 +88,12 @@ def bloch_oracle(k, phi1, phi2):
     half = np.zeros((4, 4), dtype=complex)
     half[:2, :2], half[2:, 2:] = coin_2x2(phi1 / 2), coin_2x2(phi2 / 2)
     return half @ np.stack(cols, axis=-1) @ half.conj().T
+
+
+def primed_frame_rotation(angles):
+    """2N x 2N block-diagonal C(phi_x / 2), site by site; U' = V U V^dagger."""
+    N = len(angles)
+    v = np.zeros((2 * N, 2 * N), dtype=complex)
+    for x, phi in enumerate(angles):
+        v[2 * x:2 * x + 2, 2 * x:2 * x + 2] = coin_2x2(phi / 2)
+    return v

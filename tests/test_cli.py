@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from susyqw import (Frame, band_structure, evolve, find_midgap, full_spectrum,
+                    long_time_extrapolation, make_coin_profile, prepare_input, qwp_scan,
+                    ring_with_interfaces, segment_for, site_polarization, to_frame)
 from susyqw.cli import main
 
 
@@ -72,6 +75,77 @@ def test_evolve_angle_suffix_parsing(tmp_path, capsys):
     code, out, _ = run_cli(["evolve", "--config", str(cfg)], capsys)
     assert code == 0
     assert float(summary_dict(out)["final_norm"]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_suffixed_angle_is_summarized_as_a_plain_float(source, tmp_path, capsys):
+    argv = ["bands", "--resolution", "8"]
+    if source == "flag":
+        argv += ["--phi1", "57deg"]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"phi1": "57deg"}))
+        argv += ["--config", str(cfg)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert float(summary_dict(out)["phi1"]) == float(np.deg2rad(57))
+
+
+def _evolve_table():
+    lattice = segment_for(1, 9)
+    profile = make_coin_profile("interface", lattice, phi1=1.29, phi2=0.17)
+    trajectory = evolve(prepare_input(1, [("qwp", 30.0)], lattice), profile, 9, record=True)
+    return {f"p_{frame.value}_{c}": np.concatenate(
+                [to_frame(st, profile, frame).probabilities()[:, i] for st in trajectory])
+            for frame in (Frame.LAB, Frame.PRIMED) for i, c in enumerate("hv")}
+
+
+def _bands_table():
+    eps = band_structure(1.0, 0.2, resolution=64).quasienergies
+    return {f"eps{b + 1}": eps[:, b] for b in range(4)}
+
+
+def _scan_table(cell):
+    scan = long_time_extrapolation if cell else qwp_scan
+    lattice = segment_for(1, 13)
+    return {kind: scan(make_coin_profile(kind, lattice, phi1=1.29, phi2=0.17), 13, 0,
+                       np.arange(0.0, 180.0, 5.0)).intensities
+            for kind in ("interface", "bulk")}
+
+
+def _midgap_table(cols):
+    profile = ring_with_interfaces(40, 1.29, 0.17)
+    states = find_midgap(full_spectrum(profile))
+    stokes = np.array([site_polarization(states[int(j)], profile, int(x))
+                       for j, x in zip(cols["state"], cols["x"])])
+    return {"s1": stokes[:, 0], "s2": stokes[:, 1], "s3": stokes[:, 2]}
+
+
+# (flags, library columns by name: from nothing, or from the table's own columns)
+EXACT_TABLES = [
+    pytest.param(["evolve", "--steps", "9", "--frame", "both", "--plate", "qwp:30"],
+                 lambda cols: _evolve_table(), id="evolve"),
+    pytest.param(["bands", "--phi1", "1", "--phi2", "0.2", "--resolution", "64"],
+                 lambda cols: _bands_table(), id="bands"),
+    pytest.param(["scan", "--steps", "13", "--angles", "0:180:5"],
+                 lambda cols: _scan_table(False), id="scan"),
+    pytest.param(["scan", "--steps", "13", "--angles", "0:180:5", "--cell"],
+                 lambda cols: _scan_table(True), id="scan-cell"),
+    pytest.param(["midgap", "--n", "40"], _midgap_table, id="midgap"),
+]
+
+
+@pytest.mark.parametrize("argv, library", EXACT_TABLES)
+def test_csv_cells_read_back_the_library_values(argv, library, capsys):
+    """float(cell) is bit for bit the float64 the library returns."""
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    rows = read_rows(out)
+    cols = {key: np.array([float(r[key]) for r in rows]) for key in rows[0]}
+    expected = library(cols)
+    assert expected and all(v.size == len(rows) for v in expected.values())
+    for key, values in expected.items():
+        np.testing.assert_array_equal(cols[key], values, err_msg=key, strict=True)
 
 
 # (command, config or None, flags, text stderr must hold).  A bad setting is

@@ -151,6 +151,18 @@ def test_decay_lengths_follow_the_gap(interface_ring):
     assert all(s.fit_r2 > 0.99 for s in states)
 
 
+def test_quarter_turn_coin_confines_a_state_to_its_bond():
+    # at phi1 = pi/2 the state of the interface on (0, 1) lives on that bond alone
+    profile = ring_with_interfaces(40, np.pi / 2, 0.5)
+    states = find_midgap(full_spectrum(profile))
+    assert len(states) == 4
+    on_bond = [s for s in states if s.center == 0]
+    assert len(on_bond) == 2
+    assert all(s.decay_length == 0.0 for s in on_bond)
+    for s in states:
+        assert anomaly_expectation(s, profile) == pytest.approx(-1.0, abs=1e-9)
+
+
 def test_midgap_anomaly_is_minus_one(interface_ring):
     profile, _, states = interface_ring
     for s in states:

@@ -2,18 +2,20 @@
 
 The walk and scan tests draw coin angles from the gapped box phi1 in
 [1.1, 1.4], phi2 in [0.1, 0.3], which stays clear of the gap closing at
-phi1 = phi2; the spectrum tests draw any angles, gap closings included;
-the band test draws any angles with both protected gaps open.
+phi1 = phi2; the spectrum and ring-symmetry tests draw any angles, gap
+closings included; the band and anomaly tests draw angles with both
+protected gaps open.
 """
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from susyqw import (Lattice, Topology, WalkerState, band_structure, bloch_operator,
-                    evolve, full_spectrum, long_time_extrapolation, make_coin_profile,
-                    one_step_matrix, prepare_input, protected_gaps, qwp_scan)
+from susyqw import (Lattice, Topology, WalkerState, anomaly_expectation, band_structure,
+                    bloch_operator, evolve, find_midgap, full_spectrum,
+                    long_time_extrapolation, make_coin_profile, one_step_matrix,
+                    prepare_input, protected_gaps, qwp_scan, ring_with_interfaces)
 
-from helpers import bloch_oracle, multiset_distance
+from helpers import SY, bloch_oracle, multiset_distance, primed_frame_rotation
 
 PHI1 = st.floats(min_value=1.1, max_value=1.4)
 PHI2 = st.floats(min_value=0.1, max_value=0.3)
@@ -113,3 +115,36 @@ def test_gapped_bands_keep_their_quadrants(phi1, phi2, resolution):
         overlaps = np.einsum("kab,kab->kb", bands.eigenvectors[:-1].conj(),
                              bands.eigenvectors[1:])
         assert overlaps.real.min() > 0.99
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), cells=st.integers(min_value=2, max_value=30))
+def test_primed_ring_step_is_chiral_and_supersymmetric(data, cells):
+    """In the primed frame, Gamma U' Gamma = U'^dagger and Sigma_z U' Sigma_z = -U'.
+
+    Gamma is sigma_y on every site; Sigma_z is +1 on odd sites and -1 on even
+    ones.  Both hold site by site, so any explicit even ring obeys them.
+    """
+    angles = data.draw(st.lists(ANGLE, min_size=2 * cells, max_size=2 * cells))
+    profile = make_coin_profile("explicit", Lattice(2 * cells, Topology.RING), angles=angles)
+    v = primed_frame_rotation(angles)
+    primed = v @ one_step_matrix(profile) @ v.conj().T
+    gamma = np.kron(np.eye(2 * cells), SY)
+    sigma_z = np.kron(np.diag(np.where(np.arange(2 * cells) % 2 == 1, 1.0, -1.0)), np.eye(2))
+    assert np.abs(gamma @ primed @ gamma - primed.conj().T).max() <= 1e-12
+    assert np.abs(sigma_z @ primed @ sigma_z + primed).max() <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(phi1=st.floats(min_value=0.0, max_value=np.pi / 2, exclude_min=True, exclude_max=True),
+       phi2=st.floats(min_value=0.0, max_value=np.pi / 2, exclude_min=True, exclude_max=True),
+       n=st.sampled_from([40, 200]))
+def test_interface_anomaly_over_the_phase_diagram(phi1, phi2, n):
+    """Four midgap states, each with anomaly -1 for phi2 < phi1 and +1 swapped."""
+    assume(phi2 < phi1 and min(protected_gaps(phi1, phi2)) >= 0.1)
+    for (a, b), sign in (((phi1, phi2), -1.0), ((phi2, phi1), 1.0)):
+        profile = ring_with_interfaces(n, a, b)
+        states = find_midgap(full_spectrum(profile))
+        assert len(states) == 4
+        for state in states:
+            assert abs(anomaly_expectation(state, profile) - sign) <= 1e-9
