@@ -4,7 +4,7 @@ winding numbers, interface midgap states and polarization tomography."""
 
 from .bloch import (BandStructure, BlochOperator, SymmetryReport, WindingReport,
                     band_condition_value, band_structure, bloch_operator,
-                    check_symmetries, protected_gaps, quadruple_closure_distance,
+                    check_symmetries, decay_length, protected_gaps, quadruple_closure_distance,
                     quasi_energies, susy_partners, to_primed, torus_angles,
                     winding_numbers)
 from .errors import (BoundaryReachedError, ConfigError, LatticeMismatchError,
@@ -32,7 +32,8 @@ __all__ = [
     "SymmetryViolationError", "Topology", "UnoccupiedSiteError", "WalkerState",
     "WindingReport", "anomaly_expectation", "apply_coin", "apply_shift",
     "band_condition_value", "band_structure", "bloch_operator",
-    "cell_z_expectation", "check_symmetries", "coin_y_expectation", "evolve",
+    "cell_z_expectation", "check_symmetries", "coin_y_expectation", "decay_length",
+    "evolve",
     "find_midgap", "full_spectrum", "jitter_intensities", "localized_state",
     "long_time_extrapolation", "make_coin_profile", "measure_bases",
     "one_step_matrix", "prepare_input", "protected_gaps", "pure_state_fidelity",

@@ -9,12 +9,19 @@ coin Pauli COIN_Y; together these pin protected gaps at quasi-energy 0, pi
 While those gaps are open, band b stays in the quadrant
 b pi/2 <= epsilon < (b + 1) pi/2 of the quasi-energy circle, so ordering the
 four eigenvalues by quasi-energy at each k connects the bands; no overlap
-matching is needed.  All k points are assembled and diagonalized as one
-stack, and ``torus_angles`` accepts stacks of eigenvectors as well.
+matching is needed.
+
+The one-step unitary is off-diagonal in the sublattice, u = [[0, u12],
+[u21, 0]], so u^2 is the direct sum of the 2x2 SUSY partner walks u12 u21
+and u21 u12.  Bands come from a batched 2x2 eigensolve of u12 u21 over all
+k points at once, lifted to the eigenpairs of u (see ``_lift``, which the
+ring spectrum in ``midgap`` shares); ``torus_angles`` accepts stacks of
+eigenvectors as well.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +50,25 @@ def protected_gaps(phi1: float, phi2: float) -> tuple[float, float]:
     return gap_real, gap_imag
 
 
+def decay_length(phi1: float, phi2: float) -> float:
+    """Analytic localization length xi of the midgap states at lambda = +-i.
+
+    Setting lambda^2 = -1 in the band condition gives
+    cos k = (sin phi1 sin phi2 - 1) / (cos phi1 cos phi2), whose modulus is
+    at least 1: k is complex, and a midgap state decays from its interface
+    as |psi|^2 ~ exp(-2 d / xi) over d sites, with
+    xi = 2 / arccosh|(sin phi1 sin phi2 - 1) / (cos phi1 cos phi2)|.
+    xi is 0 where cos phi1 cos phi2 = 0 (a coin angle of pi/2 confines the
+    states to a few sites) and inf where sin phi1 = sin phi2 (the gap at
+    +-i closes).
+    """
+    c = math.cos(phi1) * math.cos(phi2)
+    if c == 0:
+        return 0.0
+    r = abs((math.sin(phi1) * math.sin(phi2) - 1) / c)
+    return 2 / math.acosh(r) if r > 1 else math.inf
+
+
 def quasi_energies(lams: np.ndarray) -> np.ndarray:
     """epsilon = -arg(lambda) mod 2pi."""
     return np.mod(-np.angle(lams), 2 * np.pi)
@@ -61,19 +87,18 @@ class BlochOperator:
     frame: Frame
 
 
-def _bloch_matrices(ks, phi1: float, phi2: float, frame: Frame) -> np.ndarray:
-    """One-step unitaries u(k) stacked over k, shape ``k.shape + (4, 4)``."""
+def _bloch_blocks(ks, phi1: float, phi2: float,
+                  frame: Frame) -> tuple[np.ndarray, np.ndarray]:
+    """Off-diagonal blocks u12(k), u21(k) of the one-step unitary.
+
+    u(k) = [[0, u12], [u21, 0]]; each block has shape ``k.shape + (2, 2)``.
+    """
     upper = SX @ shift_phase(-ks) @ SX
     lower = shift_phase(ks)
     if frame is Frame.LAB:
-        u12, u21 = upper @ coin_matrix(phi2), lower @ coin_matrix(phi1)
-    else:
-        h1, h2 = coin_matrix(phi1 / 2), coin_matrix(phi2 / 2)
-        u12, u21 = h1 @ upper @ h2, h2 @ lower @ h1
-    u = np.zeros(lower.shape[:-2] + (4, 4), dtype=complex)
-    u[..., :2, 2:] = u12
-    u[..., 2:, :2] = u21
-    return u
+        return upper @ coin_matrix(phi2), lower @ coin_matrix(phi1)
+    h1, h2 = coin_matrix(phi1 / 2), coin_matrix(phi2 / 2)
+    return h1 @ upper @ h2, h2 @ lower @ h1
 
 
 def bloch_operator(k: float, phi1: float, phi2: float,
@@ -83,8 +108,9 @@ def bloch_operator(k: float, phi1: float, phi2: float,
     Lab frame:     [[0, sx f(-k) sx C(phi2)], [f(k) C(phi1), 0]]
     Primed frame:  half-angle coins attached on both sides of each block.
     """
-    return BlochOperator(_bloch_matrices(float(k), phi1, phi2, frame),
-                         float(k), float(phi1), float(phi2), frame)
+    u = np.zeros((4, 4), dtype=complex)
+    u[:2, 2:], u[2:, :2] = _bloch_blocks(float(k), phi1, phi2, frame)
+    return BlochOperator(u, float(k), float(phi1), float(phi2), frame)
 
 
 def to_primed(op: BlochOperator) -> BlochOperator:
@@ -118,9 +144,32 @@ def check_symmetries(op: BlochOperator) -> SymmetryReport:
 def susy_partners(k: float, phi1: float, phi2: float,
                   frame: Frame = Frame.LAB) -> tuple[np.ndarray, np.ndarray]:
     """The two 2x2 partner walks whose direct sum is u(k)^2."""
-    u = bloch_operator(k, phi1, phi2, frame).matrix
-    u12, u21 = u[:2, 2:], u[2:, :2]
+    u12, u21 = _bloch_blocks(float(k), phi1, phi2, frame)
     return u12 @ u21, u21 @ u12
+
+
+def _lift(mu: np.ndarray, vec: np.ndarray, hop_vec: np.ndarray,
+          psi_vec: np.ndarray, psi_hop: np.ndarray) -> np.ndarray:
+    """Eigenpairs of U = [[0, X], [Y, 0]] from the eigenpairs (mu, v) of X Y.
+
+    Each (mu, v) gives lambda = +-sqrt(mu / |mu|) and
+    psi = (v, Y v / lambda) / sqrt(2).  ``vec`` (..., d, m) holds the v as
+    columns, ``hop_vec`` the Y v; ``psi_vec`` and ``psi_hop`` (..., d, 2, m)
+    are the two blocks of the output eigenvectors, written here, with the
+    branch axis -2 ordered +lambda, -lambda.  Returns the eigenvalues
+    (..., 2m) in the same column order.  A |mu| off 1 by more than
+    _UNIT_CIRCLE_TOL, or NaN, raises LinAlgError.
+    """
+    mod = np.abs(mu)
+    off = ~(np.abs(mod - 1.0) <= _UNIT_CIRCLE_TOL)
+    if off.any():
+        raise np.linalg.LinAlgError(
+            f"eigenvalues off the unit circle (|mu| = {mod[off].flat[0]!r})")
+    lam = np.sqrt(mu / mod)
+    psi_vec[...] = vec[..., None, :] * np.sqrt(0.5)
+    psi_hop[..., 0, :] = hop_vec * (np.sqrt(0.5) / lam[..., None, :])
+    psi_hop[..., 1, :] = -psi_hop[..., 0, :]
+    return np.concatenate([lam, -lam], axis=-1)
 
 
 def _gaps(eps: np.ndarray) -> tuple[float, float]:
@@ -161,15 +210,19 @@ def band_structure(phi1: float, phi2: float,
                    k_grid: np.ndarray | None = None,
                    resolution: int = 512,
                    frame: Frame = Frame.PRIMED) -> BandStructure:
-    """Diagonalize the Bloch operator over a k grid in one batched eigensolve.
+    """Diagonalize the Bloch operator over a k grid through its SUSY partner walk.
 
-    Eigenvalues are projected onto the unit circle; the projection delta is
-    asserted below 1e-10.  The four eigenpairs are sorted by ascending
-    quasi-energy at every k, which keeps each band in its own quadrant while
-    the protected gaps are open; where a gap closes, touching bands keep
-    that order rather than following the crossing.  Each eigenvector has its
-    largest component made real positive, then a phase carried along k that
-    makes the overlaps of neighbouring k points real positive.
+    One batched ``eig`` of the 2x2 partner u12(k) u21(k) gives (mu, v) at
+    every k; each pair lifts to lambda = +-sqrt(mu / |mu|) and
+    psi = (v, u21 v / lambda) / sqrt(2), with |mu| - 1 asserted below 1e-10
+    (see ``_lift``).  The eigenvalues come from the assembled matrices, not
+    from ``band_condition_value``, which stays an independent check.  The
+    four eigenpairs are sorted by ascending quasi-energy at every k, which
+    keeps each band in its own quadrant while the protected gaps are open;
+    where a gap closes, touching bands keep that order rather than following
+    the crossing.  Each eigenvector has its largest component made real
+    positive, then a phase carried along k that makes the overlaps of
+    neighbouring k points real positive.
     """
     if k_grid is None:
         k_grid = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
@@ -179,13 +232,12 @@ def band_structure(phi1: float, phi2: float,
     if np.any(np.diff(ks) < 0):
         raise ValueError("k grid must be sorted")
 
-    lams, vecs = np.linalg.eig(_bloch_matrices(ks, phi1, phi2, frame))
-    mod = np.abs(lams)
-    off = ~(np.abs(mod - 1.0) <= _UNIT_CIRCLE_TOL)
-    if off.any():
-        raise np.linalg.LinAlgError(
-            f"eigenvalues off the unit circle at k={ks[off.any(axis=1)][0]}")
-    lams /= mod
+    u12, u21 = _bloch_blocks(ks, phi1, phi2, frame)
+    mu, v = np.linalg.eig(u12 @ u21)
+    # axes (k, sublattice, coin, branch, eigenpair of u12 u21)
+    vecs = np.empty((ks.size, 2, 2, 2, 2), dtype=complex)
+    lams = _lift(mu, v, u21 @ v, vecs[:, 0], vecs[:, 1])
+    vecs = vecs.reshape(ks.size, 4, 4)
     eps = quasi_energies(lams)
     order = np.argsort(eps, axis=1)
     lams, eps = np.take_along_axis(lams, order, 1), np.take_along_axis(eps, order, 1)

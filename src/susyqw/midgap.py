@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import protected_gaps
+from .bloch import _lift, protected_gaps
 from .errors import ProfileError, UnoccupiedSiteError
 from .walk import CoinProfile, Frame, Lattice, Topology, WalkerState, \
     make_coin_profile, _rotate_half
@@ -123,7 +123,7 @@ def full_spectrum(profile: CoinProfile) -> SpectrumResult:
     for each conjugate pair mu, conj(mu); each group of equal Re mu is
     resolved by a small ``eig`` of M restricted to it.  An eigenpair (mu, v)
     of M gives the two eigenpairs lambda = +-sqrt(mu),
-    psi = (v, A v / lambda) / sqrt(2) of U.
+    psi = (v, A v / lambda) / sqrt(2) of U (``bloch._lift``).
     """
     if profile.lattice.topology is not Topology.RING:
         raise ProfileError("full spectrum needs a ring profile")
@@ -141,22 +141,13 @@ def full_spectrum(profile: CoinProfile) -> SpectrumResult:
     for g, block in _invariant_groups(q, mq, re_mu):
         mu[g], rot = np.linalg.eig(block)
         vec[:, g], avec[:, g] = q[:, g] @ rot, aq[:, g] @ rot
-    mod = np.abs(mu)
-    if np.max(np.abs(mod - 1.0)) > _PROJECTION_TOL:
-        raise np.linalg.LinAlgError("ring eigenvalues off the unit circle")
-    lam = np.sqrt(mu / mod)
 
-    # back from the real gauge to lab amplitudes (h, v), with the 1/sqrt(2) of psi
-    gauge = np.sqrt(0.5) * np.tile([1, 1j], n // 2)[:, None]
-    vec *= gauge
-    avec *= gauge / lam
-    # row 2x + c with x = 2j + parity; column branch * n + k for lambda = +-lam[k]
+    # row 2x + c with x = 2j + parity; column branch * n + k for lambda = +-sqrt(mu[k])
     psi = np.empty((n // 2, 2, 2, 2, n), dtype=complex)
-    psi[:, 1] = vec.reshape(n // 2, 2, 1, n)
-    psi[:, 0, :, 0] = avec.reshape(n // 2, 2, n)
-    psi[:, 0, :, 1] = -psi[:, 0, :, 0]
-    psi = psi.reshape(2 * n, 2 * n)
-    return SpectrumResult(np.concatenate([lam, -lam]), psi, profile)
+    lams = _lift(mu, vec.reshape(n // 2, 2, n), avec.reshape(n // 2, 2, n),
+                psi[:, 1], psi[:, 0])
+    psi[:, :, 1] *= 1j  # back from the real gauge (h, -i v) to lab amplitudes (h, v)
+    return SpectrumResult(lams, psi.reshape(2 * n, 2 * n), profile)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,12 +272,12 @@ def _fit_decay(probs: np.ndarray, center: int) -> tuple[float, float]:
         if p > floor:
             ds.append(d)
             ps.append(p)
-    if ds == [1]:
-        # confined to its bond (center and partner): xi -> 0, as for a coin angle of pi/2
+    if not ds:
+        raise ValueError(f"decay fit around site {center} has no occupied distance "
+                         "(midgap tolerance too large?)")
+    if len(ds) < 3:
+        # compact, as where a coin angle is pi/2: no tail to fit, xi -> 0
         return 0.0, 1.0
-    if len(ds) < 2:
-        raise ValueError(f"decay fit around site {center} has {len(ds)} occupied distances, "
-                         "needs 2 (midgap tolerance too large?)")
     ds, logp = np.asarray(ds, dtype=float), np.log(np.asarray(ps))
     slope, intercept = np.polyfit(ds, logp, 1)
     fitted = slope * ds + intercept

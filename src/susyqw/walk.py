@@ -291,12 +291,14 @@ def evolve(state: WalkerState, profile: CoinProfile, steps: int,
     return trajectory if record else WalkerState(amps, lattice, state.t + steps)
 
 
-def to_frame(state: WalkerState, profile: CoinProfile, frame: Frame) -> WalkerState:
+def to_frame(state: WalkerState, profile: CoinProfile, frame: Frame | str) -> WalkerState:
     """Convert amplitudes between the lab basis and the site-local primed basis.
 
     The primed components at site x are obtained by C(phi_x / 2); the frame
-    angle of a site equals the coin angle applied there.
+    angle of a site equals the coin angle applied there.  ``frame`` may be a
+    Frame or its value, "lab" or "primed"; anything else raises ValueError.
     """
+    frame = Frame(frame)
     _check_shared_lattice(state, profile)
     if state.frame is frame:
         return replace(state, amplitudes=state.amplitudes.copy())

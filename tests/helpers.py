@@ -65,15 +65,16 @@ def ring_bloch_state(v, n_cells, m_momentum):
     return amps / np.linalg.norm(amps)
 
 
-def bloch_oracle(k, phi1, phi2):
-    """Primed-frame Bloch matrix from the real-space step acting on a plane wave.
+def bloch_oracle(k, phi1, phi2, primed=True):
+    """Bloch matrix from the real-space step acting on a plane wave.
 
     Cell m holds the odd site 2m+1 (angle phi1) and the even site 2m+2
     (angle phi2), with amplitudes exp(i k m) (v[:2], v[2:]).  One step
     applies each site's coin, then moves H one site right and V one site
-    left; reading cell 0 back gives column j for v = e_j.  The primed frame
-    conjugates by the half-angle coins C(phi1/2) (+) C(phi2/2).  An array
-    of k gives the stack of shape k.shape + (4, 4).
+    left; reading cell 0 back gives column j for v = e_j: the lab-frame
+    matrix.  The primed frame (default) conjugates it by the half-angle
+    coins C(phi1/2) (+) C(phi2/2).  An array of k gives the stack of shape
+    k.shape + (4, 4).
     """
     k = np.asarray(k, dtype=float)
     cols = []
@@ -85,9 +86,12 @@ def bloch_oracle(k, phi1, phi2):
                 coined[x] = np.exp(1j * k * m)[..., None] * (coin_2x2(phi1 if x % 2 else phi2) @ part)
         cols.append(np.stack([coined[0][..., 0], coined[2][..., 1],
                               coined[1][..., 0], coined[3][..., 1]], axis=-1))
+    lab = np.stack(cols, axis=-1)
+    if not primed:
+        return lab
     half = np.zeros((4, 4), dtype=complex)
     half[:2, :2], half[2:, 2:] = coin_2x2(phi1 / 2), coin_2x2(phi2 / 2)
-    return half @ np.stack(cols, axis=-1) @ half.conj().T
+    return half @ lab @ half.conj().T
 
 
 def primed_frame_rotation(angles):

@@ -6,6 +6,7 @@ from susyqw import (Frame, Lattice, PhaseTransitionError, SymmetryViolationError
                     check_symmetries, full_spectrum, make_coin_profile,
                     protected_gaps, quadruple_closure_distance, quasi_energies,
                     susy_partners, to_primed, torus_angles, winding_numbers)
+from susyqw.bloch import _lift
 
 from helpers import ID2, SY, SZ, multiset_distance, ring_bloch_state
 
@@ -86,6 +87,13 @@ def test_lab_frame_operator_is_transformed_before_check():
     primed = to_primed(op)
     direct = bloch_operator(0.8, 1.29, 0.17, Frame.PRIMED)
     np.testing.assert_allclose(primed.matrix, direct.matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("mu", [np.nan, 1 + 1e-9, 0.5j], ids=["nan", "outside", "inside"])
+def test_lift_rejects_eigenvalues_off_the_unit_circle(mu):
+    vec, psi = np.ones((1, 1), dtype=complex), np.empty((1, 2, 1), dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        _lift(np.array([mu], dtype=complex), vec, vec, psi, psi)
 
 
 def test_susy_partner_factorization_and_spectra():

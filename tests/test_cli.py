@@ -294,6 +294,16 @@ def test_midgap_report_and_table(tmp_path, capsys):
             assert sgn == (xs[ref_x] if (x - ref_x) % 2 == 0 else -xs[ref_x])
 
 
+def test_midgap_compact_states_have_zero_decay_length(capsys):
+    # at phi1 = pi/2 each state lives on at most four sites: nothing to fit
+    code, out, _ = run_cli(["midgap", "--n", "40", "--phi1", "90deg", "--phi2", "0.5"], capsys)
+    assert code == 0
+    summary = summary_dict(out)
+    assert summary["midgap_count"] == "4"
+    for j in range(4):
+        assert "decay_length=0.0 fit_r2=1.0" in summary[f"state{j}"]
+
+
 def test_midgap_large_tolerance_fails_cleanly(capsys):
     code, _, err = run_cli(["midgap", "--n", "12", "--tol", "2.5"], capsys)
     assert code == 3

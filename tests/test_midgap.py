@@ -3,8 +3,8 @@ import pytest
 
 from susyqw import (Frame, Lattice, ProfileError, SpectrumResult, Topology,
                     UnoccupiedSiteError, anomaly_expectation, band_structure,
-                    cell_z_expectation, coin_y_expectation, find_midgap, full_spectrum,
-                    make_coin_profile, one_step_matrix, protected_gaps,
+                    cell_z_expectation, coin_y_expectation, decay_length, find_midgap,
+                    full_spectrum, make_coin_profile, one_step_matrix, protected_gaps,
                     ring_with_interfaces, site_polarization)
 
 from helpers import ring_bloch_state
@@ -159,8 +159,16 @@ def test_quarter_turn_coin_confines_a_state_to_its_bond():
     on_bond = [s for s in states if s.center == 0]
     assert len(on_bond) == 2
     assert all(s.decay_length == 0.0 for s in on_bond)
+    # exp(-2 / xi) < 1e-16 per site: analytically the states are compact as well
+    assert decay_length(np.pi / 2, 0.5) < 0.06
     for s in states:
         assert anomaly_expectation(s, profile) == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_analytic_decay_length_diverges_where_the_gap_at_i_closes():
+    # sin phi1 = sin phi2 closes the gap at +-i: cos k = -1 has a real k
+    for phi1, phi2 in ((0.7, 0.7), (0.3, np.pi - 0.3), (-1.2, -1.2)):
+        assert decay_length(phi1, phi2) > 1e6
 
 
 def test_midgap_anomaly_is_minus_one(interface_ring):

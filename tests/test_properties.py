@@ -1,19 +1,20 @@
 """Property tests of the walk kernel, the QWP scans, the ring spectrum and the bands.
 
-The walk and scan tests draw coin angles from the gapped box phi1 in
-[1.1, 1.4], phi2 in [0.1, 0.3], which stays clear of the gap closing at
-phi1 = phi2; the spectrum and ring-symmetry tests draw any angles, gap
-closings included; the band and anomaly tests draw angles with both
-protected gaps open.
+The walk, scan and decay-length tests draw coin angles from the gapped box
+phi1 in [1.1, 1.4], phi2 in [0.1, 0.3], which stays clear of the gap closing
+at phi1 = phi2; the spectrum, ring-symmetry and partner-solve tests draw any
+angles, gap closings included; the quadrant and anomaly tests draw angles
+with both protected gaps open.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from susyqw import (Lattice, Topology, WalkerState, anomaly_expectation, band_structure,
-                    bloch_operator, evolve, find_midgap, full_spectrum,
+from susyqw import (Frame, Lattice, Topology, WalkerState, anomaly_expectation, band_structure,
+                    bloch_operator, decay_length, evolve, find_midgap, full_spectrum,
                     long_time_extrapolation, make_coin_profile, one_step_matrix,
-                    prepare_input, protected_gaps, qwp_scan, ring_with_interfaces)
+                    prepare_input, protected_gaps, quadruple_closure_distance, qwp_scan,
+                    ring_with_interfaces)
 
 from helpers import SY, bloch_oracle, multiset_distance, primed_frame_rotation
 
@@ -76,7 +77,11 @@ def test_ring_evolution_matches_matrix_power(kind, phi1, phi2, cells, steps, see
 @settings(max_examples=50, deadline=None)
 @given(data=st.data(), cells=st.integers(min_value=2, max_value=30))
 def test_parity_block_spectrum_matches_dense_eig(data, cells):
-    """The parity-block solve gives the spectrum of the dense U and its eigenvectors."""
+    """The parity-block solve gives the spectrum of the dense U and its eigenvectors.
+
+    The spectrum is closed under conjugation and negation (chiral symmetry and
+    SUSY) to criterion 1's 1e-10.
+    """
     angles = data.draw(st.lists(ANGLE, min_size=2 * cells, max_size=2 * cells))
     profile = make_coin_profile("explicit", Lattice(2 * cells, Topology.RING), angles=angles)
     spectrum = full_spectrum(profile)
@@ -85,6 +90,7 @@ def test_parity_block_spectrum_matches_dense_eig(data, cells):
     assert multiset_distance(lam, np.linalg.eig(umat).eigenvalues) <= 1e-9
     assert np.linalg.norm(umat @ psi - psi * lam, axis=0).max() <= 1e-12
     np.testing.assert_allclose(np.linalg.norm(psi, axis=0), 1.0, rtol=0, atol=1e-12)
+    assert quadruple_closure_distance(lam) < 1e-10
 
 
 @settings(max_examples=30, deadline=None)
@@ -115,6 +121,35 @@ def test_gapped_bands_keep_their_quadrants(phi1, phi2, resolution):
         overlaps = np.einsum("kab,kab->kb", bands.eigenvectors[:-1].conj(),
                              bands.eigenvectors[1:])
         assert overlaps.real.min() > 0.99
+
+
+# an angle pair that is often on a gap closing: phi2 = phi1 or phi2 = -phi1
+CLOSING_PRONE = ANGLE.flatmap(lambda a: st.tuples(st.just(a),
+                                                  st.one_of(st.just(a), st.just(-a), ANGLE)))
+
+
+@settings(max_examples=60, deadline=None)
+@example(angles=(0.7, 0.7), ks=[], frame=Frame.PRIMED)
+@example(angles=(0.7, 0.7), ks=[0.0, 2 * np.pi], frame=Frame.LAB)
+@given(angles=CLOSING_PRONE, frame=st.sampled_from(list(Frame)),
+       ks=st.lists(st.floats(min_value=0.0, max_value=2 * np.pi), max_size=12))
+def test_partner_solve_matches_the_bloch_eig(angles, frame, ks):
+    """The lifted 2x2 partner solve is an eigendecomposition of u(k), at closings too.
+
+    Every k grid holds k = pi, where phi1 = phi2 closes the gap at lambda = +-i
+    (the partner walk is -1 there); phi1 = -phi2 closes the gap at +-1 at k = 0.
+    """
+    phi1, phi2 = angles
+    k_grid = np.sort([np.pi, *ks])
+    bands = band_structure(phi1, phi2, k_grid=k_grid, frame=frame)
+    lams, vecs = bands.eigenvalues, bands.eigenvectors
+    for k, lam, psi in zip(k_grid, lams, vecs):
+        ref = np.linalg.eig(bloch_operator(k, phi1, phi2, frame).matrix).eigenvalues
+        assert multiset_distance(lam, ref) <= 1e-12
+        assert np.linalg.matrix_rank(psi) == 4
+    u = bloch_oracle(k_grid, phi1, phi2, primed=frame is Frame.PRIMED)
+    residual = u @ vecs - vecs * lams[:, None, :]
+    assert np.linalg.norm(residual, axis=1).max() <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,3 +183,20 @@ def test_interface_anomaly_over_the_phase_diagram(phi1, phi2, n):
         assert len(states) == 4
         for state in states:
             assert abs(anomaly_expectation(state, profile) - sign) <= 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(phi1=PHI1, phi2=PHI2)
+def test_fitted_decay_length_is_the_analytic_one(phi1, phi2):
+    """The fitted decay length of every midgap state on an N = 200 ring is xi.
+
+    Over the gapped box the fits lie within 0.30% of ``decay_length`` (1600
+    random points, the corners and a 13 x 13 grid; largest at phi1 = 1.4),
+    because the fit also takes the sites next to the interface; 0.5% is
+    allowed.
+    """
+    xi = decay_length(phi1, phi2)
+    states = find_midgap(full_spectrum(ring_with_interfaces(200, phi1, phi2)))
+    assert len(states) == 4
+    for state in states:
+        assert abs(state.decay_length / xi - 1) <= 5e-3

@@ -150,6 +150,21 @@ def test_frame_roundtrip_and_unitarity():
     np.testing.assert_allclose(back.amplitudes, st.amplitudes, atol=1e-12)
 
 
+def test_frame_accepts_its_string_value():
+    lat = seg()
+    prof = make_coin_profile("bulk", lat, phi1=1.29, phi2=0.17)
+    st = localized_state(lat, 1, (0.6, 0.8))
+    primed = to_frame(st, prof, Frame.PRIMED)
+    by_value = to_frame(st, prof, "primed")
+    assert by_value.frame is Frame.PRIMED
+    np.testing.assert_array_equal(by_value.amplitudes, primed.amplitudes)
+    back = to_frame(primed, prof, "lab")
+    assert back.frame is Frame.LAB
+    np.testing.assert_array_equal(back.amplitudes, to_frame(primed, prof, Frame.LAB).amplitudes)
+    with pytest.raises(ValueError):
+        to_frame(st, prof, "Primed")
+
+
 def test_frame_identity_at_zero_angle():
     lat = seg()
     prof = make_coin_profile("uniform", lat, phi=0.0)
