@@ -32,6 +32,9 @@ from .operators import (CELL_X, CELL_Y, CELL_Z, COIN_X, COIN_Y, COIN_Z, ID4,
 from .walk import Frame
 
 _UNIT_CIRCLE_TOL = 1e-10
+# overlap above which two partner eigenvectors count as skewed; eig's own
+# overlaps stay below 1e-15 over the benchmark box, below 1e-13 at random angles
+_SKEW_TOL = 1e-13
 
 
 def band_condition_value(k, phi1: float, phi2: float):
@@ -215,9 +218,12 @@ def band_structure(phi1: float, phi2: float,
     One batched ``eig`` of the 2x2 partner u12(k) u21(k) gives (mu, v) at
     every k; each pair lifts to lambda = +-sqrt(mu / |mu|) and
     psi = (v, u21 v / lambda) / sqrt(2), with |mu| - 1 asserted below 1e-10
-    (see ``_lift``).  The eigenvalues come from the assembled matrices, not
-    from ``band_condition_value``, which stays an independent check.  The
-    four eigenpairs are sorted by ascending quasi-energy at every k, which
+    (see ``_lift``).  Where u12 u21 has a double eigenvalue (a gap closing)
+    and ``eig`` returns two skewed vectors for it, the second is
+    orthogonalized against the first, so the eigenvectors stay orthonormal.
+    The eigenvalues come from the assembled matrices, not from
+    ``band_condition_value``, which stays an independent check.  The four
+    eigenpairs are sorted by ascending quasi-energy at every k, which
     keeps each band in its own quadrant while the protected gaps are open;
     where a gap closes, touching bands keep that order rather than following
     the crossing.  Each eigenvector has its largest component made real
@@ -234,6 +240,13 @@ def band_structure(phi1: float, phi2: float,
 
     u12, u21 = _bloch_blocks(ks, phi1, phi2, frame)
     mu, v = np.linalg.eig(u12 @ u21)
+    # at a gap closing the partner has a double eigenvalue, and eig may
+    # return two skewed vectors for it: orthogonalize the second
+    overlap = np.einsum("ki,ki->k", v[..., 0].conj(), v[..., 1])
+    skew = np.abs(overlap) > _SKEW_TOL
+    if skew.any():
+        w = v[skew, :, 1] - overlap[skew, None] * v[skew, :, 0]
+        v[skew, :, 1] = w / np.linalg.norm(w, axis=-1, keepdims=True)
     # axes (k, sublattice, coin, branch, eigenpair of u12 u21)
     vecs = np.empty((ks.size, 2, 2, 2, 2), dtype=complex)
     lams = _lift(mu, v, u21 @ v, vecs[:, 0], vecs[:, 1])

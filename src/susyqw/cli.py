@@ -151,12 +151,17 @@ class _Output:
         """Header, then one row per index of each block of equal-length 1-d columns.
 
         A cell is the ``repr`` of the column's int or float: the shortest text
-        that reads back as the same float64.
+        that reads back as the same float64.  Each block becomes one body part.
+        ``repr`` runs once per distinct int and once per float other than
+        +0.0; a +0.0, as outside the light cone of ``evolve``, is the
+        constant "0.0".
         """
         self.body.append(",".join(header) + "\n")
+        int_text: dict[int, str] = {}
         for block in blocks:
-            rows = zip(*(col.tolist() for col in block))
-            self.body.append("".join(",".join(map(repr, row)) + "\n" for row in rows))
+            rows = map(",".join, zip(*(_cells(col, int_text) for col in block)))
+            # the final "" ends the last row; text + "\n" would copy the block
+            self.body.append("\n".join([*rows, ""]))
 
     def write_text(self, text: str):
         self.body.append(text)
@@ -177,11 +182,40 @@ class _Output:
         sys.stdout.write(tail)
 
 
+def _cells(col: np.ndarray, int_text: dict[int, str]) -> list[str]:
+    """The ``repr`` of each entry of a 1-d column.
+
+    A float64 column gets "0.0" for each +0.0, the one float64 with no bit
+    set, and ``repr`` for the rest (-0.0, nan and inf keep their own text).
+    An int's text is made once per table and kept in ``int_text``.
+    """
+    if col.dtype == np.float64:
+        cells = ["0.0"] * col.size
+        nonzero = np.flatnonzero(col.view(np.int64))
+        for i, x in zip(nonzero.tolist(), col[nonzero].tolist()):
+            cells[i] = repr(x)
+        return cells
+    values = col.tolist()
+    if col.dtype.kind not in "iu":
+        return list(map(repr, values))
+    try:
+        return list(map(int_text.__getitem__, values))
+    except KeyError:  # ints this table has not written yet
+        distinct = set(values)
+        int_text.update(zip(distinct, map(repr, distinct)))
+    return list(map(int_text.__getitem__, values))
+
+
 def _fmt(x) -> str:
     return repr(float(x))
 
 
 def cmd_evolve(opts) -> int:
+    """Per-site probabilities of every step of a walk, one table block per step.
+
+    After t steps from the input site x0 only |x - x0| <= t with x - x0 + t
+    even can be occupied; every other cell is an exact zero, written "0.0".
+    """
     if opts.size == "auto":
         lattice = segment_for(opts.input_site, opts.steps)
     else:

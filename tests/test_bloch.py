@@ -8,7 +8,7 @@ from susyqw import (Frame, Lattice, PhaseTransitionError, SymmetryViolationError
                     susy_partners, to_primed, torus_angles, winding_numbers)
 from susyqw.bloch import _lift
 
-from helpers import ID2, SY, SZ, multiset_distance, ring_bloch_state
+from helpers import ID2, SY, SZ, bloch_oracle, multiset_distance, ring_bloch_state
 
 CELL_Z = np.kron(SZ, ID2)
 COIN_Y = np.kron(ID2, SY)
@@ -133,6 +133,22 @@ def test_torus_angles_reject_gap_closing_state():
     anomalous = (q @ rot)[:, -1]
     with pytest.raises(SymmetryViolationError):
         torus_angles(anomalous)
+
+
+@pytest.mark.parametrize("frame", [Frame.LAB, Frame.PRIMED])
+@pytest.mark.parametrize("phi1, phi2", [(0.7, 0.7), (np.pi / 2, np.pi / 2)])
+def test_band_eigenvectors_are_orthonormal_at_gap_closings(phi1, phi2, frame):
+    # the partner walk has a double eigenvalue at k = pi (grid point 32) for
+    # phi1 = phi2 and at every k for phi1 = phi2 = pi/2
+    ks = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+    assert ks[32] == np.pi
+    bands = band_structure(phi1, phi2, k_grid=ks, frame=frame)
+    vecs = bands.eigenvectors
+    gram = np.swapaxes(vecs.conj(), 1, 2) @ vecs
+    assert np.linalg.norm(gram - np.eye(4), ord=2, axis=(1, 2)).max() <= 1e-12
+    u = bloch_oracle(ks, phi1, phi2, primed=frame is Frame.PRIMED)
+    residual = np.linalg.norm(u @ vecs - vecs * bands.eigenvalues[:, None, :], axis=1)
+    assert residual.max() <= 1e-12
 
 
 @pytest.mark.parametrize("vec", [[1.0, 0, 0, 0], [0.0, 0, 0, 0],

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from susyqw import (Frame, band_structure, evolve, find_midgap, full_spectrum,
                     long_time_extrapolation, make_coin_profile, prepare_input, qwp_scan,
                     ring_with_interfaces, segment_for, site_polarization, to_frame)
-from susyqw.cli import main
+from susyqw.cli import _Output, main
 
 
 def run_cli(args, capsys):
@@ -89,6 +90,57 @@ def test_suffixed_angle_is_summarized_as_a_plain_float(source, tmp_path, capsys)
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert float(summary_dict(out)["phi1"]) == float(np.deg2rad(57))
+
+
+# +-0.0, nan, +-inf, subnormals and values near 1e-300 next to ordinary floats
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                                  5e-324, -5e-324, 2.2250738585072009e-308, 1e-300,
+                                  -1.0000000000000001e-300])
+CELL_VALUES = {
+    "int": (np.int64, st.integers(min_value=-2**63, max_value=2**63 - 1)),
+    "float": (np.float64, st.one_of(SPECIAL_FLOATS, st.floats(),
+                                    st.floats(min_value=1e-310, max_value=1e-290))),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(),
+       kinds=st.lists(st.sampled_from(sorted(CELL_VALUES)), min_size=1, max_size=5))
+def test_table_writes_the_naive_repr_join(data, kinds):
+    """Every row is ",".join(map(repr, row)), whatever the zeros, signs and specials."""
+    blocks = []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        rows = data.draw(st.integers(min_value=0, max_value=12))
+        blocks.append([np.array(data.draw(st.lists(CELL_VALUES[k][1], min_size=rows,
+                                                   max_size=rows)), dtype=CELL_VALUES[k][0])
+                       for k in kinds])
+    header = [f"c{j}" for j in range(len(kinds))]
+    out = _Output(None)
+    out.table(header, blocks)
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n"
+        for block in blocks for row in zip(*(col.tolist() for col in block)))
+    assert "".join(out.body) == expected
+
+
+@pytest.mark.parametrize("kind", ["interface", "uniform"])
+def test_evolve_cells_outside_the_light_cone_are_exact_zeros(kind, capsys):
+    """After t steps from x0 only |x - x0| <= t with x - x0 + t even can be occupied."""
+    steps, x0 = 40, 1
+    code, out, _ = run_cli(["evolve", "--steps", str(steps), "--plate", "qwp:30",
+                            "--frame", "both", "--kind", kind], capsys)
+    assert code == 0
+    columns = ["p_lab_h", "p_lab_v", "p_primed_h", "p_primed_v"]
+    edges = 0
+    for row in read_rows(out):
+        t, d = int(row["step"]), int(row["x"]) - x0
+        cells = [row[c] for c in columns]
+        if abs(d) > t or (d + t) % 2:
+            assert cells == ["0.0"] * 4, (t, d)
+        elif abs(d) == t and t >= 1:
+            assert any(float(c) > 0 for c in cells), (t, d)
+            edges += 1
+    assert edges == 2 * steps
 
 
 def _evolve_table():
