@@ -210,10 +210,6 @@ def localized_state(lattice: Lattice, x: int, coin: Sequence[complex] = (1.0, 0.
     return WalkerState(amps, lattice)
 
 
-# steps per light-cone window of ``evolve`` on a segment
-_WINDOW_STEPS = 32
-
-
 def _check_shared_lattice(state: WalkerState, profile: CoinProfile) -> None:
     if state.lattice != profile.lattice:
         raise LatticeMismatchError("state and profile live on different lattices")
@@ -275,15 +271,7 @@ def evolve(state: WalkerState, profile: CoinProfile, steps: int,
     """Apply ``steps`` protocol steps; with record=True return the whole trajectory.
 
     The amplitudes advance in one buffer: the coin is evaluated from it and
-    the shift writes the result back by slice assignment.  On a segment only
-    the light cone is updated: after t steps, sites farther than t from the
-    initial support [lo, hi] are still exact zeros.  Steps go in runs of
-    ``_WINDOW_STEPS``; a run that ends s steps after the start works on
-    [lo - s, hi + s] clipped to the segment, sliced once per run (a slice
-    per step costs more than it saves on short walks).  The boundary check
-    fires at the same step as on the whole segment.  Rings, and walks of one
-    run, whose window would span about all of a ``segment_for`` segment,
-    update every site without looking for the support.
+    the shift writes the result back by slice assignment.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -296,23 +284,10 @@ def evolve(state: WalkerState, profile: CoinProfile, steps: int,
     factors = _coin_factors(profile.angles)
     lattice, topology = state.lattice, state.lattice.topology
     amps = state.amplitudes.astype(complex)
-    lo, hi = 0, lattice.size
-    if topology is Topology.SEGMENT and steps > _WINDOW_STEPS:
-        support = np.flatnonzero(amps.any(axis=1))
-        lo, hi = (int(support[0]), int(support[-1]) + 1) if support.size else (0, 0)
-    end = state.t + steps
-    for start in range(state.t, end, _WINDOW_STEPS):
-        # the support grows by at most one site a side per step, so this
-        # window keeps a zero site past each end of it for the next ``run``
-        # steps: the edge check of a segment sees what it would see on the
-        # whole segment.  A ring stays whole.
-        run = min(_WINDOW_STEPS, end - start)
-        lo, hi = max(lo - run, 0), min(hi + run, lattice.size)
-        window, window_factors = amps[lo:hi], [f[lo:hi] for f in factors]
-        for t in range(start + 1, start + run + 1):
-            _shift_into(window, *_coin(window, window_factors), topology)
-            if record:
-                trajectory.append(WalkerState(amps.copy(), lattice, t))
+    for t in range(state.t + 1, state.t + steps + 1):
+        _shift_into(amps, *_coin(amps, factors), topology)
+        if record:
+            trajectory.append(WalkerState(amps.copy(), lattice, t))
     return trajectory if record else WalkerState(amps, lattice, state.t + steps)
 
 
