@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -266,29 +266,44 @@ def step(state: WalkerState, profile: CoinProfile) -> WalkerState:
     return evolve(state, profile, 1)
 
 
+def advance(amps: np.ndarray, profile: CoinProfile, steps: int) -> Iterator[np.ndarray]:
+    """Advance ``amps`` in place by ``steps`` protocol steps, yielding it after each.
+
+    ``amps`` is the (N, 2) complex lab-frame buffer of a state on the lattice
+    of ``profile``: the coin is evaluated from it and the shift writes the
+    result back by slice assignment.  Every step yields the same live array,
+    so a consumer that keeps a step must copy it.
+    """
+    factors = _coin_factors(profile.angles)
+    topology = profile.lattice.topology
+    for _ in range(steps):
+        _shift_into(amps, *_coin(amps, factors), topology)
+        yield amps
+
+
 def evolve(state: WalkerState, profile: CoinProfile, steps: int,
            record: bool = False) -> WalkerState | list[WalkerState]:
     """Apply ``steps`` protocol steps; with record=True return the whole trajectory.
 
-    The amplitudes advance in one buffer: the coin is evaluated from it and
-    the shift writes the result back by slice assignment.
+    The amplitudes advance in one buffer (``advance``); a recorded step is a
+    copy of it, an unrecorded walk makes no per-step object.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    trajectory = [state]
     if steps == 0:
-        return trajectory if record else state
+        return [state] if record else state
     if state.frame is not Frame.LAB:
         raise ValueError("evolution acts on lab-frame amplitudes")
     _check_shared_lattice(state, profile)
-    factors = _coin_factors(profile.angles)
-    lattice, topology = state.lattice, state.lattice.topology
+    lattice = state.lattice
     amps = state.amplitudes.astype(complex)
-    for t in range(state.t + 1, state.t + steps + 1):
-        _shift_into(amps, *_coin(amps, factors), topology)
-        if record:
-            trajectory.append(WalkerState(amps.copy(), lattice, t))
-    return trajectory if record else WalkerState(amps, lattice, state.t + steps)
+    buffers = advance(amps, profile, steps)
+    if record:
+        return [state, *(WalkerState(a.copy(), lattice, t)
+                         for t, a in enumerate(buffers, state.t + 1))]
+    for _ in buffers:
+        pass
+    return WalkerState(amps, lattice, state.t + steps)
 
 
 def to_frame(state: WalkerState, profile: CoinProfile, frame: Frame | str) -> WalkerState:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -115,12 +116,13 @@ def test_table_writes_the_naive_repr_join(data, kinds):
                                                    max_size=rows)), dtype=CELL_VALUES[k][0])
                        for k in kinds])
     header = [f"c{j}" for j in range(len(kinds))]
-    out = _Output(None)
-    out.table(header, blocks)
+    written = io.StringIO()
+    with contextlib.redirect_stdout(written), _Output(None) as out:
+        out.table(header, blocks)
     expected = ",".join(header) + "\n" + "".join(
         ",".join(map(repr, row)) + "\n"
         for block in blocks for row in zip(*(col.tolist() for col in block)))
-    assert "".join(out.body) == expected
+    assert written.getvalue() == expected
 
 
 @pytest.mark.parametrize("kind", ["interface", "uniform"])
@@ -273,6 +275,69 @@ def test_evolve_small_lattice_hits_boundary(tmp_path, capsys):
     code, _, err = run_cli(["evolve", "--config", str(cfg)], capsys)
     assert code == 3
     assert "boundary" in err
+
+
+@pytest.mark.parametrize("argv, out_name", [
+    (["bands", "--resolution", "8"], "missing/bands.csv"),
+    (["evolve", "--steps", "3"], "."),
+], ids=["bands-missing-directory", "evolve-directory"])
+def test_unwritable_out_exits_two(argv, out_name, tmp_path, capsys):
+    code, out, err = run_cli([*argv, "--out", str(tmp_path / out_name)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("susyqw: configuration error: out: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, config, expected_code", [
+    (["evolve"], {"steps": 10, "size": 5}, 3),
+    (["tomo", "--steps", "3", "--site", "1000"], None, 2),
+], ids=["evolve-boundary", "tomo-site-outside"])
+def test_failed_run_leaves_no_partial_out(argv, config, expected_code, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    code, _, _ = run_cli([*argv, "--out", str(out_dir / "result.csv")], capsys)
+    assert code == expected_code
+    assert list(out_dir.iterdir()) == []
+
+
+def test_failed_computation_keeps_an_existing_out(tmp_path, capsys):
+    """Commands other than evolve open --out only once their results are computed."""
+    out_file = tmp_path / "states.csv"
+    out_file.write_text("earlier results\n")
+    code, _, _ = run_cli(["midgap", "--n", "12", "--tol", "2.5", "--out", str(out_file)], capsys)
+    assert code == 3
+    assert out_file.read_text() == "earlier results\n"
+
+
+def test_failed_run_keeps_a_symlink_out(tmp_path, capsys):
+    """A partial --out is removed only where the path itself is a regular file."""
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("")
+    link.symlink_to(target)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"steps": 10, "size": 5}))
+    code, _, _ = run_cli(["evolve", "--config", str(cfg), "--out", str(link)], capsys)
+    assert code == 3
+    assert link.is_symlink() and target.is_file()
+
+
+def test_evolve_memory_is_flat_in_the_step_count(tmp_path):
+    """Each step is written before the next is made: no trajectory is held."""
+    stdout = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = main(["evolve", "--steps", "400", "--frame", "both",
+                         "--out", str(tmp_path / "walk.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 4e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_bands_residual_column_and_gap_footer(tmp_path, capsys):

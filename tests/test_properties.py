@@ -14,7 +14,7 @@ from susyqw import (Frame, Lattice, Topology, WalkerState, anomaly_expectation, 
                     bloch_operator, decay_length, evolve, find_midgap, full_spectrum,
                     long_time_extrapolation, make_coin_profile, one_step_matrix,
                     prepare_input, protected_gaps, quadruple_closure_distance, qwp_scan,
-                    ring_with_interfaces)
+                    ring_with_interfaces, segment_for)
 
 from helpers import SY, bloch_oracle, multiset_distance, primed_frame_rotation
 
@@ -50,6 +50,36 @@ def test_linear_scan_matches_per_angle_evolution(data, kind, phi1, phi2, steps, 
     assert curve.sphere_max <= 1 + 1e-12
 
 
+def assert_recorded_steps_are_single_step_copies(trajectory, profile):
+    """Each recorded state owns its array, and it is bit for bit one step of the last."""
+    arrays = [s.amplitudes for s in trajectory]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+    for before, after in zip(trajectory, trajectory[1:]):
+        single = evolve(before, profile, 1)
+        assert single.t == after.t
+        # int64 views compare bit patterns, so -0.0 and +0.0 differ
+        np.testing.assert_array_equal(single.amplitudes.view(np.int64),
+                                      after.amplitudes.view(np.int64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["interface", "bulk", "uniform"]), phi1=PHI1, phi2=PHI2,
+       steps=st.integers(min_value=0, max_value=30),
+       plate=st.floats(min_value=0.0, max_value=180.0))
+def test_segment_trajectory_is_a_chain_of_single_steps(kind, phi1, phi2, steps, plate):
+    """A recorded segment walk copies every step; no state aliases the live buffer."""
+    lattice = segment_for(1, steps)
+    if kind == "uniform":
+        profile = make_coin_profile("uniform", lattice, phi=phi1)
+    else:
+        profile = make_coin_profile(kind, lattice, phi1=phi1, phi2=phi2)
+    start = prepare_input(1, [("qwp", plate)], lattice)
+    trajectory = evolve(start, profile, steps, record=True)
+    assert trajectory[0] is start and len(trajectory) == steps + 1
+    assert_recorded_steps_are_single_step_copies(trajectory, profile)
+
+
 @settings(max_examples=30, deadline=None)
 @given(kind=st.sampled_from(["interface", "bulk"]), phi1=PHI1, phi2=PHI2,
        cells=st.integers(min_value=2, max_value=6),
@@ -72,6 +102,7 @@ def test_ring_evolution_matches_matrix_power(kind, phi1, phi2, cells, steps, see
     assert [s.t for s in trajectory] == list(range(steps + 1))
     np.testing.assert_array_equal(evolve(WalkerState(amps, ring), profile, steps).amplitudes,
                                   final.amplitudes)
+    assert_recorded_steps_are_single_step_copies(trajectory, profile)
 
 
 @settings(max_examples=50, deadline=None)
