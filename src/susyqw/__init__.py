@@ -12,7 +12,8 @@ from .errors import (BoundaryReachedError, ConfigError, LatticeMismatchError,
                      SymmetryViolationError, UnoccupiedSiteError)
 from .midgap import (MidgapState, SpectrumResult, anomaly_expectation,
                      cell_z_expectation, coin_y_expectation, find_midgap,
-                     full_spectrum, ring_with_interfaces, site_polarization)
+                     full_spectrum, midgap_spectrum, ring_with_interfaces,
+                     site_polarization, site_polarizations)
 from .optics import (BasisIntensities, DensityMatrix, ScanCurve,
                      jitter_intensities, long_time_extrapolation, measure_bases,
                      prepare_input, pure_state_fidelity, qwp_scan, tomography,
@@ -35,10 +36,10 @@ __all__ = [
     "cell_z_expectation", "check_symmetries", "coin_y_expectation", "decay_length",
     "evolve",
     "find_midgap", "full_spectrum", "jitter_intensities", "localized_state",
-    "long_time_extrapolation", "make_coin_profile", "measure_bases",
+    "long_time_extrapolation", "make_coin_profile", "measure_bases", "midgap_spectrum",
     "one_step_matrix", "prepare_input", "protected_gaps", "pure_state_fidelity",
     "quadruple_closure_distance", "quasi_energies", "qwp_scan", "resize_profile",
-    "ring_with_interfaces", "segment_for", "site_polarization", "step",
+    "ring_with_interfaces", "segment_for", "site_polarization", "site_polarizations", "step",
     "susy_partners", "to_frame", "to_primed", "tomography", "torus_angles",
     "waveplate", "winding_numbers",
 ]

@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .bloch import band_condition_value, band_structure, winding_numbers
 from .errors import ConfigError, ProfileError, SusyqwError
-from .midgap import (anomaly_expectation, find_midgap, full_spectrum,
-                     ring_with_interfaces, site_polarization)
+from .midgap import (anomaly_expectation, find_midgap, midgap_spectrum,
+                     ring_with_interfaces, site_polarizations)
 from .optics import (jitter_intensities, long_time_extrapolation, measure_bases,
                      prepare_input, pure_state_fidelity, qwp_scan, tomography)
 from .walk import (Frame, Lattice, Topology, _coin, _coin_factors, advance, evolve,
@@ -333,14 +333,12 @@ def cmd_winding(opts) -> int:
 
 def cmd_midgap(opts) -> int:
     profile = ring_with_interfaces(opts.n, opts.phi1, opts.phi2)
-    spectrum = full_spectrum(profile)
-    states = find_midgap(spectrum, opts.tol)
+    states = find_midgap(midgap_spectrum(profile, opts.tol), opts.tol)
 
     def block(j, st):
         probs = (np.abs(st.amplitudes) ** 2).sum(axis=1)
         sites = np.flatnonzero(probs > 1e-10)
-        # one site at a time: scalar complex arithmetic rounds unlike array loops
-        stokes = np.array([site_polarization(st, profile, x) for x in sites.tolist()])
+        stokes = np.array(site_polarizations(st, profile, sites.tolist()))
         return [np.full(sites.size, j), sites, probs[sites], *stokes.T]
 
     blocks = [block(j, st) for j, st in enumerate(states)]

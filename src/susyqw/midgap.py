@@ -45,10 +45,10 @@ def ring_with_interfaces(N: int, phi1: float, phi2: float) -> CoinProfile:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
-    """Full eigen-decomposition of the one-step ring operator."""
+    """Eigenpairs of the one-step ring operator: all 2N of them, or a window."""
 
-    eigenvalues: np.ndarray   # (2N,) on the unit circle
-    eigenvectors: np.ndarray  # (2N, 2N), column j belongs to eigenvalues[j]
+    eigenvalues: np.ndarray   # (m,) on the unit circle; m = 2N for the full spectrum
+    eigenvectors: np.ndarray  # (2N, m), column j belongs to eigenvalues[j]
     profile: CoinProfile
 
     def amplitudes_of(self, j: int) -> np.ndarray:
@@ -113,41 +113,115 @@ def _invariant_groups(q: np.ndarray, mq: np.ndarray, re_mu: np.ndarray):
         yield slice(s, e), block
 
 
+def _parity_block_size(profile: CoinProfile) -> int:
+    """Dimension N of the odd parity block of a ring small enough to solve densely."""
+    if profile.lattice.topology is not Topology.RING:
+        raise ProfileError("full spectrum needs a ring profile")
+    if 2 * profile.lattice.size > 4096:
+        raise ProfileError("dense solve limited to 2N <= 4096")
+    return profile.lattice.size  # N/2 sites x 2 coins
+
+
+def _chiral_sectors(profile: CoinProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``eigh`` of the symmetric part of M in its two chiral sectors.
+
+    In the real gauge the primed frame turns odd site j by the rotation
+    R_j = R(phi_j / 2) = [[c, s], [-s, c]], and chiral symmetry is sigma_x on
+    every site: with T = diag(R_j), M' = T M T^T obeys sigma_x M' sigma_x =
+    M'^T, so the symmetric part of M' commutes with sigma_x and splits into
+    its sigma_x = +1 (s = 0) and -1 (s = 1) sectors.  Returns the frames
+    (N/2, 2, 2), whose column s at site j is R_j^T (1, +-1) / sqrt(2), the
+    sector-s basis vector of site j in the odd block; Re mu per sector
+    (2, N/2); and the eigenvectors of each sector in its basis (2, N/2, N/2).
+    Each block V_s^T M V_s is built per site, O(N^2), with no dense product.
+    """
+    odd, even = profile.angles[1::2], profile.angles[0::2]
+    half = odd.size
+    c, s = np.cos(odd / 2), np.sin(odd / 2)
+    frames = np.empty((half, 2, 2))
+    frames[:, 0, 0], frames[:, 1, 0] = c - s, s + c
+    frames[:, 0, 1], frames[:, 1, 1] = c + s, s - c
+    frames *= np.sqrt(0.5)
+    values, vectors = np.empty((2, half)), np.empty((2, half, half))
+    sites = np.arange(half)
+    for sector in range(2):
+        basis = np.zeros((half, 2, half))
+        basis[sites, :, sites] = frames[:, :, sector]
+        mv = _parity_hop(_parity_hop(basis.reshape(2 * half, half), odd, 1, 0), even, 0, -1)
+        mv = mv.reshape(half, 2, half)
+        block = frames[:, 0, sector, None] * mv[:, 0] + frames[:, 1, sector, None] * mv[:, 1]
+        values[sector], vectors[sector] = np.linalg.eigh((block + block.T) / 2)
+    return frames, values, vectors
+
+
+def _ring_spectrum(profile: CoinProfile, below: float = np.inf) -> SpectrumResult:
+    """The eigenpairs of the ring operator U with Re mu = Re lambda^2 in the bottom window.
+
+    The window holds every Re mu < ``below`` and grows past it until the next
+    gap in Re mu is at least _MERGE_GAP, so _invariant_groups never merges
+    across its edge and its eigenpairs are bit for bit those of the full solve
+    (``below`` = inf).  Columns are ordered as in ``full_spectrum``.
+    """
+    n = _parity_block_size(profile)
+    odd, even = profile.angles[1::2], profile.angles[0::2]
+    frames, values, vectors = _chiral_sectors(profile)
+    order = np.argsort(values.ravel(), kind="stable")
+    re_mu = values.ravel()[order]
+    w = int(np.searchsorted(re_mu, below))
+    if 0 < w < n:
+        wide = np.flatnonzero(np.diff(re_mu[w - 1:]) >= _MERGE_GAP)
+        w += int(wide[0]) if wide.size else n - w
+    sector, col = np.divmod(order[:w], n // 2)
+    # the window's eigenvectors of the symmetric part, pulled back to the odd block
+    q = (frames[:, :, sector] * vectors[sector, :, col].T[:, None]).reshape(n, w)
+    aq = _parity_hop(q, odd, 1, 0)
+    mq = _parity_hop(aq, even, 0, -1)
+
+    mu = np.empty(w, dtype=complex)
+    vec, avec = np.empty((n, w), dtype=complex), np.empty((n, w), dtype=complex)
+    for g, block in _invariant_groups(q, mq, re_mu[:w]):
+        mu[g], rot = np.linalg.eig(block)
+        vec[:, g], avec[:, g] = q[:, g] @ rot, aq[:, g] @ rot
+
+    # row 2x + c with x = 2j + parity; column branch * w + k for lambda = +-sqrt(mu[k])
+    psi = np.empty((n // 2, 2, 2, 2, w), dtype=complex)
+    lams = _lift(mu, vec.reshape(n // 2, 2, w), avec.reshape(n // 2, 2, w),
+                psi[:, 1], psi[:, 0])
+    psi[:, :, 1] *= 1j  # back from the real gauge (h, -i v) to lab amplitudes (h, v)
+    return SpectrumResult(lams, psi.reshape(2 * n, 2 * w), profile)
+
+
 def full_spectrum(profile: CoinProfile) -> SpectrumResult:
     """Diagonalize the one-step walk matrix U of a ring through its parity blocks.
 
     The shift flips site parity, so with A (odd sites -> even sites) and B
     (even -> odd) U^2 is block diagonal and its odd block M = B A is an N x N
-    orthogonal matrix in the real gauge (see _parity_hop).  M is diagonalized
-    by ``eigh`` of its symmetric part, whose eigenvalue Re mu is degenerate
-    for each conjugate pair mu, conj(mu); each group of equal Re mu is
-    resolved by a small ``eig`` of M restricted to it.  An eigenpair (mu, v)
-    of M gives the two eigenpairs lambda = +-sqrt(mu),
+    orthogonal matrix in the real gauge (see _parity_hop).  The symmetric
+    part of M, seen in the primed frame, splits into two N/2 x N/2 chiral
+    sectors (see _chiral_sectors), each diagonalized by ``eigh``; a conjugate
+    pair mu, conj(mu) puts one Re mu in each sector.  Each group of equal
+    Re mu is resolved by a small ``eig`` of M restricted to it.  An eigenpair
+    (mu, v) of M gives the two eigenpairs lambda = +-sqrt(mu),
     psi = (v, A v / lambda) / sqrt(2) of U (``bloch._lift``).
     """
-    if profile.lattice.topology is not Topology.RING:
-        raise ProfileError("full spectrum needs a ring profile")
-    if 2 * profile.lattice.size > 4096:
-        raise ProfileError("dense solve limited to 2N <= 4096")
-    n = profile.lattice.size  # parity-block dimension: N/2 sites x 2 coins
-    odd, even = profile.angles[1::2], profile.angles[0::2]
-    m_mat = _parity_hop(_parity_hop(np.eye(n), odd, 1, 0), even, 0, -1)
-    re_mu, q = np.linalg.eigh((m_mat + m_mat.T) / 2)
-    aq = _parity_hop(q, odd, 1, 0)
-    mq = _parity_hop(aq, even, 0, -1)
+    return _ring_spectrum(profile)
 
-    mu = np.empty(n, dtype=complex)
-    vec, avec = np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex)
-    for g, block in _invariant_groups(q, mq, re_mu):
-        mu[g], rot = np.linalg.eig(block)
-        vec[:, g], avec[:, g] = q[:, g] @ rot, aq[:, g] @ rot
 
-    # row 2x + c with x = 2j + parity; column branch * n + k for lambda = +-sqrt(mu[k])
-    psi = np.empty((n // 2, 2, 2, 2, n), dtype=complex)
-    lams = _lift(mu, vec.reshape(n // 2, 2, n), avec.reshape(n // 2, 2, n),
-                psi[:, 1], psi[:, 0])
-    psi[:, :, 1] *= 1j  # back from the real gauge (h, -i v) to lab amplitudes (h, v)
-    return SpectrumResult(lams, psi.reshape(2 * n, 2 * n), profile)
+def midgap_spectrum(profile: CoinProfile, tol: float | None = None) -> SpectrumResult:
+    """The eigenpairs of a ring among which ``find_midgap(..., tol)`` finds its states.
+
+    |lambda -+ i| < tol implies Re mu < -1 + 2 tol, since
+    Re mu = -1 + |mu + 1|^2 / 2 and |mu + 1| = |lambda - i| |lambda + i|;
+    _GROUP_GAP more covers the rounding of Re mu.  Only that bottom window of
+    the spectrum is lifted (see _ring_spectrum).  With the default tolerance
+    on a closed gap nothing is solved: the result has no eigenpairs.
+    """
+    n = _parity_block_size(profile)
+    tol = _midgap_tol(profile, tol)
+    if tol is None:
+        return SpectrumResult(np.empty(0, dtype=complex), np.empty((2 * n, 0), dtype=complex),
+                              profile)
+    return _ring_spectrum(profile, -1 + 2 * tol + _GROUP_GAP)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,15 +311,27 @@ def site_polarization(state, profile: CoinProfile, x: int) -> tuple[float, float
 
     S3 = +1 is the circular state (|H'> + i|V'>)/sqrt(2).
     """
+    return site_polarizations(state, profile, [x])[0]
+
+
+def site_polarizations(state, profile: CoinProfile, sites) -> list[tuple[float, float, float]]:
+    """``site_polarization`` at each site of ``sites``, rotating the state once.
+
+    Each site is a scalar computation: complex arithmetic on NumPy scalars
+    rounds unlike the same formula over arrays.
+    """
     amps = _primed(_amplitudes(state), profile)
-    h, v = amps[profile.lattice.index(x)]
-    p = abs(h) ** 2 + abs(v) ** 2
-    if p <= 1e-10:
-        raise UnoccupiedSiteError(f"site {x} unoccupied")
-    s1 = (abs(h) ** 2 - abs(v) ** 2) / p
-    s2 = 2.0 * np.real(np.conj(h) * v) / p
-    s3 = 2.0 * np.imag(np.conj(h) * v) / p
-    return float(s1), float(s2), float(s3)
+    out = []
+    for x in sites:
+        h, v = amps[profile.lattice.index(x)]
+        p = abs(h) ** 2 + abs(v) ** 2
+        if p <= 1e-10:
+            raise UnoccupiedSiteError(f"site {x} unoccupied")
+        s1 = (abs(h) ** 2 - abs(v) ** 2) / p
+        s2 = 2.0 * np.real(np.conj(h) * v) / p
+        s3 = 2.0 * np.imag(np.conj(h) * v) / p
+        out.append((float(s1), float(s2), float(s3)))
+    return out
 
 
 def _ring_distance(a: int, b: int, N: int) -> int:
@@ -331,6 +417,20 @@ def _canonical_cluster_basis(vectors: np.ndarray, profile: CoinProfile) -> np.nd
     return out
 
 
+def _midgap_tol(profile: CoinProfile, tol: float | None) -> float | None:
+    """``tol``, or by default 1e-4 of the protected gap at +-i; None for a closed gap."""
+    if tol is None:
+        if profile.phi1 is None or profile.phi2 is None:
+            raise ValueError("explicit profiles need an explicit tolerance")
+        gap = protected_gaps(profile.phi1, profile.phi2)[1]
+        if gap <= 0:
+            return None
+        tol = 1e-4 * gap
+    if not np.isfinite(tol) or tol <= 0:
+        raise ValueError("tolerance must be positive and finite")
+    return tol
+
+
 def find_midgap(spectrum: SpectrumResult, tol: float | None = None) -> list[MidgapState]:
     """Extract the eigenstates pinned to lambda = +-i, one list entry per state.
 
@@ -340,15 +440,9 @@ def find_midgap(spectrum: SpectrumResult, tol: float | None = None) -> list[Midg
     localization center, interface bond and exponential decay length.
     """
     profile = spectrum.profile
+    tol = _midgap_tol(profile, tol)
     if tol is None:
-        if profile.phi1 is None or profile.phi2 is None:
-            raise ValueError("explicit profiles need an explicit tolerance")
-        gap = protected_gaps(profile.phi1, profile.phi2)[1]
-        if gap <= 0:
-            return []
-        tol = 1e-4 * gap
-    if not np.isfinite(tol) or tol <= 0:
-        raise ValueError("tolerance must be positive and finite")
+        return []
 
     out: list[MidgapState] = []
     n_sites = profile.lattice.size

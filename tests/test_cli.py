@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import susyqw
+from susyqw import bloch, midgap
 from susyqw import (Frame, band_structure, evolve, find_midgap, full_spectrum,
                     long_time_extrapolation, make_coin_profile, prepare_input, qwp_scan,
                     ring_with_interfaces, segment_for, site_polarization, to_frame)
@@ -431,6 +436,42 @@ def test_midgap_trivial_angles_report_zero(capsys):
     code, out, _ = run_cli(["midgap", "--n", "40", "--phi1", "0.7", "--phi2", "0.7"], capsys)
     assert code == 0
     assert summary_dict(out)["midgap_count"] == "0"
+
+
+@pytest.mark.parametrize("angles", [[], ["--phi1", "0.7", "--phi2", "0.7"]],
+                         ids=["gapped", "closed-gap"])
+def test_midgap_ring_size_cap_exits_two(angles, capsys):
+    code, out, err = run_cli(["midgap", "--n", "2050", *angles], capsys)
+    assert code == 2 and out == ""
+    assert "2N <= 4096" in err
+
+
+@pytest.mark.parametrize("module, name, value, message", [
+    (midgap, "_PROJECTION_TOL", 0.0, "not invariant"),
+    (bloch, "_UNIT_CIRCLE_TOL", -1.0, "off the unit circle"),
+], ids=["non-invariant-group", "off-unit-circle"])
+def test_midgap_numerical_failures_exit_three(module, name, value, message, monkeypatch,
+                                              capsys):
+    """The window that midgap solves keeps the checks of the full solve."""
+    monkeypatch.setattr(module, name, value)
+    code, out, err = run_cli(["midgap", "--n", "40"], capsys)
+    assert code == 3 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_midgap_loads_no_scipy():
+    """The runtime is NumPy only, as pyproject.toml declares; scipy is a test extra."""
+    script = ("import contextlib, io, sys\n"
+              "from susyqw import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert cli.main(['midgap', '--n', '12']) == 0\n"
+              "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    src = str(Path(susyqw.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True, timeout=120)
+    assert result.stdout.strip() == "[]"
 
 
 def test_scan_summary_extremes(capsys):

@@ -4,10 +4,12 @@ import pytest
 from susyqw import (Frame, Lattice, ProfileError, SpectrumResult, Topology,
                     UnoccupiedSiteError, anomaly_expectation, band_structure,
                     cell_z_expectation, coin_y_expectation, decay_length, find_midgap,
-                    full_spectrum, make_coin_profile, one_step_matrix, protected_gaps,
-                    ring_with_interfaces, site_polarization)
+                    full_spectrum, make_coin_profile, midgap_spectrum, one_step_matrix,
+                    protected_gaps, ring_with_interfaces, site_polarization)
 
-from helpers import ring_bloch_state
+from susyqw.midgap import _chiral_sectors
+
+from helpers import SX, dense_ring_oracle, primed_frame_rotation, ring_bloch_state
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +73,59 @@ def test_spectrum_resolves_split_degeneracies(delta):
     spec = full_spectrum(profile)
     residual = one_step_matrix(profile) @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues
     assert np.linalg.norm(residual, axis=0).max() < 1e-12
+
+
+def real_gauge_odd_block(matrix, n_sites):
+    """The odd-site block of a lab-frame 2N x 2N matrix in the real gauge (h, -i v)."""
+    gauge = np.tile([1.0, -1j], n_sites)
+    real = gauge[:, None] * matrix * gauge.conj()[None, :]
+    odd = np.flatnonzero(np.arange(2 * n_sites) // 2 % 2 == 1)
+    assert np.abs(real.imag).max() <= 1e-14
+    return real.real[np.ix_(odd, odd)]
+
+
+@pytest.mark.parametrize("n_sites, seed", [(4, 0), (12, 1), (30, 2), (64, 3)])
+def test_chiral_sectors_split_the_primed_parity_block(n_sites, seed):
+    """sigma_x M' sigma_x = M'^T for M' = T M T^T, so two sector eigh give Re mu.
+
+    M is the odd block of U^2 and T the primed-frame half coin on the odd
+    sites, both built from the dense oracles in the real gauge.
+    """
+    angles = np.random.default_rng(seed).uniform(-np.pi, np.pi, n_sites)
+    u = dense_ring_oracle(angles)
+    m = real_gauge_odd_block(u @ u, n_sites)
+    t = real_gauge_odd_block(primed_frame_rotation(angles), n_sites)
+    m_primed = t @ m @ t.T
+    gamma = np.kron(np.eye(n_sites // 2), SX.real)
+    assert np.abs(gamma @ m_primed @ gamma - m_primed.T).max() <= 1e-13
+
+    profile = make_coin_profile("explicit", Lattice(n_sites, Topology.RING), angles=angles)
+    _, values, _ = _chiral_sectors(profile)
+    np.testing.assert_allclose(np.sort(values.ravel()), np.linalg.eigvalsh((m + m.T) / 2),
+                               rtol=0, atol=1e-12)
+
+
+def test_midgap_window_keeps_merged_groups_whole():
+    """A window edge inside a group that the full solve merges moves past the group.
+
+    One perturbed coin splits each degenerate pair of a bulk ring by about
+    1e-7 in Re mu; eigh mixes the two pairs, so the full solve merges them.
+    """
+    lat = Lattice(40, Topology.RING)
+    angles = make_coin_profile("bulk", lat, phi1=1.29, phi2=0.17).angles.copy()
+    angles[5] += 1e-6
+    profile = make_coin_profile("explicit", lat, angles=angles)
+    full = full_spectrum(profile)
+    re_mu = np.sort((full.eigenvalues[:40] ** 2).real)
+    split = int(np.flatnonzero((np.diff(re_mu) > 1e-8) & (np.diff(re_mu) < 1e-6))[0])
+    # the window bound -1 + 2 tol + 1e-9 falls between the two split pairs
+    tol = (re_mu[split] + re_mu[split + 1]) / 4 + 0.5 - 5e-10
+    window = midgap_spectrum(profile, tol)
+    w = window.eigenvalues.size // 2
+    assert w == split + 3
+    cols = np.r_[0:w, 40:40 + w]
+    np.testing.assert_array_equal(window.eigenvalues, full.eigenvalues[cols], strict=True)
+    np.testing.assert_array_equal(window.eigenvectors, full.eigenvectors[:, cols], strict=True)
 
 
 def test_bulk_ring_is_gapped_at_imaginary_axis(interface_ring):

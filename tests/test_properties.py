@@ -4,15 +4,18 @@ The walk, scan and decay-length tests draw coin angles from the gapped box
 phi1 in [1.1, 1.4], phi2 in [0.1, 0.3], which stays clear of the gap closing
 at phi1 = phi2; the spectrum, ring-symmetry and partner-solve tests draw any
 angles, gap closings included; the quadrant and anomaly tests draw angles
-with both protected gaps open.
+with both protected gaps open; the midgap-window test draws any interface
+angles in (0, pi/2), small gaps included.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from susyqw import (Frame, Lattice, Topology, WalkerState, anomaly_expectation, band_structure,
                     bloch_operator, decay_length, evolve, find_midgap, full_spectrum,
-                    long_time_extrapolation, make_coin_profile, one_step_matrix,
+                    long_time_extrapolation, make_coin_profile, midgap_spectrum, one_step_matrix,
                     prepare_input, protected_gaps, quadruple_closure_distance, qwp_scan,
                     ring_with_interfaces, segment_for)
 
@@ -231,3 +234,75 @@ def test_fitted_decay_length_is_the_analytic_one(phi1, phi2):
     assert len(states) == 4
     for state in states:
         assert abs(state.decay_length / xi - 1) <= 5e-3
+
+
+QUARTER = st.floats(min_value=0.0, max_value=np.pi / 2, exclude_min=True, exclude_max=True)
+
+
+def bits(values):
+    """int64 view of a float or complex array: equal views mean equal bit patterns."""
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+def jittered(profile, strength, seed):
+    """The profile with every angle moved by up to ``strength``; cuts and phi1, phi2 stay."""
+    noise = np.random.default_rng(seed).uniform(-strength, strength, profile.angles.size)
+    return replace(profile, angles=profile.angles + noise)
+
+
+@settings(max_examples=40, deadline=None)
+@example(angles=(0.9, 0.7), half=200, strength=None, seed=0)
+@example(angles=(0.8, 0.75), half=100, strength=None, seed=0)
+@example(angles=(0.8, 0.75), half=6, strength=0.9, seed=1)
+@given(angles=st.tuples(QUARTER, QUARTER), half=st.integers(min_value=6, max_value=200),
+       strength=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0,
+                                               exclude_max=True)),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_midgap_window_is_the_full_solve_restricted(angles, half, strength, seed):
+    """``midgap_spectrum`` returns bit for bit the bottom columns of ``full_spectrum``.
+
+    Clean interface rings use the default tolerance; jittered ones move every
+    angle by up to ``strength`` times the clean gap at +-i and pass 1e-4 of
+    that gap explicitly.  ``find_midgap`` finds the same states in both.
+    """
+    profile, tol = ring_with_interfaces(2 * half, *angles), None
+    gap = protected_gaps(*angles)[1]
+    if strength is not None and gap > 0:
+        profile, tol = jittered(profile, strength * gap, seed), 1e-4 * gap
+    full, window = full_spectrum(profile), midgap_spectrum(profile, tol)
+    n, w = profile.lattice.size, window.eigenvalues.size // 2
+    cols = np.r_[0:w, n:n + w]  # branch-major: +sqrt(mu) columns, then -sqrt(mu)
+    np.testing.assert_array_equal(bits(window.eigenvalues), bits(full.eigenvalues[cols]))
+    np.testing.assert_array_equal(bits(window.eigenvectors), bits(full.eigenvectors[:, cols]))
+    from_full, from_window = find_midgap(full, tol), find_midgap(window, tol)
+    assert [(s.eigenvalue, s.center, s.interface_cut) for s in from_window] == \
+        [(s.eigenvalue, s.center, s.interface_cut) for s in from_full]
+    for a, b in zip(from_window, from_full):
+        np.testing.assert_array_equal(bits(a.amplitudes), bits(b.amplitudes))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), phi1=st.floats(min_value=0.9, max_value=1.45),
+       phi2=st.floats(min_value=0.05, max_value=0.5),
+       strength=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_anomaly_survives_chiral_disorder(data, phi1, phi2, strength, seed):
+    """Site disorder keeps chiral symmetry and SUSY, so the anomaly stays -1.
+
+    Every angle moves by up to ``strength`` times the clean gap at +-i; the
+    ring keeps its clean tolerance 1e-4 of that gap.  Disorder lets the two
+    interfaces hybridize across the ring: over 400 random rings with
+    N = 40..200 the splitting of the +-i states stayed below 0.03 of the
+    tolerance where N >= 25 xi and reached 7.7 times it where N < 15 xi
+    (xi the clean ``decay_length``), so N >= 30 xi.  N is a multiple of 4: at
+    N = 2 mod 4 even the clean interfaces hybridize (N = 46 at phi1 = 0.908,
+    phi2 = 0.439 splits them by 3.7e-4, N = 44 and 48 by 0).
+    """
+    xi = decay_length(phi1, phi2)
+    n = 4 * data.draw(st.integers(min_value=max(10, int(np.ceil(30 * xi / 4))), max_value=50))
+    gap = protected_gaps(phi1, phi2)[1]
+    profile = jittered(ring_with_interfaces(n, phi1, phi2), strength * gap, seed)
+    states = find_midgap(midgap_spectrum(profile))
+    assert len(states) == 4
+    for state in states:
+        assert abs(anomaly_expectation(state, profile) + 1.0) <= 1e-10
