@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import PhaseTransitionError, SymmetryViolationError
 from .operators import (CELL_X, CELL_Y, CELL_Z, COIN_X, COIN_Y, COIN_Z, ID4,
-                        SX, coin_matrix, shift_phase)
+                        coin_matrix)
 from .walk import Frame
 
 _UNIT_CIRCLE_TOL = 1e-10
@@ -95,20 +95,23 @@ def _bloch_blocks(ks, phi1: float, phi2: float,
     """Off-diagonal blocks u12(k), u21(k) of the one-step unitary.
 
     u(k) = [[0, u12], [u21, 0]]; each block has shape ``k.shape + (2, 2)``.
+    Within a unit cell the shift only multiplies one polarization by a phase:
+    u12 = diag(e^{-ik}, 1) C(phi2) and u21 = diag(1, e^{ik}) C(phi1).
     """
-    upper = SX @ shift_phase(-ks) @ SX
-    lower = shift_phase(ks)
+    phase = np.exp(1j * np.asarray(ks, dtype=float))
+    one = np.ones_like(phase)
+    d12, d21 = np.stack([phase.conj(), one], -1), np.stack([one, phase], -1)
     if frame is Frame.LAB:
-        return upper @ coin_matrix(phi2), lower @ coin_matrix(phi1)
+        return d12[..., None] * coin_matrix(phi2), d21[..., None] * coin_matrix(phi1)
     h1, h2 = coin_matrix(phi1 / 2), coin_matrix(phi2 / 2)
-    return h1 @ upper @ h2, h2 @ lower @ h1
+    return (h1 * d12[..., None, :]) @ h2, (h2 * d21[..., None, :]) @ h1
 
 
 def bloch_operator(k: float, phi1: float, phi2: float,
                    frame: Frame = Frame.LAB) -> BlochOperator:
     """4x4 one-step unitary at wave number k.
 
-    Lab frame:     [[0, sx f(-k) sx C(phi2)], [f(k) C(phi1), 0]]
+    Lab frame:     [[0, diag(e^{-ik}, 1) C(phi2)], [diag(1, e^{ik}) C(phi1), 0]]
     Primed frame:  half-angle coins attached on both sides of each block.
     """
     u = np.zeros((4, 4), dtype=complex)

@@ -220,7 +220,7 @@ class _Output:
 
 
 def _cells(col: np.ndarray, int_text: dict[int, str]) -> list[str]:
-    """The ``repr`` of each entry of a 1-d column.
+    """The ``repr`` of each entry of a 1-d column: int64 (step, x, state) or float64.
 
     A float64 column gets "0.0" for each +0.0, the one float64 with no bit
     set, and ``repr`` for the rest (-0.0, nan and inf keep their own text).
@@ -233,8 +233,6 @@ def _cells(col: np.ndarray, int_text: dict[int, str]) -> list[str]:
             cells[i] = repr(x)
         return cells
     values = col.tolist()
-    if col.dtype.kind not in "iu":
-        return list(map(repr, values))
     try:
         return list(map(int_text.__getitem__, values))
     except KeyError:  # ints this table has not written yet

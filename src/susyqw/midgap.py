@@ -1,14 +1,16 @@
 """Finite interface rings, midgap-state extraction and anomaly measurements.
 
-A ring holding two pattern interchanges is the finite proxy for a single
-semi-infinite interface: it binds two states per protected eigenvalue
-lambda = +-i, one per interchange bond.  The anomaly ⟨Sigma_z sigma_y⟩ of a
-localized state is measured in the primed frame with the unit-cell
-registration anchored to that state's own interface (the registration under
-which the bulk pattern to the right of the interface carries the first coin
-angle on sublattice 1).  Under a single global registration the two
-interfaces of a ring necessarily report opposite signs: the anomaly
-operator is traceless on each of the +-i eigenspaces.
+A ring holding two pattern interchanges of different kinds is the finite
+proxy for a single semi-infinite interface: it binds two states per
+protected eigenvalue lambda = +-i, one per interchange bond.  Two
+interchanges of the same kind hybridize and their states split off +-i
+(``ring_with_interfaces`` says for which ring sizes).  The anomaly
+⟨Sigma_z sigma_y⟩ of a localized state is measured in the primed frame with
+the unit-cell registration anchored to that state's own interface (the
+registration under which the bulk pattern to the right of the interface
+carries the first coin angle on sublattice 1).  Under a single global
+registration the two interfaces of a ring necessarily report opposite
+signs: the anomaly operator is traceless on each of the +-i eigenspaces.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .bloch import _lift, protected_gaps
 from .errors import ProfileError, UnoccupiedSiteError
 from .walk import CoinProfile, Frame, Lattice, Topology, WalkerState, \
-    make_coin_profile, _rotate_half
+    make_coin_profile, _coin, _rotate_half
 
 _PROJECTION_TOL = 1e-10
 _CENTER_RTOL = 1e-9
@@ -34,7 +36,13 @@ def ring_with_interfaces(N: int, phi1: float, phi2: float) -> CoinProfile:
     """Ring of N sites with two antipodal pattern interchanges.
 
     The first interchange sits on the bond (0, 1) like the standard segment
-    interface; the second sits half a ring away on (N/2, N/2 + 1).
+    interface; the second sits half a ring away on (N/2, N/2 + 1).  For
+    N = 0 (mod 4) the bonds carry (phi1, phi1) and (phi2, phi2): two states
+    per lambda = +-i, pinned there.  For N = 2 (mod 4) both carry (phi1, phi1):
+    the interfaces hybridize and their states split off +-i by an amount that
+    shrinks exponentially with N / xi (3.7e-4 at N = 46 and (0.908, 0.439);
+    at the CLI's default angles none is within the default tolerance at
+    N = 14 and 18).
     """
     if N % 2 or N < 12:
         raise ProfileError("interface ring needs even N >= 12")
@@ -65,12 +73,10 @@ def _parity_hop(rows: np.ndarray, angles: np.ndarray, up: int, down: int) -> np.
     source sublattice, whose n sites carry ``angles``; after the coin, H
     lands on target site j + up and V on j + down (mod n).
     """
-    cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]
-    src = rows.reshape(angles.size, 2, -1)
-    h, v = src[:, 0], src[:, 1]
-    out = np.empty_like(src)
-    out[:, 0] = np.roll(cos * h + sin * v, up, axis=0)
-    out[:, 1] = np.roll(cos * v - sin * h, down, axis=0)
+    cos, minus_sin = np.cos(angles)[:, None], -np.sin(angles)[:, None]
+    out = np.stack(_coin(rows.reshape(angles.size, 2, -1), (cos, minus_sin, minus_sin)), axis=1)
+    out[:, 0] = np.roll(out[:, 0], up, axis=0)
+    out[:, 1] = np.roll(out[:, 1], down, axis=0)
     return out.reshape(rows.shape)
 
 
@@ -350,21 +356,16 @@ def _nearest_cut(profile: CoinProfile, center: int) -> int:
 def _fit_decay(probs: np.ndarray, center: int) -> tuple[float, float]:
     """Exponential fit |psi|^2 ~ exp(-2 d / xi) over the inner half of the range."""
     N = probs.size
-    d_max = max(3, N // 4)
-    ds, ps = [], []
-    floor = probs.max() * 1e-24
-    for d in range(1, d_max + 1):
-        p = probs[(center + d) % N] + probs[(center - d) % N]
-        if p > floor:
-            ds.append(d)
-            ps.append(p)
-    if not ds:
+    ds = np.arange(1, max(3, N // 4) + 1)
+    ps = probs[(center + ds) % N] + probs[(center - ds) % N]
+    occupied = ps > probs.max() * 1e-24
+    if not occupied.any():
         raise ValueError(f"decay fit around site {center} has no occupied distance "
                          "(midgap tolerance too large?)")
-    if len(ds) < 3:
+    if occupied.sum() < 3:
         # compact, as where a coin angle is pi/2: no tail to fit, xi -> 0
         return 0.0, 1.0
-    ds, logp = np.asarray(ds, dtype=float), np.log(np.asarray(ps))
+    ds, logp = ds[occupied].astype(float), np.log(ps[occupied])
     slope, intercept = np.polyfit(ds, logp, 1)
     fitted = slope * ds + intercept
     ss_res = float(((logp - fitted) ** 2).sum())
@@ -389,7 +390,7 @@ def _canonical_cluster_basis(vectors: np.ndarray, profile: CoinProfile) -> np.nd
     signs = _parity_signs(profile)
 
     # W = Sigma_z sigma_y in the primed frame, restricted to the cluster
-    qp = np.stack([_primed(q[:, j].reshape(n_sites, 2), profile) for j in range(dim)], axis=2)
+    qp = _primed(q.reshape(n_sites, 2, dim), profile)
     wq = np.empty_like(qp)
     wq[:, 0, :] = -1j * qp[:, 1, :] * signs[:, None]
     wq[:, 1, :] = 1j * qp[:, 0, :] * signs[:, None]

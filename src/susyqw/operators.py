@@ -33,18 +33,6 @@ def coin_matrix(phi: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]])
 
 
-def shift_phase(k) -> np.ndarray:
-    """Intra-cell hop phase diag(1, e^{ik}) picked up by the shift.
-
-    An array of wave numbers gives the stack of shape ``k.shape + (2, 2)``.
-    """
-    k = np.asarray(k, dtype=float)
-    out = np.zeros(k.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = 1.0
-    out[..., 1, 1] = np.exp(1j * k)
-    return out
-
-
 def rotation(theta: float) -> np.ndarray:
     """Real rotation of the (H, V) plane by theta (radians)."""
     c, s = np.cos(theta), np.sin(theta)

@@ -58,9 +58,6 @@ class BasisIntensities:
     step: int = 0
     frame: Frame = Frame.LAB
 
-    def total(self) -> float:
-        return self.i_h + self.i_v
-
 
 def measure_bases(state: WalkerState, x: int, frame: Frame = Frame.LAB,
                   profile: CoinProfile | None = None) -> BasisIntensities:
@@ -87,7 +84,7 @@ def jitter_intensities(intens: BasisIntensities, rel: float,
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """2x2 Hermitian polarization state at one (site, step), trace in (0, 1]."""
+    """2x2 Hermitian polarization state at one (site, step); trace S0 > 0, above 1 if noisy."""
 
     matrix: np.ndarray
     frame: Frame
@@ -119,7 +116,6 @@ def tomography(intens: BasisIntensities) -> DensityMatrix:
     s2 = intens.i_d - intens.i_a
     s3 = intens.i_r - intens.i_l
     rho = (s0 * np.eye(2) + s1 * SZ + s2 * SX + s3 * SY) / 2
-    rho = (rho + rho.conj().T) / 2
     clipped = False
     evals, evecs = np.linalg.eigh(rho)
     if evals.min() < -1e-10:
@@ -127,6 +123,7 @@ def tomography(intens: BasisIntensities) -> DensityMatrix:
         rho = (evecs * pos) @ evecs.conj().T
         rho *= s0 / np.trace(rho).real
         clipped = True
+    rho = (rho + rho.conj().T) / 2
     return DensityMatrix(rho, intens.frame, intens.site, intens.step, clipped)
 
 

@@ -243,7 +243,8 @@ def _shift_into(out: np.ndarray, h: np.ndarray, v: np.ndarray, topology: Topolog
 
 
 def _rotate_half(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Apply C(angles[x]) sitewise to an (N, 2) amplitude array."""
+    """Apply C(angles[x]) sitewise to an (N, 2) or (N, 2, m) amplitude array."""
+    angles = angles.reshape(angles.shape + (1,) * (amps.ndim - 2))
     return np.stack(_coin(amps, _coin_factors(angles)), axis=1)
 
 
@@ -290,11 +291,11 @@ def evolve(state: WalkerState, profile: CoinProfile, steps: int,
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if steps == 0:
-        return [state] if record else state
     if state.frame is not Frame.LAB:
         raise ValueError("evolution acts on lab-frame amplitudes")
     _check_shared_lattice(state, profile)
+    if steps == 0:
+        return [state] if record else state
     lattice = state.lattice
     amps = state.amplitudes.astype(complex)
     buffers = advance(amps, profile, steps)

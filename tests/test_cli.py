@@ -239,6 +239,19 @@ MISREAD_INPUTS = [
                  id="bands-resolution-negative"),
     pytest.param("winding", None, ["--resolution", "10"], "resolution:",
                  id="winding-resolution-low"),
+    pytest.param("bands", None, ["--phi1", "abc"], "phi1: cannot parse angle",
+                 id="bands-phi1-string"),
+    pytest.param("bands", None, ["--phi1", "inf"], "phi1: angle must be finite",
+                 id="bands-phi1-inf"),
+    pytest.param("evolve", {"plates": "qwp:10"}, [], "plates: must be a list",
+                 id="evolve-plates-string"),
+    pytest.param("evolve", None, ["--plate", "xwp:10"], "plates: unknown plate kind",
+                 id="evolve-plate-kind-unknown"),
+    pytest.param("scan", None, ["--angles", "0:180"], "angles:", id="scan-grid-two-fields"),
+    # os.devnull is a file, so nothing can lie below it
+    pytest.param("bands", None, ["--config", os.path.join(os.devnull, "run.json")],
+                 "cannot read config", id="bands-config-missing"),
+    pytest.param("bands", [1, 2], [], "config must be a JSON object", id="bands-config-list"),
 ]
 
 

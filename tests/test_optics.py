@@ -103,6 +103,7 @@ def test_tomography_clips_unphysical_inputs():
     bad = BasisIntensities(1.0, 0.0, 1.0, 0.0, 1.0, 0.0)  # over-polarized
     rho = tomography(bad)
     assert rho.clipped
+    np.testing.assert_array_equal(rho.matrix, rho.matrix.conj().T)
     evals = np.linalg.eigvalsh(rho.matrix)
     assert evals.min() >= -1e-12
     assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)

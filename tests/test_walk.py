@@ -239,6 +239,16 @@ def test_lattice_mismatch_is_rejected():
     other = localized_state(Lattice(7, Topology.SEGMENT, origin=-4), 0)
     with pytest.raises(LatticeMismatchError):
         apply_coin(other, prof)
+    # a walk of 0 steps checks its inputs like a walk of 1 step
+    own = make_coin_profile("interface", segment_for(1, 5), phi1=1.29, phi2=0.17)
+    wider = make_coin_profile("interface", segment_for(1, 7), phi1=1.29, phi2=0.17)
+    state = localized_state(own.lattice, 1)
+    primed = to_frame(state, own, Frame.PRIMED)
+    for steps in (0, 1):
+        with pytest.raises(LatticeMismatchError):
+            evolve(state, wider, steps)
+        with pytest.raises(ValueError, match="lab-frame"):
+            evolve(primed, own, steps)
 
 
 def test_interface_trapping_after_13_steps():
