@@ -17,12 +17,18 @@ and u21 u12.  Bands come from a batched 2x2 eigensolve of u12 u21 over all
 k points at once, lifted to the eigenpairs of u (see ``_lift``, which the
 ring spectrum in ``midgap`` shares); ``torus_angles`` accepts stacks of
 eigenvectors as well.
+
+Swapping the angles moves the unit cell by one site.  In the primed frame
+the shift phases obey d12 = e^{-ik} d21, so the swapped walk is
+u'(k) = D X u(k) X D^dagger, with X the sublattice swap and
+D = diag(1, e^{ik}): the same bands, with alpha and beta traded and gamma
+turned into k - gamma (see ``WindingReport.swapped``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -326,6 +332,17 @@ class WindingReport:
     residuals: tuple[float, ...]                 # per band, max |accumulated/2pi - integer|
     gap_at_real: float
     gap_at_imag: float
+
+    def swapped(self) -> WindingReport:
+        """The report of ``winding_numbers(phi2, phi1)``, without a second band solve.
+
+        The swapped blocks are u12' = e^{-ik} u21 and u21' = e^{ik} u12, so
+        each eigenvector psi becomes (psi2, e^{ik} psi1) with the same
+        eigenvalue: the windings turn into (w_beta, w_alpha, 1 - w_gamma),
+        and band order, residuals and gaps stay.
+        """
+        return replace(self, phi1=self.phi2, phi2=self.phi1,
+                       windings=tuple((b, a, 1 - g) for a, b, g in self.windings))
 
 
 def winding_numbers(phi1: float, phi2: float, resolution: int = 512) -> WindingReport:

@@ -309,7 +309,7 @@ def cmd_bands(opts) -> int:
 
 def cmd_winding(opts) -> int:
     fwd = winding_numbers(opts.phi1, opts.phi2, opts.resolution)
-    rev = winding_numbers(opts.phi2, opts.phi1, opts.resolution)
+    rev = fwd.swapped()
 
     with _Output(opts.out) as out:
         for tag, rep in (("forward", fwd), ("swapped", rev)):

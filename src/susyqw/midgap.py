@@ -419,16 +419,24 @@ def _canonical_cluster_basis(vectors: np.ndarray, profile: CoinProfile) -> np.nd
 
 
 def _midgap_tol(profile: CoinProfile, tol: float | None) -> float | None:
-    """``tol``, or by default 1e-4 of the protected gap at +-i; None for a closed gap."""
+    """``tol``, or by default 1e-4 of the protected gap at +-i; None for a closed gap.
+
+    Where the angles are known, the bulk bands come within 2 sin(gap / 2) of
+    +-i, and a tol that reaches them raises ValueError.
+    """
+    known = profile.phi1 is not None and profile.phi2 is not None
+    gap = protected_gaps(profile.phi1, profile.phi2)[1] if known else None
     if tol is None:
-        if profile.phi1 is None or profile.phi2 is None:
+        if gap is None:
             raise ValueError("explicit profiles need an explicit tolerance")
-        gap = protected_gaps(profile.phi1, profile.phi2)[1]
         if gap <= 0:
             return None
         tol = 1e-4 * gap
     if not np.isfinite(tol) or tol <= 0:
         raise ValueError("tolerance must be positive and finite")
+    if gap is not None and tol >= (bound := 2 * float(np.sin(gap / 2))):
+        raise ValueError(f"tolerance {float(tol)!r} reaches the bulk bands, "
+                         f"{bound!r} from +-i")
     return tol
 
 

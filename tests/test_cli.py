@@ -400,9 +400,24 @@ def test_winding_reports_difference(capsys):
 
 
 def test_winding_near_transition_fails_cleanly(capsys):
-    code, _, err = run_cli(["winding", "--phi1", "0.7", "--phi2", str(0.7 - 1e-8)], capsys)
-    assert code == 3
-    assert "phase transition" in err
+    for angles in (("0.7", str(0.7 - 1e-8)), (str(0.7 - 1e-8), "0.7")):
+        code, _, err = run_cli(["winding", "--phi1", angles[0], "--phi2", angles[1]], capsys)
+        assert code == 3
+        assert "phase transition" in err
+
+
+def test_winding_solves_the_bands_once(monkeypatch, capsys):
+    """The swapped report is derived from the forward solve, not solved again."""
+    calls, solve = [], bloch.band_structure
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(bloch, "band_structure", counted)
+    code, out, _ = run_cli(["winding", "--resolution", "256"], capsys)
+    assert code == 0 and "[swapped] band3" in out
+    assert len(calls) == 1
 
 
 def test_midgap_report_and_table(tmp_path, capsys):
@@ -443,6 +458,22 @@ def test_midgap_large_tolerance_fails_cleanly(capsys):
     code, _, err = run_cli(["midgap", "--n", "12", "--tol", "2.5"], capsys)
     assert code == 3
     assert err.count("\n") == 1 and "tolerance" in err and "Traceback" not in err
+
+
+# the bulk bands at (1.29, 0.17) come within 2 sin(gap / 2) = 0.55271 of +-i
+@pytest.mark.parametrize("argv", [["--tol", "1.0"], ["--tol", "0.5528"],
+                                  ["--phi1", "0.7", "--phi2", "0.7", "--tol", "0.001"]],
+                         ids=["beyond-band-bound", "at-band-bound", "closed-gap"])
+def test_midgap_tolerance_reaching_the_bands_exits_three(argv, capsys):
+    code, out, err = run_cli(["midgap", "--n", "40", *argv], capsys)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "tolerance" in err and "Traceback" not in err
+
+
+def test_midgap_tolerance_inside_the_band_bound_finds_the_states(capsys):
+    code, out, _ = run_cli(["midgap", "--n", "40", "--tol", "0.5527"], capsys)
+    assert code == 0
+    assert summary_dict(out)["midgap_count"] == "4"
 
 
 def test_midgap_trivial_angles_report_zero(capsys):

@@ -330,10 +330,16 @@ def test_full_spectrum_caps_ring_size():
 
 
 def test_find_midgap_rejects_unusable_tolerances():
-    spectrum = full_spectrum(ring_with_interfaces(12, 1.29, 0.17))
+    ring = ring_with_interfaces(12, 1.29, 0.17)
+    spectrum = full_spectrum(ring)
     for tol in (float("inf"), float("nan"), 0.0):
         with pytest.raises(ValueError, match="positive and finite"):
             find_midgap(spectrum, tol)
-    # tol >= 2 selects the whole spectrum; each canonical vector sits on one site
+    # the bulk bands come within 2 sin(gap / 2) = 0.5527 of +-i
+    with pytest.raises(ValueError, match=r"tolerance 1\.0 reaches the bulk bands, 0\.552"):
+        find_midgap(spectrum, 1.0)
+    # without the angles there is no band bound: tol >= 2 selects the whole
+    # spectrum, and each canonical vector sits on one site
+    explicit = make_coin_profile("explicit", ring.lattice, angles=ring.angles)
     with pytest.raises(ValueError, match="decay fit"):
-        find_midgap(spectrum, 2.5)
+        find_midgap(full_spectrum(explicit), 2.5)

@@ -4,7 +4,8 @@ The walk, scan and decay-length tests draw coin angles from the gapped box
 phi1 in [1.1, 1.4], phi2 in [0.1, 0.3], which stays clear of the gap closing
 at phi1 = phi2; the spectrum, ring-symmetry and partner-solve tests draw any
 angles, gap closings included; the quadrant and anomaly tests draw angles
-with both protected gaps open; the midgap-window test draws any interface
+with both protected gaps open, and the winding exchange test any angles
+with both gaps at least 1e-3; the midgap-window test draws any interface
 angles in (0, pi/2), small gaps included.
 """
 
@@ -17,7 +18,7 @@ from susyqw import (Frame, Lattice, Topology, WalkerState, anomaly_expectation, 
                     bloch_operator, decay_length, evolve, find_midgap, full_spectrum,
                     long_time_extrapolation, make_coin_profile, midgap_spectrum, one_step_matrix,
                     prepare_input, protected_gaps, quadruple_closure_distance, qwp_scan,
-                    ring_with_interfaces, segment_for)
+                    ring_with_interfaces, segment_for, winding_numbers)
 
 from helpers import SY, bloch_oracle, multiset_distance, primed_frame_rotation
 
@@ -155,6 +156,26 @@ def test_gapped_bands_keep_their_quadrants(phi1, phi2, resolution):
         overlaps = np.einsum("kab,kab->kb", bands.eigenvectors[:-1].conj(),
                              bands.eigenvectors[1:])
         assert overlaps.real.min() > 0.99
+
+
+@settings(max_examples=40, deadline=None)
+@given(phi1=ANGLE, phi2=ANGLE, resolution=st.sampled_from([256, 512, 1024]))
+def test_swapped_winding_report_is_the_direct_solve(phi1, phi2, resolution):
+    """Swapping the angles moves the unit cell by one site, so one solve gives both orders.
+
+    ``swapped`` matches ``winding_numbers(phi2, phi1)``, and every band's
+    windings differ between the two orders by +-(1, -1, 1).
+    """
+    assume(min(protected_gaps(phi1, phi2)) >= 1e-3)
+    forward = winding_numbers(phi1, phi2, resolution)
+    derived, direct = forward.swapped(), winding_numbers(phi2, phi1, resolution)
+    assert (derived.phi1, derived.phi2, derived.resolution, derived.windings) == \
+        (direct.phi1, direct.phi2, direct.resolution, direct.windings)
+    np.testing.assert_allclose(derived.residuals, direct.residuals, rtol=0, atol=1e-12)
+    np.testing.assert_allclose([derived.gap_at_real, derived.gap_at_imag],
+                               [direct.gap_at_real, direct.gap_at_imag], rtol=0, atol=1e-14)
+    for wf, ws in zip(forward.windings, direct.windings):
+        assert tuple(a - b for a, b in zip(wf, ws)) in {(1, -1, 1), (-1, 1, -1)}
 
 
 # an angle pair that is often on a gap closing: phi2 = phi1 or phi2 = -phi1
