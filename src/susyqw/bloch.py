@@ -9,14 +9,15 @@ coin Pauli COIN_Y; together these pin protected gaps at quasi-energy 0, pi
 While those gaps are open, band b stays in the quadrant
 b pi/2 <= epsilon < (b + 1) pi/2 of the quasi-energy circle, so ordering the
 four eigenvalues by quasi-energy at each k connects the bands; no overlap
-matching is needed.
+matching is needed.  Band b + 2 is then the -lambda partner (a, -b) of band
+b = (a, b), which has the same torus angles alpha and beta and a gamma turned
+by pi (see ``torus_angles``), so ``winding_numbers`` evaluates bands 0 and 1.
 
 The one-step unitary is off-diagonal in the sublattice, u = [[0, u12],
 [u21, 0]], so u^2 is the direct sum of the 2x2 SUSY partner walks u12 u21
 and u21 u12.  Bands come from a batched 2x2 eigensolve of u12 u21 over all
 k points at once, lifted to the eigenpairs of u (see ``_lift``, which the
-ring spectrum in ``midgap`` shares); ``torus_angles`` accepts stacks of
-eigenvectors as well.
+ring spectrum in ``midgap`` shares).
 
 Swapping the angles moves the unit cell by one site.  In the primed frame
 the shift phases obey d12 = e^{-ik} d21, so the swapped walk is
@@ -33,8 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PhaseTransitionError, SymmetryViolationError
-from .operators import (CELL_X, CELL_Y, CELL_Z, COIN_X, COIN_Y, COIN_Z, ID4,
-                        coin_matrix)
+from .operators import CELL_Z, COIN_Y, coin_matrix
 from .walk import Frame
 
 _UNIT_CIRCLE_TOL = 1e-10
@@ -184,11 +184,9 @@ def _lift(mu: np.ndarray, vec: np.ndarray, hop_vec: np.ndarray,
     return np.concatenate([lam, -lam], axis=-1)
 
 
-def _gaps(eps: np.ndarray) -> tuple[float, float]:
-    """Least quasi-energy distances of a grid to lambda = +-1 and to lambda = +-i."""
-    def gap(*targets):
-        return float(min(_circle_distance(eps, t).min() for t in targets))
-    return gap(0.0, np.pi), gap(np.pi / 2, 3 * np.pi / 2)
+def _gap(eps: np.ndarray, target: float) -> float:
+    """Least quasi-energy distance of a grid to target and to target + pi."""
+    return float(min(_circle_distance(eps, t).min() for t in (target, target + np.pi)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,11 +209,11 @@ class BandStructure:
 
     def gap_at_real(self) -> float:
         """Minimal quasi-energy distance to lambda = +-1 over the grid."""
-        return _gaps(self.quasienergies)[0]
+        return _gap(self.quasienergies, 0.0)
 
     def gap_at_imag(self) -> float:
         """Minimal quasi-energy distance to lambda = +-i over the grid."""
-        return _gaps(self.quasienergies)[1]
+        return _gap(self.quasienergies, np.pi / 2)
 
 
 def band_structure(phi1: float, phi2: float,
@@ -282,25 +280,18 @@ def quadruple_closure_distance(lams: np.ndarray) -> float:
     return worst
 
 
-# (cos, sin) operator pairs of alpha, beta and gamma, shape (3, 2, 4, 4)
-_PAIR_OPS = np.array([
-    (COIN_X @ (ID4 + CELL_Z), COIN_Z @ (ID4 + CELL_Z)),
-    (COIN_X @ (ID4 - CELL_Z), COIN_Z @ (ID4 - CELL_Z)),
-    (CELL_X @ (ID4 - COIN_Y), CELL_Y @ (ID4 - COIN_Y)),
-])
-
-_RADIUS_TOL = 1e-6
-
-
-def torus_angles(vec: np.ndarray, radius_tol: float = _RADIUS_TOL
+def torus_angles(vec: np.ndarray, radius_tol: float = 1e-6
                  ) -> tuple[float, float, float] | np.ndarray:
     """The three torus angles (alpha, beta, gamma) of a bulk eigenvector.
 
-    Each angle comes from a (cos, sin) pair of operator expectations that
-    lies on the unit circle for bulk eigenstates away from lambda = +-1, +-i;
-    a pair radius off 1 beyond ``radius_tol``, or a zero or non-finite
-    vector, raises SymmetryViolationError.  A single 4-vector gives a
-    tuple of floats; a stack of shape (..., 4) gives an array (..., 3).
+    With psi = (a, b) split by sublattice, the angles are the arguments of
+    the (cos, sin) pairs 2 (<a|sigma_x|a>, <a|sigma_z|a>), the same for b,
+    and 2 (Re g, Im g) with g = <a|(1 - sigma_y)|b>; the -lambda partner
+    (a, -b) shares alpha and beta and turns gamma by pi.  Each pair lies on
+    the unit circle for bulk eigenstates away from lambda = +-1, +-i; a pair
+    radius off 1 beyond ``radius_tol``, or a zero or non-finite vector,
+    raises SymmetryViolationError.  A single 4-vector gives a tuple of
+    floats; a stack of shape (..., 4) gives an array (..., 3).
     """
     v = np.asarray(vec, dtype=complex)
     if v.ndim == 0 or v.shape[-1] != 4:
@@ -311,13 +302,20 @@ def torus_angles(vec: np.ndarray, radius_tol: float = _RADIUS_TOL
     if not (nrm > 0).all():
         raise SymmetryViolationError("state has zero norm")
     v = v / np.where(np.abs(nrm - 1.0) > 1e-8, nrm, 1.0)
-    pairs = np.einsum("...i,pqij,...j->...pq", v.conj(), _PAIR_OPS, v).real
-    r = np.hypot(pairs[..., 0], pairs[..., 1])
+    # h, w: the H and V amplitudes of a and b, as real parts (complex products
+    # round differently for one vector and for a stack)
+    hr, hi, wr, wi = v.real[..., 0::2], v.imag[..., 0::2], v.real[..., 1::2], v.imag[..., 1::2]
+    qr, qi = hr - wi, hi + wr    # q = h + i w, so (1 - sigma_y) b = (q_b, -i q_b)
+    gr = qr[..., :1] * qr[..., 1:] + qi[..., :1] * qi[..., 1:]    # g = conj(q_a) q_b
+    gi = qr[..., :1] * qi[..., 1:] - qi[..., :1] * qr[..., 1:]
+    cos = 2 * np.concatenate([2 * (hr * wr + hi * wi), gr], axis=-1)
+    sin = 2 * np.concatenate([hr * hr + hi * hi - wr * wr - wi * wi, gi], axis=-1)
+    r = np.hypot(cos, sin)
     bad = ~(np.abs(r - 1.0) <= radius_tol)
     if bad.any():
         raise SymmetryViolationError(
             f"state violates bulk symmetry constraints (pair radius {r[bad].flat[0]:.6f})")
-    angles = np.arctan2(pairs[..., 1] / r, pairs[..., 0] / r)
+    angles = np.arctan2(sin / r, cos / r)
     return tuple(angles.tolist()) if v.ndim == 1 else angles
 
 
@@ -352,15 +350,16 @@ def winding_numbers(phi1: float, phi2: float, resolution: int = 512) -> WindingR
     # the default band_structure grid plus k = 2pi, which closes the loop
     loop = band_structure(phi1, phi2, k_grid=np.linspace(0.0, 2 * np.pi, resolution + 1),
                           frame=Frame.PRIMED)
-    gap_real, gap_imag = _gaps(loop.quasienergies[:-1])
+    gap_real, gap_imag = (_gap(loop.quasienergies[:-1], t) for t in (0.0, np.pi / 2))
     # the analytic gaps catch a closing that falls between grid points
     if min(gap_real, gap_imag, *protected_gaps(phi1, phi2)) < 1e-6:
         raise PhaseTransitionError("cannot compute winding at a phase transition")
 
-    angles = torus_angles(np.swapaxes(loop.eigenvectors, 1, 2))   # (k, band, 3)
+    # band b + 2 is the -lambda partner of band b, with the same windings and residuals
+    angles = torus_angles(np.swapaxes(loop.eigenvectors[:, :, :2], 1, 2))   # (k, 2, 3)
     deltas = np.mod(np.diff(angles, axis=0) + np.pi, 2 * np.pi) - np.pi
     total = deltas.sum(axis=0) / (2 * np.pi)
     w = np.rint(total)
     return WindingReport(float(phi1), float(phi2), resolution,
-                         tuple(tuple(int(x) for x in row) for row in w),
-                         tuple(np.abs(total - w).max(axis=1).tolist()), gap_real, gap_imag)
+                         tuple(tuple(int(x) for x in row) for row in w) * 2,
+                         tuple(np.abs(total - w).max(axis=1).tolist()) * 2, gap_real, gap_imag)

@@ -101,3 +101,24 @@ def primed_frame_rotation(angles):
     for x, phi in enumerate(angles):
         v[2 * x:2 * x + 2, 2 * x:2 * x + 2] = coin_2x2(phi / 2)
     return v
+
+
+# (cos, sin) operator pairs of the torus angles on (sublattice x coin):
+# sigma_{x,z} (1 + Sigma_z) for alpha, sigma_{x,z} (1 - Sigma_z) for beta,
+# Sigma_{x,y} (1 - sigma_y) for gamma; shape (3, 2, 4, 4)
+_ID4, _CELL_Z, _COIN_Y = np.eye(4), np.kron(SZ, ID2), np.kron(ID2, SY)
+_TORUS_OPS = np.array([
+    (np.kron(ID2, SX) @ (_ID4 + _CELL_Z), np.kron(ID2, SZ) @ (_ID4 + _CELL_Z)),
+    (np.kron(ID2, SX) @ (_ID4 - _CELL_Z), np.kron(ID2, SZ) @ (_ID4 - _CELL_Z)),
+    (np.kron(SX, ID2) @ (_ID4 - _COIN_Y), np.kron(SY, ID2) @ (_ID4 - _COIN_Y)),
+])
+
+
+def torus_oracle(v):
+    """Torus angles and pair radii of a 4-vector or a stack (..., 4), each (..., 3).
+
+    Each (cos, sin) pair is a pair of 4x4 operator expectations <v|O|v> of
+    ``_TORUS_OPS``, taken of v as given (not normalized).
+    """
+    pairs = np.einsum("...i,pqij,...j->...pq", np.conj(v), _TORUS_OPS, v).real
+    return np.arctan2(pairs[..., 1], pairs[..., 0]), np.hypot(pairs[..., 0], pairs[..., 1])

@@ -8,7 +8,8 @@ from susyqw import (Frame, Lattice, PhaseTransitionError, SymmetryViolationError
                     susy_partners, to_primed, torus_angles, winding_numbers)
 from susyqw.bloch import _lift
 
-from helpers import ID2, SY, SZ, bloch_oracle, multiset_distance, ring_bloch_state
+from helpers import (ID2, SY, SZ, bloch_oracle, multiset_distance, ring_bloch_state,
+                     torus_oracle)
 
 CELL_Z = np.kron(SZ, ID2)
 COIN_Y = np.kron(ID2, SY)
@@ -156,11 +157,12 @@ def test_band_eigenvectors_are_orthonormal_at_gap_closings(phi1, phi2, frame):
                          ids=["basis", "zero", "nan", "inf"])
 def test_torus_angles_reject_non_eigenstate(vec):
     v = np.array(vec, dtype=complex)
-    with pytest.raises(SymmetryViolationError):
-        torus_angles(v)
     good = band_structure(1.29, 0.17, k_grid=np.array([0.4])).eigenvectors[0].T
-    with pytest.raises(SymmetryViolationError):
-        torus_angles(np.vstack([good, v]))
+    for state in (v, np.vstack([good, v])):
+        with pytest.raises(SymmetryViolationError):
+            torus_angles(state)
+        # the 4x4 operator expectations find a pair radius off 1 (or NaN) too
+        assert not (np.abs(torus_oracle(state)[1] - 1.0) <= 1e-6).all()
 
 
 def test_torus_angles_of_a_stack_match_single_vectors():

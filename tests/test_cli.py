@@ -28,6 +28,18 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def record_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call's positional arguments."""
+    calls, original = [], getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
 def summary_dict(text):
     out = {}
     for line in text.splitlines():
@@ -408,16 +420,26 @@ def test_winding_near_transition_fails_cleanly(capsys):
 
 def test_winding_solves_the_bands_once(monkeypatch, capsys):
     """The swapped report is derived from the forward solve, not solved again."""
-    calls, solve = [], bloch.band_structure
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(bloch, "band_structure", counted)
+    calls = record_calls(monkeypatch, bloch, "band_structure")
     code, out, _ = run_cli(["winding", "--resolution", "256"], capsys)
     assert code == 0 and "[swapped] band3" in out
     assert len(calls) == 1
+
+
+def test_winding_reads_the_torus_angles_of_two_bands(monkeypatch, capsys):
+    """Bands 2 and 3 are the -lambda partners of bands 0 and 1, whose angles suffice."""
+    calls = record_calls(monkeypatch, bloch, "torus_angles")
+    code, out, _ = run_cli(["winding", "--resolution", "512"], capsys)
+    assert code == 0 and "[forward] band3" in out
+    assert [np.shape(args[0]) for args in calls] == [(513, 2, 4)]
+
+
+def test_bands_measures_each_gap_once(monkeypatch, capsys):
+    """Two targets per gap, one pass over the grid each: four in all."""
+    calls = record_calls(monkeypatch, bloch, "_circle_distance")
+    code, out, _ = run_cli(["bands", "--resolution", "2048"], capsys)
+    assert code == 0 and "gap_at_imag" in summary_dict(out)
+    assert len(calls) == 4
 
 
 def test_midgap_report_and_table(tmp_path, capsys):

@@ -179,17 +179,38 @@ def test_midgap_count_invariant_under_doubling():
         assert (dist < 1e-6).sum() == 4
 
 
+def interface_splitting(n, phi1, phi2):
+    """Largest distance to +-i of the four eigenvalues nearest it, on a ring cut at (1, n/2)."""
+    prof = make_coin_profile("interface", Lattice(n, Topology.RING), phi1=phi1, phi2=phi2,
+                             cuts=(1, n // 2))
+    lam = full_spectrum(prof).eigenvalues
+    return np.sort(np.minimum(np.abs(lam - 1j), np.abs(lam + 1j)))[:4].max()
+
+
 def test_finite_size_splitting_shrinks_with_size():
     # interfaces of equal type hybridize; their splitting must collapse fast
-    def splitting(n):
-        lat = Lattice(n, Topology.RING)
-        prof = make_coin_profile("interface", lat, phi1=1.29, phi2=0.17,
-                                 cuts=(1, n // 2))
-        lam = full_spectrum(prof).eigenvalues
-        dist = np.minimum(np.abs(lam - 1j), np.abs(lam + 1j))
-        return np.sort(dist)[:4].max()
+    assert interface_splitting(40, 1.29, 0.17) > 10 * interface_splitting(80, 1.29, 0.17)
 
-    assert splitting(40) > 10 * splitting(80)
+
+@pytest.mark.parametrize("phi1, phi2", [(0.908, 0.439), (0.8, 0.5), (1.0, 0.6)])
+def test_finite_size_splitting_decays_over_twice_the_decay_length(phi1, phi2):
+    """Across the ring the interface states overlap as exp(-N / (2 xi)).
+
+    On N = 2 (mod 4) rings with the cuts (1, N/2), the splitting of the four
+    states nearest +-i falls with log-slope -1 / (2 xi) in N, xi the
+    analytic ``decay_length``; the fit runs from N = 22 while the splitting
+    stays above 1e-12 (xi = 3.26, 5.26, 3.41 here).
+    """
+    sizes, splits = [], []
+    for n in range(22, 1000, 4):
+        split = interface_splitting(n, phi1, phi2)
+        if split <= 1e-12:
+            break
+        sizes.append(n)
+        splits.append(split)
+    assert len(sizes) >= 10
+    slope = np.polyfit(sizes, np.log(splits), 1)[0]
+    assert 0.98 <= slope * -2 * decay_length(phi1, phi2) <= 1.02
 
 
 def test_trivial_ring_has_no_midgap_states():

@@ -4,9 +4,10 @@ The walk, scan and decay-length tests draw coin angles from the gapped box
 phi1 in [1.1, 1.4], phi2 in [0.1, 0.3], which stays clear of the gap closing
 at phi1 = phi2; the spectrum, ring-symmetry and partner-solve tests draw any
 angles, gap closings included; the quadrant and anomaly tests draw angles
-with both protected gaps open, and the winding exchange test any angles
-with both gaps at least 1e-3; the midgap-window test draws any interface
-angles in (0, pi/2), small gaps included.
+with both protected gaps open, and the winding exchange, half-band and
+torus-oracle tests any angles with both gaps at least 1e-3; the
+midgap-window test draws any interface angles in (0, pi/2), small gaps
+included.
 """
 
 from dataclasses import replace
@@ -18,9 +19,9 @@ from susyqw import (Frame, Lattice, Topology, WalkerState, anomaly_expectation, 
                     bloch_operator, decay_length, evolve, find_midgap, full_spectrum,
                     long_time_extrapolation, make_coin_profile, midgap_spectrum, one_step_matrix,
                     prepare_input, protected_gaps, quadruple_closure_distance, qwp_scan,
-                    ring_with_interfaces, segment_for, winding_numbers)
+                    ring_with_interfaces, segment_for, torus_angles, winding_numbers)
 
-from helpers import SY, bloch_oracle, multiset_distance, primed_frame_rotation
+from helpers import SY, bloch_oracle, multiset_distance, primed_frame_rotation, torus_oracle
 
 PHI1 = st.floats(min_value=1.1, max_value=1.4)
 PHI2 = st.floats(min_value=0.1, max_value=0.3)
@@ -176,6 +177,46 @@ def test_swapped_winding_report_is_the_direct_solve(phi1, phi2, resolution):
                                [direct.gap_at_real, direct.gap_at_imag], rtol=0, atol=1e-14)
     for wf, ws in zip(forward.windings, direct.windings):
         assert tuple(a - b for a, b in zip(wf, ws)) in {(1, -1, 1), (-1, 1, -1)}
+
+
+def wrapped(angle):
+    """An angle difference mapped into [-pi, pi)."""
+    return np.mod(angle + np.pi, 2 * np.pi) - np.pi
+
+
+@settings(max_examples=60, deadline=None)
+@given(phi1=ANGLE, phi2=ANGLE, k=st.floats(min_value=0.0, max_value=2 * np.pi))
+def test_torus_angles_match_the_operator_expectations(phi1, phi2, k):
+    """The 2-vector forms of ``torus_angles`` are the 4x4 operator expectations."""
+    assume(min(protected_gaps(phi1, phi2)) >= 1e-3)
+    stack = band_structure(phi1, phi2, k_grid=np.array([k])).eigenvectors[0].T
+    angles, radii = torus_oracle(stack)
+    np.testing.assert_allclose(radii, 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(wrapped(torus_angles(stack) - angles), 0.0, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(phi1=ANGLE, phi2=ANGLE, resolution=st.sampled_from([256, 512, 1024]))
+def test_winding_reads_half_the_bands(phi1, phi2, resolution):
+    """Band b + 2 is the -lambda partner of band b, so bands 0 and 1 give every winding.
+
+    The partner has the same alpha and beta and a gamma turned by pi at
+    every k; ``winding_numbers`` equals a 4-band accumulation of the
+    operator-expectation angles.
+    """
+    assume(min(protected_gaps(phi1, phi2)) >= 1e-3)
+    loop = band_structure(phi1, phi2, k_grid=np.linspace(0.0, 2 * np.pi, resolution + 1))
+    stack = np.swapaxes(loop.eigenvectors, 1, 2)
+    turn = wrapped(torus_angles(stack[:, 2:]) - torus_angles(stack[:, :2]))
+    np.testing.assert_allclose(turn[..., :2], 0.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.abs(turn[..., 2]), np.pi, rtol=0, atol=1e-12)
+
+    total = wrapped(np.diff(torus_oracle(stack)[0], axis=0)).sum(axis=0) / (2 * np.pi)
+    w = np.rint(total)
+    report = winding_numbers(phi1, phi2, resolution)
+    assert report.windings == tuple(tuple(int(x) for x in row) for row in w)
+    np.testing.assert_allclose(report.residuals, np.abs(total - w).max(axis=1),
+                               rtol=0, atol=1e-14)
 
 
 # an angle pair that is often on a gap closing: phi2 = phi1 or phi2 = -phi1
