@@ -260,33 +260,33 @@ def _primed(amps: np.ndarray, profile: CoinProfile) -> np.ndarray:
     return _rotate_half(amps, profile.angles / 2)
 
 
-def _coin_y_per_site(amps_primed: np.ndarray) -> np.ndarray:
-    return 2.0 * np.imag(np.conj(amps_primed[:, 0]) * amps_primed[:, 1])
+def _stokes(amps: np.ndarray, profile: CoinProfile) -> np.ndarray:
+    """Primed-frame Stokes parameters (S0, S1, S2, S3) of every site, unnormalized, (4, N).
+
+    Real arithmetic on the real and imaginary parts, with |h|^2 the libm
+    ``pow`` of ``hypot``: each entry has the bits of the scalar formula
+    |h|^2, 2 Re(h* v), 2 Im(h* v) on NumPy scalars, so one site and a stack
+    round alike.
+    """
+    primed = _primed(amps, profile)
+    hr, hi, vr, vi = primed[:, 0].real, primed[:, 0].imag, primed[:, 1].real, primed[:, 1].imag
+    h2, v2 = np.float_power(np.hypot(hr, hi), 2), np.float_power(np.hypot(vr, vi), 2)
+    return np.stack([h2 + v2, h2 - v2, 2 * (hr * vr + hi * vi), 2 * (hr * vi - hi * vr)])
 
 
-def _parity_signs(profile: CoinProfile, plus_on_odd: bool = True) -> np.ndarray:
-    odd = profile.lattice.coords() % 2 == 1
-    signs = np.where(odd, 1.0, -1.0)
-    return signs if plus_on_odd else -signs
+def _parity_signs(profile: CoinProfile) -> np.ndarray:
+    """+1 on the odd sites (sublattice 1), -1 on the even ones."""
+    return np.where(profile.lattice.coords() % 2 == 1, 1.0, -1.0)
 
 
 def coin_y_expectation(state, profile: CoinProfile) -> float:
     """Global ⟨sigma_y⟩ in the primed frame."""
-    amps = _amplitudes(state)
-    return float(_coin_y_per_site(_primed(amps, profile)).sum())
+    return float(_stokes(_amplitudes(state), profile)[3].sum())
 
 
 def cell_z_expectation(state, profile: CoinProfile) -> float:
     """Global ⟨Sigma_z⟩ with sublattice 1 on the odd sites."""
-    amps = _amplitudes(state)
-    probs = (np.abs(amps) ** 2).sum(axis=1)
-    return float((_parity_signs(profile) * probs).sum())
-
-
-def _interface_registration(profile: CoinProfile, cut: int) -> np.ndarray:
-    """Parity signs with sublattice 1 anchored to the domain right of ``cut``."""
-    plus_on_odd = not profile.swapped_at(cut)
-    return _parity_signs(profile, plus_on_odd=plus_on_odd)
+    return float((_parity_signs(profile) * _stokes(_amplitudes(state), profile)[0]).sum())
 
 
 def anomaly_expectation(state, profile: CoinProfile,
@@ -294,22 +294,23 @@ def anomaly_expectation(state, profile: CoinProfile,
     """⟨Sigma_z sigma_y⟩ of a normalized state in the primed frame.
 
     registration="interface" anchors the unit-cell registration to the
-    state's own interface (requires a MidgapState; other states fall back to
-    the global registration, where the value vanishes anyway for every
-    eigenstate off lambda = +-i).  registration="global" uses sublattice 1 =
-    odd sites everywhere; under it the two interfaces of a ring report
-    opposite signs.
+    state's own interface: sublattice 1 is the odd sites unless the domain
+    right of its cut is parity-interchanged (requires a MidgapState; other
+    states fall back to the global registration, where the value vanishes
+    anyway for every eigenstate off lambda = +-i).  registration="global"
+    uses sublattice 1 = odd sites everywhere; under it the two interfaces of
+    a ring report opposite signs.
     """
     amps = _amplitudes(state)
     if abs(np.linalg.norm(amps) - 1.0) > 1e-8:
         raise ValueError("state must be normalized")
-    if registration == "interface" and isinstance(state, MidgapState):
-        signs = _interface_registration(profile, state.interface_cut)
-    elif registration in ("interface", "global"):
-        signs = _parity_signs(profile)
-    else:
+    if registration not in ("interface", "global"):
         raise ValueError(f"unknown registration {registration!r}")
-    return float((signs * _coin_y_per_site(_primed(amps, profile))).sum())
+    signs = _parity_signs(profile)
+    if (registration == "interface" and isinstance(state, MidgapState)
+            and profile.swapped_at(state.interface_cut)):
+        signs = -signs
+    return float((signs * _stokes(amps, profile)[3]).sum())
 
 
 def site_polarization(state, profile: CoinProfile, x: int) -> tuple[float, float, float]:
@@ -321,36 +322,26 @@ def site_polarization(state, profile: CoinProfile, x: int) -> tuple[float, float
 
 
 def site_polarizations(state, profile: CoinProfile, sites) -> list[tuple[float, float, float]]:
-    """``site_polarization`` at each site of ``sites``, rotating the state once.
+    """``site_polarization`` at each site of ``sites``, read from one per-site Stokes array.
 
-    Each site is a scalar computation: complex arithmetic on NumPy scalars
-    rounds unlike the same formula over arrays.
+    The array is computed in real arithmetic (see _stokes), so a site reads
+    the same bits alone as in a stack.  Every site index is checked (a site
+    outside a segment raises ProfileError) before occupancy: the first site
+    in the order given with S0 <= 1e-10 raises UnoccupiedSiteError.
     """
-    amps = _primed(_amplitudes(state), profile)
-    out = []
-    for x in sites:
-        h, v = amps[profile.lattice.index(x)]
-        p = abs(h) ** 2 + abs(v) ** 2
-        if p <= 1e-10:
-            raise UnoccupiedSiteError(f"site {x} unoccupied")
-        s1 = (abs(h) ** 2 - abs(v) ** 2) / p
-        s2 = 2.0 * np.real(np.conj(h) * v) / p
-        s3 = 2.0 * np.imag(np.conj(h) * v) / p
-        out.append((float(s1), float(s2), float(s3)))
-    return out
-
-
-def _ring_distance(a: int, b: int, N: int) -> int:
-    d = abs(a - b) % N
-    return min(d, N - d)
+    sites = list(sites)
+    rows = [profile.lattice.index(x) for x in sites]
+    stokes = _stokes(_amplitudes(state), profile)[:, rows]
+    empty = stokes[0] <= 1e-10
+    if empty.any():
+        raise UnoccupiedSiteError(f"site {sites[int(np.argmax(empty))]} unoccupied")
+    return [tuple(s) for s in (stokes[1:] / stokes[0]).T.tolist()]
 
 
 def _nearest_cut(profile: CoinProfile, center: int) -> int:
-    N = profile.lattice.size
-    # distance of the site to the bond (c-1, c): measure against both bond sites
-    def bond_dist(c):
-        return min(_ring_distance(center, c % N, N), _ring_distance(center, (c - 1) % N, N))
-    return min(profile.cuts, key=bond_dist)
+    """The first cut whose bond (c-1, c) has a site nearest to ``center`` around the ring."""
+    d = (center - np.asarray(profile.cuts)[:, None] + [0, 1]) % profile.lattice.size
+    return profile.cuts[int(np.argmin(np.minimum(d, profile.lattice.size - d).min(axis=1)))]
 
 
 def _fit_decay(probs: np.ndarray, center: int) -> tuple[float, float]:
@@ -401,21 +392,13 @@ def _canonical_cluster_basis(vectors: np.ndarray, profile: CoinProfile) -> np.nd
     # split any remaining degeneracy by localization around the first cut
     anchor = profile.cuts[0] if profile.cuts else 0
     weight = np.cos(2 * np.pi * (profile.lattice.coords() - anchor) / n_sites)
-    out = np.empty_like(basis)
-    j = 0
-    while j < dim:
-        grp = [j]
-        while grp[-1] + 1 < dim and abs(evals[grp[-1] + 1] - evals[j]) < 1e-6:
-            grp.append(grp[-1] + 1)
-        sub = basis[:, grp]
-        if len(grp) > 1:
-            cols = sub.reshape(n_sites, 2, len(grp))
+    for grp in np.split(np.arange(dim), np.flatnonzero(np.diff(evals) >= 1e-6) + 1):
+        if grp.size > 1:
+            cols = basis[:, grp].reshape(n_sites, 2, grp.size)
             dmat = np.einsum("xci,x,xcj->ij", cols.conj(), weight, cols)
             _, drot = np.linalg.eigh((dmat + dmat.conj().T) / 2)
-            sub = sub @ drot
-        out[:, grp] = sub
-        j = grp[-1] + 1
-    return out
+            basis[:, grp] = basis[:, grp] @ drot
+    return basis
 
 
 def _midgap_tol(profile: CoinProfile, tol: float | None) -> float | None:

@@ -7,7 +7,7 @@ Conventions used throughout the package:
 * The four-dimensional Bloch space is ordered sublattice (x) coin, with
   sublattice 1 the site of each unit cell that carries the first coin
   angle in the bulk pattern (the odd sites).
-* ``CELL_*`` act on the sublattice index, ``COIN_*`` on the polarization.
+* ``CELL_Z`` acts on the sublattice index, ``COIN_Y`` on the polarization.
 """
 
 import numpy as np
@@ -18,13 +18,8 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # Operators on the 4-dim (sublattice x coin) Bloch space.
-COIN_X = np.kron(ID2, SX)
 COIN_Y = np.kron(ID2, SY)
-COIN_Z = np.kron(ID2, SZ)
-CELL_X = np.kron(SX, ID2)
-CELL_Y = np.kron(SY, ID2)
 CELL_Z = np.kron(SZ, ID2)
-ID4 = np.eye(4, dtype=complex)
 
 
 def coin_matrix(phi: float) -> np.ndarray:

@@ -122,3 +122,13 @@ def torus_oracle(v):
     """
     pairs = np.einsum("...i,pqij,...j->...pq", np.conj(v), _TORUS_OPS, v).real
     return np.arctan2(pairs[..., 1], pairs[..., 0]), np.hypot(pairs[..., 0], pairs[..., 1])
+
+
+def stokes_oracle(h, v):
+    """Unnormalized Stokes parameters (S0, S1, S2, S3) of one site's 2 amplitudes.
+
+    The scalar formula on NumPy complex scalars, taken of (h, v) as given
+    (pass primed-frame amplitudes for the primed Stokes vector).
+    """
+    return (abs(h) ** 2 + abs(v) ** 2, abs(h) ** 2 - abs(v) ** 2,
+            2.0 * np.real(np.conj(h) * v), 2.0 * np.imag(np.conj(h) * v))

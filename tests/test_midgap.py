@@ -5,7 +5,8 @@ from susyqw import (Frame, Lattice, ProfileError, SpectrumResult, Topology,
                     UnoccupiedSiteError, anomaly_expectation, band_structure,
                     cell_z_expectation, coin_y_expectation, decay_length, find_midgap,
                     full_spectrum, make_coin_profile, midgap_spectrum, one_step_matrix,
-                    protected_gaps, ring_with_interfaces, site_polarization)
+                    protected_gaps, ring_with_interfaces, site_polarization,
+                    site_polarizations)
 
 from susyqw.midgap import _chiral_sectors
 
@@ -147,6 +148,40 @@ def test_two_interface_ring_pins_four_states(interface_ring):
     assert len(states) == 4
     assert {s.center for s in states} == {0, 20}
     assert {s.interface_cut for s in states} == {1, 21}
+
+
+def test_four_interface_ring_binds_one_state_per_interface():
+    # the anomaly is -1 at two interfaces and +1 at the other two under the
+    # global registration, so each +-i cluster splits by position weight
+    prof = make_coin_profile("interface", Lattice(160, Topology.RING), phi1=1.29, phi2=0.17,
+                             cuts=(1, 41, 81, 121))
+    spectrum = full_spectrum(prof)
+    states = find_midgap(spectrum, 1e-6)
+    assert len(states) == 8
+    for lam, group in ((1j, states[:4]), (-1j, states[4:])):
+        assert all(abs(s.eigenvalue - lam) < 1e-6 for s in group)
+        assert [s.center for s in group] == [0, 40, 80, 120]
+        assert [s.interface_cut for s in group] == [1, 41, 81, 121]
+        for s in group:
+            assert anomaly_expectation(s, prof) == pytest.approx(-1.0, abs=1e-9)
+        glob = [anomaly_expectation(s, prof, registration="global") for s in group]
+        np.testing.assert_allclose(glob, [-1, 1, -1, 1], atol=1e-9)
+    window = find_midgap(midgap_spectrum(prof, 1e-6), 1e-6)
+    assert len(window) == 8
+    for s, w in zip(states, window):
+        np.testing.assert_array_equal(w.amplitudes, s.amplitudes)
+    # a random unitary mix inside each cluster canonicalizes to the same states
+    rng = np.random.default_rng(0)
+    mixed = spectrum.eigenvectors.copy()
+    for lam in (1j, -1j):
+        sel = np.flatnonzero(np.abs(spectrum.eigenvalues - lam) < 1e-6)
+        unitary, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        mixed[:, sel] = mixed[:, sel] @ unitary
+    remixed = find_midgap(SpectrumResult(spectrum.eigenvalues, mixed, prof), 1e-6)
+    assert [(s.center, s.interface_cut) for s in remixed] == \
+        [(s.center, s.interface_cut) for s in states]
+    for s, r in zip(states, remixed):
+        assert abs(np.vdot(s.amplitudes, r.amplitudes)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_partner_states_share_center_and_decay():
@@ -337,6 +372,16 @@ def test_site_polarization_rejects_empty_site(interface_ring):
     far = (states[0].center + 20) % 40
     with pytest.raises(UnoccupiedSiteError):
         site_polarization(states[0], profile, far)
+
+
+def test_site_polarizations_check_indices_before_occupancy():
+    seg = make_coin_profile("bulk", Lattice(10, Topology.SEGMENT, origin=-5), phi1=1.0, phi2=0.2)
+    amps = np.zeros((10, 2), dtype=complex)
+    amps[3] = (1, 0)  # only site -2 occupied
+    with pytest.raises(ProfileError, match="site 99 outside"):
+        site_polarizations(amps, seg, [-5, 99])
+    with pytest.raises(UnoccupiedSiteError, match="site -5 unoccupied"):
+        site_polarizations(amps, seg, [-2, -5, -4])
 
 
 def test_full_spectrum_requires_ring():

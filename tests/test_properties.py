@@ -7,21 +7,25 @@ angles, gap closings included; the quadrant and anomaly tests draw angles
 with both protected gaps open, and the winding exchange, half-band and
 torus-oracle tests any angles with both gaps at least 1e-3; the
 midgap-window test draws any interface angles in (0, pi/2), small gaps
-included.
+included; the Stokes-readout test any angles on explicit rings.
 """
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from susyqw import (Frame, Lattice, Topology, WalkerState, anomaly_expectation, band_structure,
-                    bloch_operator, decay_length, evolve, find_midgap, full_spectrum,
+from susyqw import (Frame, Lattice, Topology, UnoccupiedSiteError, WalkerState,
+                    anomaly_expectation, band_structure, bloch_operator, cell_z_expectation,
+                    coin_y_expectation, decay_length, evolve, find_midgap, full_spectrum,
                     long_time_extrapolation, make_coin_profile, midgap_spectrum, one_step_matrix,
                     prepare_input, protected_gaps, quadruple_closure_distance, qwp_scan,
-                    ring_with_interfaces, segment_for, torus_angles, winding_numbers)
+                    ring_with_interfaces, segment_for, site_polarizations, to_frame, torus_angles,
+                    winding_numbers)
 
-from helpers import SY, bloch_oracle, multiset_distance, primed_frame_rotation, torus_oracle
+from helpers import (SY, bloch_oracle, multiset_distance, primed_frame_rotation,
+                     stokes_oracle, torus_oracle)
 
 PHI1 = st.floats(min_value=1.1, max_value=1.4)
 PHI2 = st.floats(min_value=0.1, max_value=0.3)
@@ -368,3 +372,44 @@ def test_anomaly_survives_chiral_disorder(data, phi1, phi2, strength, seed):
     assert len(states) == 4
     for state in states:
         assert abs(anomaly_expectation(state, profile) + 1.0) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@example(cells=40, low=-1.0, seed=34)  # where x * x and pow(x, 2) round apart
+@given(cells=st.integers(min_value=2, max_value=40), low=st.floats(min_value=-30, max_value=-1),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_stokes_readout_is_the_scalar_formula(cells, low, seed):
+    """Site polarizations equal the scalar formula bit for bit; the sums within 1e-15.
+
+    Any angles on an explicit ring; amplitude magnitudes log-uniform in
+    [10**low, 1], low down to -30, before normalization, and about a quarter
+    of the sites exactly zero, so occupied sites and empty ones
+    (S0 <= 1e-10) both occur.  The empty-site error names the first empty
+    site of a random order.
+    """
+    n = 2 * cells
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-np.pi, np.pi, n)
+    profile = make_coin_profile("explicit", Lattice(n, Topology.RING), angles=angles)
+    amps = 10.0 ** rng.uniform(low, 0, (n, 2)) * np.exp(2j * np.pi * rng.random((n, 2)))
+    amps[rng.random(n) < 0.25] = 0
+    assume(np.linalg.norm(amps) > 0)
+    amps /= np.linalg.norm(amps)
+    primed = to_frame(WalkerState(amps, profile.lattice), profile, Frame.PRIMED).amplitudes
+    oracle = np.array([stokes_oracle(h, v) for h, v in primed])
+
+    occupied = np.flatnonzero(oracle[:, 0] > 1e-10)
+    np.testing.assert_array_equal(
+        bits(np.array(site_polarizations(amps, profile, occupied.tolist()))),
+        bits(oracle[occupied, 1:] / oracle[occupied, :1]))
+    order = rng.permutation(n).tolist()
+    empty = [x for x in order if oracle[x, 0] <= 1e-10]
+    if empty:
+        with pytest.raises(UnoccupiedSiteError, match=rf"^site {empty[0]} unoccupied$"):
+            site_polarizations(amps, profile, order)
+
+    signs = np.where(np.arange(n) % 2 == 1, 1.0, -1.0)
+    assert abs(coin_y_expectation(amps, profile) - oracle[:, 3].sum()) <= 1e-15
+    assert abs(cell_z_expectation(amps, profile) - (signs * oracle[:, 0]).sum()) <= 1e-15
+    assert abs(anomaly_expectation(amps, profile, registration="global")
+               - (signs * oracle[:, 3]).sum()) <= 1e-15
