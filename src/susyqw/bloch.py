@@ -16,8 +16,12 @@ by pi (see ``torus_angles``), so ``winding_numbers`` evaluates bands 0 and 1.
 The one-step unitary is off-diagonal in the sublattice, u = [[0, u12],
 [u21, 0]], so u^2 is the direct sum of the 2x2 SUSY partner walks u12 u21
 and u21 u12.  Bands come from a batched 2x2 eigensolve of u12 u21 over all
-k points at once, lifted to the eigenpairs of u (see ``_lift``, which the
-ring spectrum in ``midgap`` shares).
+k points at once, lifted to the eigenvalues lambda = +-sqrt(mu / |mu|) of u
+(``_lift_values``).  The ``bands`` command reads eigenvalues only, from one
+``eigvals`` (``_band_energies``); ``winding`` reads eigenpairs, from one
+``eig`` lifted to the eigenvectors as well (``band_structure`` and
+``_lift``, which the ring spectrum in ``midgap`` shares).  Both solves give
+the same eigenvalues bit for bit, so both paths print the same bands.
 
 Swapping the angles moves the unit cell by one site.  In the primed frame
 the shift phases obey d12 = e^{-ik} d21, so the swapped walk is
@@ -160,16 +164,11 @@ def susy_partners(k: float, phi1: float, phi2: float,
     return u12 @ u21, u21 @ u12
 
 
-def _lift(mu: np.ndarray, vec: np.ndarray, hop_vec: np.ndarray,
-          psi_vec: np.ndarray, psi_hop: np.ndarray) -> np.ndarray:
-    """Eigenpairs of U = [[0, X], [Y, 0]] from the eigenpairs (mu, v) of X Y.
+def _lift_values(mu: np.ndarray) -> np.ndarray:
+    """Eigenvalues (..., 2m) of U = [[0, X], [Y, 0]] from the eigenvalues (..., m) of X Y.
 
-    Each (mu, v) gives lambda = +-sqrt(mu / |mu|) and
-    psi = (v, Y v / lambda) / sqrt(2).  ``vec`` (..., d, m) holds the v as
-    columns, ``hop_vec`` the Y v; ``psi_vec`` and ``psi_hop`` (..., d, 2, m)
-    are the two blocks of the output eigenvectors, written here, with the
-    branch axis -2 ordered +lambda, -lambda.  Returns the eigenvalues
-    (..., 2m) in the same column order.  A |mu| off 1 by more than
+    Each mu gives lambda = +-sqrt(mu / |mu|); the +lambda come first, then
+    the -lambda in the same order.  A |mu| off 1 by more than
     _UNIT_CIRCLE_TOL, or NaN, raises LinAlgError.
     """
     mod = np.abs(mu)
@@ -178,10 +177,25 @@ def _lift(mu: np.ndarray, vec: np.ndarray, hop_vec: np.ndarray,
         raise np.linalg.LinAlgError(
             f"eigenvalues off the unit circle (|mu| = {mod[off].flat[0]!r})")
     lam = np.sqrt(mu / mod)
-    psi_vec[...] = vec[..., None, :] * np.sqrt(0.5)
-    psi_hop[..., 0, :] = hop_vec * (np.sqrt(0.5) / lam[..., None, :])
-    psi_hop[..., 1, :] = -psi_hop[..., 0, :]
     return np.concatenate([lam, -lam], axis=-1)
+
+
+def _lift(mu: np.ndarray, vec: np.ndarray, hop_vec: np.ndarray,
+          psi_vec: np.ndarray, psi_hop: np.ndarray) -> np.ndarray:
+    """Eigenpairs of U = [[0, X], [Y, 0]] from the eigenpairs (mu, v) of X Y.
+
+    Each (mu, v) gives lambda = +-sqrt(mu / |mu|) (``_lift_values``) and
+    psi = (v, Y v / lambda) / sqrt(2).  ``vec`` (..., d, m) holds the v as
+    columns, ``hop_vec`` the Y v; ``psi_vec`` and ``psi_hop`` (..., d, 2, m)
+    are the two blocks of the output eigenvectors, written here, with the
+    branch axis -2 ordered +lambda, -lambda.  Returns the eigenvalues
+    (..., 2m) in the same column order.
+    """
+    lams = _lift_values(mu)
+    psi_vec[...] = vec[..., None, :] * np.sqrt(0.5)
+    psi_hop[..., 0, :] = hop_vec * (np.sqrt(0.5) / lams[..., None, :mu.shape[-1]])
+    psi_hop[..., 1, :] = -psi_hop[..., 0, :]
+    return lams
 
 
 def _gap(eps: np.ndarray, target: float) -> float:
@@ -190,8 +204,8 @@ def _gap(eps: np.ndarray, target: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class BandStructure:
-    """Bands over a sorted k grid in quasi-energy order, with eigenvectors.
+class _BandEnergies:
+    """Quasi-energies over a sorted k grid, in ascending order at every k.
 
     Column b holds the b-th smallest quasi-energy at every k.  With both
     protected gaps open that is band b in the quadrant [b pi/2, (b+1) pi/2);
@@ -202,10 +216,6 @@ class BandStructure:
     k_grid: np.ndarray          # (nk,)
     eigenvalues: np.ndarray     # (nk, 4), unit circle, quasi-energy order
     quasienergies: np.ndarray   # (nk, 4)
-    eigenvectors: np.ndarray    # (nk, 4, 4), column b is band b
-    phi1: float
-    phi2: float
-    frame: Frame
 
     def gap_at_real(self) -> float:
         """Minimal quasi-energy distance to lambda = +-1 over the grid."""
@@ -214,6 +224,62 @@ class BandStructure:
     def gap_at_imag(self) -> float:
         """Minimal quasi-energy distance to lambda = +-i over the grid."""
         return _gap(self.quasienergies, np.pi / 2)
+
+
+@dataclass(frozen=True, eq=False)
+class BandStructure(_BandEnergies):
+    """Bands over a sorted k grid in quasi-energy order, with eigenvectors.
+
+    The eigenpairs that ``winding`` reads; the ``bands`` command needs only
+    the eigenvalues, and takes them from ``_band_energies``, which gives the
+    same k grid, eigenvalues and quasi-energies bit for bit.
+    """
+
+    eigenvectors: np.ndarray    # (nk, 4, 4), column b is band b
+    phi1: float
+    phi2: float
+    frame: Frame
+
+
+def _k_points(k_grid: np.ndarray | None, resolution: int) -> np.ndarray:
+    """The k grid as floats: the given one, or ``resolution`` points on [0, 2pi)."""
+    if k_grid is None:
+        k_grid = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
+    ks = np.asarray(k_grid, dtype=float)
+    if ks.size == 0:
+        raise ValueError("k grid is empty")
+    if not np.isfinite(ks).all():
+        raise ValueError("k grid must be finite")
+    if np.any(np.diff(ks) < 0):
+        raise ValueError("k grid must be sorted")
+    return ks
+
+
+def _by_quasienergy(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort the eigenvalues (nk, 4) by ascending quasi-energy at every k.
+
+    Returns the order (nk, 4), the sorted eigenvalues and their quasi-energies.
+    """
+    eps = quasi_energies(lams)
+    order = np.argsort(eps, axis=1)
+    return order, np.take_along_axis(lams, order, 1), np.take_along_axis(eps, order, 1)
+
+
+def _band_energies(phi1: float, phi2: float,
+                   k_grid: np.ndarray | None = None,
+                   resolution: int = 512,
+                   frame: Frame = Frame.PRIMED) -> _BandEnergies:
+    """The eigenvalues of ``band_structure`` without its eigenvectors.
+
+    One batched ``eigvals`` of the partner u12(k) u21(k), lifted and sorted
+    as in ``band_structure``.  On these 2x2 partners LAPACK's eigenvalue-only
+    solve gives the same bits as the full ``eig`` (a property test holds it
+    to that) and computes no eigenvectors.
+    """
+    ks = _k_points(k_grid, resolution)
+    u12, u21 = _bloch_blocks(ks, phi1, phi2, frame)
+    _, lams, eps = _by_quasienergy(_lift_values(np.linalg.eigvals(u12 @ u21)))
+    return _BandEnergies(ks, lams, eps)
 
 
 def band_structure(phi1: float, phi2: float,
@@ -235,16 +301,11 @@ def band_structure(phi1: float, phi2: float,
     where a gap closes, touching bands keep that order rather than following
     the crossing.  Each eigenvector has its largest component made real
     positive, then a phase carried along k that makes the overlaps of
-    neighbouring k points real positive.
+    neighbouring k points real positive.  ``winding`` reads these
+    eigenpairs; ``bands`` reads the same eigenvalues from ``_band_energies``,
+    which skips the eigenvectors.  The k grid must be sorted and finite.
     """
-    if k_grid is None:
-        k_grid = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
-    ks = np.asarray(k_grid, dtype=float)
-    if ks.size == 0:
-        raise ValueError("k grid is empty")
-    if np.any(np.diff(ks) < 0):
-        raise ValueError("k grid must be sorted")
-
+    ks = _k_points(k_grid, resolution)
     u12, u21 = _bloch_blocks(ks, phi1, phi2, frame)
     mu, v = np.linalg.eig(u12 @ u21)
     # at a gap closing the partner has a double eigenvalue, and eig may
@@ -256,12 +317,8 @@ def band_structure(phi1: float, phi2: float,
         v[skew, :, 1] = w / np.linalg.norm(w, axis=-1, keepdims=True)
     # axes (k, sublattice, coin, branch, eigenpair of u12 u21)
     vecs = np.empty((ks.size, 2, 2, 2, 2), dtype=complex)
-    lams = _lift(mu, v, u21 @ v, vecs[:, 0], vecs[:, 1])
-    vecs = vecs.reshape(ks.size, 4, 4)
-    eps = quasi_energies(lams)
-    order = np.argsort(eps, axis=1)
-    lams, eps = np.take_along_axis(lams, order, 1), np.take_along_axis(eps, order, 1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], 2)
+    order, lams, eps = _by_quasienergy(_lift(mu, v, u21 @ v, vecs[:, 0], vecs[:, 1]))
+    vecs = np.take_along_axis(vecs.reshape(ks.size, 4, 4), order[:, None, :], 2)
 
     top = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=1)[:, None, :], 1)
     vecs /= top / np.abs(top)

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bloch import band_condition_value, band_structure, winding_numbers
+from .bloch import _band_energies, band_condition_value, winding_numbers
 from .errors import ConfigError, ProfileError, SusyqwError
 from .midgap import (anomaly_expectation, find_midgap, midgap_spectrum,
                      ring_with_interfaces, site_polarizations)
@@ -292,7 +292,7 @@ def cmd_evolve(opts) -> int:
 
 
 def cmd_bands(opts) -> int:
-    bands = band_structure(opts.phi1, opts.phi2, resolution=opts.resolution)
+    bands = _band_energies(opts.phi1, opts.phi2, resolution=opts.resolution)
     re_lam2 = (bands.eigenvalues ** 2).real
     target = band_condition_value(bands.k_grid, opts.phi1, opts.phi2)
     with _Output(opts.out) as out:

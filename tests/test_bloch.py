@@ -6,6 +6,7 @@ from susyqw import (Frame, Lattice, PhaseTransitionError, SymmetryViolationError
                     check_symmetries, full_spectrum, make_coin_profile,
                     protected_gaps, quadruple_closure_distance, quasi_energies,
                     susy_partners, to_primed, torus_angles, winding_numbers)
+from susyqw import bloch
 from susyqw.bloch import _lift
 
 from helpers import (ID2, SY, SZ, bloch_oracle, multiset_distance, ring_bloch_state,
@@ -237,6 +238,16 @@ def test_winding_rejects_phase_transition():
 def test_winding_requires_resolution():
     with pytest.raises(ValueError):
         winding_numbers(1.29, 0.17, 64)
+
+
+@pytest.mark.parametrize("solve", [band_structure, bloch._band_energies],
+                         ids=["eigenpairs", "eigenvalues"])
+@pytest.mark.parametrize("k_grid", [[0.0, np.nan], [np.nan, 0.0], [0.0, np.inf], [np.inf]],
+                         ids=["nan-last", "nan-first", "inf-last", "inf-only"])
+def test_band_solves_reject_a_non_finite_k_grid(k_grid, solve):
+    # NaN compares false, so [nan, 0] passes the sorted check; it must not reach LAPACK
+    with pytest.raises(ValueError, match="k grid must be finite"):
+        solve(1.29, 0.17, k_grid=np.array(k_grid))
 
 
 def test_protected_gaps_match_band_minimum():

@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 import susyqw
 from susyqw import bloch, midgap
-from susyqw import (Frame, band_structure, evolve, find_midgap, full_spectrum,
-                    long_time_extrapolation, make_coin_profile, prepare_input, qwp_scan,
-                    ring_with_interfaces, segment_for, site_polarization, to_frame)
+from susyqw import (Frame, band_condition_value, band_structure, evolve, find_midgap,
+                    full_spectrum, long_time_extrapolation, make_coin_profile, prepare_input,
+                    qwp_scan, ring_with_interfaces, segment_for, site_polarization, to_frame)
 from susyqw.cli import _Output, main
 
 
@@ -421,9 +421,21 @@ def test_winding_near_transition_fails_cleanly(capsys):
 def test_winding_solves_the_bands_once(monkeypatch, capsys):
     """The swapped report is derived from the forward solve, not solved again."""
     calls = record_calls(monkeypatch, bloch, "band_structure")
+    eig = record_calls(monkeypatch, np.linalg, "eig")
+    eigvals = record_calls(monkeypatch, np.linalg, "eigvals")
     code, out, _ = run_cli(["winding", "--resolution", "256"], capsys)
     assert code == 0 and "[swapped] band3" in out
-    assert len(calls) == 1
+    assert (len(calls), len(eig), len(eigvals)) == (1, 1, 0)
+
+
+def test_bands_solves_eigenvalues_only(monkeypatch, capsys):
+    """``bands`` prints no eigenvector: one ``eigvals``, no ``eig``, no ``band_structure``."""
+    eig = record_calls(monkeypatch, np.linalg, "eig")
+    eigvals = record_calls(monkeypatch, np.linalg, "eigvals")
+    full = record_calls(monkeypatch, bloch, "band_structure")
+    code, out, _ = run_cli(["bands", "--resolution", "2048"], capsys)
+    assert code == 0 and "gap_at_imag" in summary_dict(out)
+    assert (len(eig), len(full), len(eigvals)) == (0, 0, 1)
 
 
 def test_winding_reads_the_torus_angles_of_two_bands(monkeypatch, capsys):
@@ -440,6 +452,30 @@ def test_bands_measures_each_gap_once(monkeypatch, capsys):
     code, out, _ = run_cli(["bands", "--resolution", "2048"], capsys)
     assert code == 0 and "gap_at_imag" in summary_dict(out)
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("phi1, phi2", [(0.7, 0.7), (0.7, 0.7015), (np.pi / 2, 0.3), (0.0, 0.0)],
+                         ids=["closed-at-i", "near-closing", "coin-pi-half", "closed-at-1"])
+@pytest.mark.parametrize("resolution", [1, 3, 64])
+def test_bands_cells_are_the_band_structure(phi1, phi2, resolution, capsys):
+    """Every cell and gap note is the ``repr`` of the value ``band_structure`` gives.
+
+    ``bands`` solves eigenvalues only; the full eigensolve stays its oracle,
+    at gap closings too.
+    """
+    code, out, _ = run_cli(["bands", "--phi1", repr(phi1), "--phi2", repr(phi2),
+                            "--resolution", str(resolution)], capsys)
+    assert code == 0
+    ref = band_structure(phi1, phi2, resolution=resolution)
+    re_lam2 = (ref.eigenvalues ** 2).real
+    residual = np.abs(re_lam2 - band_condition_value(ref.k_grid, phi1, phi2)[:, None]).max(axis=1)
+    columns = [ref.k_grid, *ref.quasienergies.T, re_lam2.mean(axis=1), residual]
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert lines[0] == "k,eps1,eps2,eps3,eps4,re_lambda_sq,residual"
+    assert lines[1:] == [",".join(repr(float(c[i])) for c in columns) for i in range(resolution)]
+    summary = summary_dict(out)
+    assert summary["gap_at_real"] == repr(ref.gap_at_real())
+    assert summary["gap_at_imag"] == repr(ref.gap_at_imag())
 
 
 def test_midgap_report_and_table(tmp_path, capsys):

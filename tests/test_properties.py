@@ -2,12 +2,12 @@
 
 The walk, scan and decay-length tests draw coin angles from the gapped box
 phi1 in [1.1, 1.4], phi2 in [0.1, 0.3], which stays clear of the gap closing
-at phi1 = phi2; the spectrum, ring-symmetry and partner-solve tests draw any
-angles, gap closings included; the quadrant and anomaly tests draw angles
-with both protected gaps open, and the winding exchange, half-band and
-torus-oracle tests any angles with both gaps at least 1e-3; the
-midgap-window test draws any interface angles in (0, pi/2), small gaps
-included; the Stokes-readout test any angles on explicit rings.
+at phi1 = phi2; the spectrum, ring-symmetry, partner-solve and
+eigenvalue-path tests draw any angles, gap closings included; the quadrant
+and anomaly tests draw angles with both protected gaps open, and the winding
+exchange, half-band and torus-oracle tests any angles with both gaps at
+least 1e-3; the midgap-window test draws any interface angles in (0, pi/2),
+small gaps included; the Stokes-readout test any angles on explicit rings.
 """
 
 from dataclasses import replace
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from susyqw import bloch
 from susyqw import (Frame, Lattice, Topology, UnoccupiedSiteError, WalkerState,
                     anomaly_expectation, band_structure, bloch_operator, cell_z_expectation,
                     coin_y_expectation, decay_length, evolve, find_midgap, full_spectrum,
@@ -250,6 +251,30 @@ def test_partner_solve_matches_the_bloch_eig(angles, frame, ks):
     u = bloch_oracle(k_grid, phi1, phi2, primed=frame is Frame.PRIMED)
     residual = u @ vecs - vecs * lams[:, None, :]
     assert np.linalg.norm(residual, axis=1).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@example(angles=(0.7, 0.7), resolution=2048, frame=Frame.PRIMED)
+@example(angles=(0.7, -0.7), resolution=2048, frame=Frame.PRIMED)
+@example(angles=(0.7, 0.7015), resolution=2048, frame=Frame.PRIMED)
+@example(angles=(np.pi / 2, 0.3), resolution=2048, frame=Frame.PRIMED)
+@example(angles=(0.0, 0.0), resolution=2048, frame=Frame.LAB)
+@example(angles=(np.pi / 2, np.pi / 2), resolution=2048, frame=Frame.LAB)
+@given(angles=CLOSING_PRONE, frame=st.sampled_from(list(Frame)),
+       resolution=st.sampled_from([1, 2, 3, 255, 2048]))
+def test_eigenvalue_path_is_the_band_structure_bit_for_bit(angles, frame, resolution):
+    """``bands`` prints the eigenvalues of one ``eigvals``; they are ``eig``'s exactly.
+
+    Equality, not closeness: a NumPy or LAPACK build whose eigenvalue-only
+    solve rounds apart from the full one would change the ``bands`` output.
+    """
+    phi1, phi2 = angles
+    full = band_structure(phi1, phi2, resolution=resolution, frame=frame)
+    fast = bloch._band_energies(phi1, phi2, resolution=resolution, frame=frame)
+    assert np.array_equal(fast.k_grid, full.k_grid)
+    assert np.array_equal(fast.eigenvalues, full.eigenvalues)
+    assert np.array_equal(fast.quasienergies, full.quasienergies)
+    assert (fast.gap_at_real(), fast.gap_at_imag()) == (full.gap_at_real(), full.gap_at_imag())
 
 
 @settings(max_examples=40, deadline=None)
