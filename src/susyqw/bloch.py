@@ -1,10 +1,12 @@
 """Floquet-Bloch operators, band structure, symmetry checks and winding numbers.
 
 The one-period bulk evolution restricted to wave number k is a 4x4 unitary
-on (sublattice x coin).  In the site-local primed basis it anticommutes with
-the sublattice Pauli CELL_Z (unitary supersymmetry) and is chiral under the
-coin Pauli COIN_Y; together these pin protected gaps at quasi-energy 0, pi
-(lambda = +-1) and pi/2, 3pi/2 (lambda = +-i).
+on (sublattice x coin), built from the coins ``walk.coin_matrix``; sublattice
+1 is the odd sites, which carry phi1 in the bulk pattern.  In the site-local
+primed basis it anticommutes with the sublattice Pauli CELL_Z (unitary
+supersymmetry) and is chiral under the coin Pauli COIN_Y, both defined here
+for ``check_symmetries``; together these pin protected gaps at quasi-energy
+0, pi (lambda = +-1) and pi/2, 3pi/2 (lambda = +-i).
 
 While those gaps are open, band b stays in the quadrant
 b pi/2 <= epsilon < (b + 1) pi/2 of the quasi-energy circle, so ordering the
@@ -38,8 +40,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PhaseTransitionError, SymmetryViolationError
-from .operators import CELL_Z, COIN_Y, coin_matrix
-from .walk import Frame
+from .walk import Frame, coin_matrix
+
+# sigma_y on the polarization of each sublattice; Sigma_z = +1 on sublattice 1
+COIN_Y = np.kron(np.eye(2), [[0, -1j], [1j, 0]])
+CELL_Z = np.diag([1.0, 1.0, -1.0, -1.0])
 
 _UNIT_CIRCLE_TOL = 1e-10
 # overlap above which two partner eigenvectors count as skewed; eig's own

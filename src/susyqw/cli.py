@@ -214,8 +214,9 @@ class _Output:
         self._fh.write(text)
 
     def note(self, key: str, value):
-        if isinstance(value, float):
-            value = repr(value)
+        """Add ``# key = value``; a float, NumPy's included, is written by ``_fmt``."""
+        if isinstance(value, (float, np.floating)):
+            value = _fmt(value)
         self.summary.append(f"# {key} = {value}")
 
 
@@ -285,9 +286,9 @@ def cmd_evolve(opts) -> int:
         probs = (np.abs(amps) ** 2).sum(axis=1)
         out.note("kind", opts.kind)
         out.note("steps", opts.steps)
-        out.note("final_norm", float(np.linalg.norm(amps)))
+        out.note("final_norm", np.linalg.norm(amps))
         out.note("heaviest_site", int(coords[int(np.argmax(probs))]))
-        out.note("heaviest_probability", float(probs.max()))
+        out.note("heaviest_probability", probs.max())
     return 0
 
 
@@ -370,9 +371,9 @@ def cmd_scan(opts) -> int:
         out.note("cell_probe", opts.cell)
         for kind in ("interface", "bulk"):
             vals = curves[kind].intensities
-            out.note(f"{kind}_max", float(vals.max()))
-            out.note(f"{kind}_min", float(vals.min()))
-            out.note(f"{kind}_range", float(vals.max() - vals.min()))
+            out.note(f"{kind}_max", vals.max())
+            out.note(f"{kind}_min", vals.min())
+            out.note(f"{kind}_range", vals.max() - vals.min())
     return 0
 
 
@@ -401,7 +402,7 @@ def cmd_tomo(opts) -> int:
             out.note(f"{tag}_clipped", rho.clipped)
         out.note("site", opts.site)
         out.note("steps", opts.steps)
-        out.note("site_probability", float(final.site_probability(opts.site)))
+        out.note("site_probability", final.site_probability(opts.site))
     return 0
 
 

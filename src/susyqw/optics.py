@@ -15,8 +15,11 @@ import numpy as np
 from .errors import UnoccupiedSiteError
 from .walk import CoinProfile, Frame, WalkerState, Lattice, Topology, \
     localized_state, evolve, resize_profile, segment_for, to_frame
-from .operators import SX, SY, SZ, rotation
 
+# Paulis of the (H, V) polarization, the Stokes basis of ``tomography``
+SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _PLATE_RETARDANCE = {"qwp": np.diag([1.0, 1j]), "hwp": np.diag([1.0, -1.0])}
 
 
@@ -30,8 +33,14 @@ def waveplate(kind: str, theta_deg) -> np.ndarray:
     except KeyError:
         raise ValueError(f"unknown waveplate kind {kind!r} (use 'qwp' or 'hwp')") from None
     th = np.deg2rad(theta_deg)
-    rot, back = (np.moveaxis(rotation(a), (0, 1), (-2, -1)) for a in (th, -th))
+    rot, back = (_plate_axis(a) for a in (th, -th))
     return rot @ ret.astype(complex) @ back
+
+
+def _plate_axis(theta) -> np.ndarray:
+    """Real rotation of the (H, V) plane by theta (radians), shape (..., 2, 2)."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.moveaxis(np.array([[c, -s], [s, c]], dtype=complex), (0, 1), (-2, -1))
 
 
 def prepare_input(x0: int, plates: Sequence, lattice: Lattice) -> WalkerState:

@@ -1,5 +1,12 @@
 """Real-space walker state and the exact single-step dynamics U = S.C(phi_x).
 
+The coin acts on the polarization basis (H, V) as
+C(phi) = exp(-i phi sigma_x) = [[cos phi, -i sin phi], [-i sin phi, cos phi]],
+which composes additively in the angle.  ``_coin_factors`` is its one
+statement: the walk step, the frame changes, ``coin_matrix`` (read by the
+Bloch blocks in ``bloch``) and the dense ring matrix ``one_step_matrix`` all
+take their entries from it.
+
 The coin angle pattern is fixed by one parity convention: in the bulk
 configuration odd sites carry the first angle ``phi1`` and even sites carry
 ``phi2`` (the injection site x=1 carries phi1).  An interface is a bond
@@ -221,6 +228,12 @@ def _coin_factors(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return np.cos(angles), 1j * s, -1j * s
 
 
+def coin_matrix(phi: float) -> np.ndarray:
+    """C(phi) as a 2x2 matrix, arranged from ``_coin_factors``."""
+    c, _, minus_i_s = _coin_factors(phi)
+    return np.array([[c, minus_i_s], [minus_i_s, c]])
+
+
 def _coin(amps: np.ndarray, factors) -> tuple[np.ndarray, np.ndarray]:
     """The H and V columns of C(phi_x) applied sitewise to (N, 2) amplitudes."""
     c, i_s, minus_i_s = factors
@@ -326,17 +339,13 @@ def to_frame(state: WalkerState, profile: CoinProfile, frame: Frame | str) -> Wa
 def one_step_matrix(profile: CoinProfile) -> np.ndarray:
     """Dense 2N x 2N one-step matrix of the walk on a ring.
 
-    Flattened index is 2*x + c with c = 0 (H), 1 (V).
+    Flattened index is 2*x + c with c = 0 (H), 1 (V); column j is one step
+    (``_coin``, then ``_shift_into``) of the j-th unit vector.
     """
     if profile.lattice.topology is not Topology.RING:
         raise ProfileError("dense one-step matrix is assembled on rings only")
-    N = profile.lattice.size
-    x = np.arange(N)
-    cos, sin = np.cos(profile.angles), np.sin(profile.angles)
-    h_row, v_row = 2 * ((x + 1) % N), 2 * ((x - 1) % N) + 1  # H moves up, V down
-    umat = np.zeros((2 * N, 2 * N), dtype=complex)
-    umat[h_row, 2 * x] = cos
-    umat[h_row, 2 * x + 1] = -1j * sin
-    umat[v_row, 2 * x] = -1j * sin
-    umat[v_row, 2 * x + 1] = cos
-    return umat
+    n = 2 * profile.lattice.size
+    units = np.eye(n, dtype=complex).reshape(-1, 2, n)
+    umat = np.empty_like(units)
+    _shift_into(umat, *_coin(units, _coin_factors(profile.angles[:, None])), Topology.RING)
+    return umat.reshape(n, n)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -280,3 +282,21 @@ def test_band_connectivity_is_smooth():
 def test_quasi_energy_definition():
     lam = np.exp(-1j * np.array([0.3, 2.0, 4.0]))
     np.testing.assert_allclose(quasi_energies(lam), [0.3, 2.0, 4.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("call, exc, fragment", [
+    (lambda: band_structure(1.29, 0.17, k_grid=[]), ValueError, "k grid is empty"),
+    (lambda: bloch._band_energies(1.29, 0.17, k_grid=np.empty(0)), ValueError,
+     "k grid is empty"),
+    (lambda: band_structure(1.29, 0.17, k_grid=[0.0, 1.0, 0.5]), ValueError,
+     "k grid must be sorted"),
+    (lambda: bloch._band_energies(1.29, 0.17, k_grid=[1.0, 0.0]), ValueError,
+     "k grid must be sorted"),
+    (lambda: torus_angles(np.ones(3)), ValueError, "expected a 4-component Bloch eigenvector"),
+    (lambda: torus_angles(np.ones((2, 5))), ValueError, "4-component"),
+    (lambda: torus_angles(1.0), ValueError, "4-component"),
+], ids=["empty-eig", "empty-eigvals", "unsorted-eig", "unsorted-eigvals", "torus-3",
+        "torus-stack-5", "torus-scalar"])
+def test_documented_raises(call, exc, fragment):
+    with pytest.raises(exc, match=re.escape(fragment)):
+        call()

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import susyqw
-from susyqw import bloch, midgap
+from susyqw import bloch, cli, midgap
 from susyqw import (Frame, band_condition_value, band_structure, evolve, find_midgap,
                     full_spectrum, long_time_extrapolation, make_coin_profile, prepare_input,
                     qwp_scan, ring_with_interfaces, segment_for, site_polarization, to_frame)
@@ -140,6 +140,15 @@ def test_table_writes_the_naive_repr_join(data, kinds):
         ",".join(map(repr, row)) + "\n"
         for block in blocks for row in zip(*(col.tolist() for col in block)))
     assert written.getvalue() == expected
+
+
+@pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.1), np.float64(-0.0),
+                                   np.float32(np.inf), np.float64(1 / 3)])
+def test_note_writes_every_float_as_the_python_repr(value):
+    """A NumPy float reads like the Python float of the same value, not as np.float64(...)."""
+    out = _Output(None)
+    out.note("x", value)
+    assert out.summary == [f"# x = {float(value)!r}"]
 
 
 @pytest.mark.parametrize("kind", ["interface", "uniform"])
@@ -562,11 +571,19 @@ def test_midgap_numerical_failures_exit_three(module, name, value, message, monk
 
 
 def test_midgap_loads_no_scipy():
-    """The runtime is NumPy only, as pyproject.toml declares; scipy is a test extra."""
+    """The runtime of every command is NumPy only, as pyproject.toml declares.
+
+    scipy is a test extra; one process runs a small case of each command.
+    """
+    commands = [["evolve", "--steps", "3"], ["bands", "--resolution", "8"],
+                ["winding", "--resolution", "256"], ["midgap", "--n", "12"],
+                ["scan", "--steps", "3"], ["tomo", "--steps", "3"]]
+    assert sorted(c[0] for c in commands) == sorted(cli._COMMANDS)
     script = ("import contextlib, io, sys\n"
               "from susyqw import cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    assert cli.main(['midgap', '--n', '12']) == 0\n"
+              f"    for argv in {commands!r}:\n"
+              "        assert cli.main(argv) == 0, argv\n"
               "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
     src = str(Path(susyqw.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -1,12 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 from susyqw import (Frame, Lattice, ProfileError, SpectrumResult, Topology,
-                    UnoccupiedSiteError, anomaly_expectation, band_structure,
+                    UnoccupiedSiteError, WalkerState, anomaly_expectation, band_structure,
                     cell_z_expectation, coin_y_expectation, decay_length, find_midgap,
                     full_spectrum, make_coin_profile, midgap_spectrum, one_step_matrix,
                     protected_gaps, ring_with_interfaces, site_polarization,
-                    site_polarizations)
+                    site_polarizations, to_frame)
 
 from susyqw.midgap import _chiral_sectors
 
@@ -409,3 +411,42 @@ def test_find_midgap_rejects_unusable_tolerances():
     explicit = make_coin_profile("explicit", ring.lattice, angles=ring.angles)
     with pytest.raises(ValueError, match="decay fit"):
         find_midgap(full_spectrum(explicit), 2.5)
+
+
+def ring_state():
+    """A normalized lab-frame walker on the N = 12 interface ring, with the ring."""
+    ring = ring_with_interfaces(12, 1.29, 0.17)
+    amps = np.random.default_rng(5).normal(size=(12, 2)) * (1 + 1j)
+    return WalkerState(amps / np.linalg.norm(amps), ring.lattice), ring
+
+
+def primed_readout():
+    state, ring = ring_state()
+    return coin_y_expectation(to_frame(state, ring, Frame.PRIMED), ring)
+
+
+def explicit_ring():
+    ring = ring_with_interfaces(12, 1.29, 0.17)
+    return make_coin_profile("explicit", ring.lattice, angles=ring.angles)
+
+
+@pytest.mark.parametrize("call, exc, fragment", [
+    (primed_readout, ValueError, "pass lab-frame amplitudes"),
+    (lambda: anomaly_expectation(*ring_state(), registration="cells"), ValueError,
+     "unknown registration 'cells'"),
+    (lambda: midgap_spectrum(explicit_ring()), ValueError,
+     "explicit profiles need an explicit tolerance"),
+    (lambda: find_midgap(full_spectrum(explicit_ring())), ValueError,
+     "explicit profiles need an explicit tolerance"),
+], ids=["primed-walker", "unknown-registration", "explicit-window-tol", "explicit-find-tol"])
+def test_documented_raises(call, exc, fragment):
+    with pytest.raises(exc, match=re.escape(fragment)):
+        call()
+
+
+def test_readouts_accept_a_lab_walker_and_flat_amplitudes():
+    state, ring = ring_state()
+    for read in (coin_y_expectation, cell_z_expectation, anomaly_expectation):
+        value = read(state.amplitudes, ring)
+        assert read(state, ring) == value
+        assert read(state.amplitudes.ravel(), ring) == value

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,24 @@ def test_jitter_is_seeded_and_clamped():
     huge = jitter_intensities(BasisIntensities(1e-3, 0, 0, 0, 0, 0), 5000.0,
                               np.random.default_rng(1))
     assert min(huge.i_h, huge.i_v, huge.i_d, huge.i_a, huge.i_r, huge.i_l) >= 0.0
+
+
+@pytest.mark.parametrize("call, exc, fragment", [
+    (lambda: measure_bases(localized_state(segment_for(1, 3), 1), 1, Frame.PRIMED), ValueError,
+     "primed-frame measurement needs the coin profile"),
+    (lambda: waveplate("lwp", 0.0), ValueError, "unknown waveplate kind 'lwp'"),
+    (lambda: qwp_scan(make_coin_profile("bulk", 9, phi1=1.29, phi2=0.17), 3, 0, []), ValueError,
+     "angle grid is empty"),
+], ids=["primed-without-profile", "unknown-plate", "empty-scan-grid"])
+def test_documented_raises(call, exc, fragment):
+    with pytest.raises(exc, match=re.escape(fragment)):
+        call()
+
+
+def test_long_time_extrapolation_defaults_to_a_degree_grid():
+    profile = make_coin_profile("interface", segment_for(1, 100), phi1=1.29, phi2=0.17)
+    curve = long_time_extrapolation(profile)
+    np.testing.assert_array_equal(curve.angles_deg, np.arange(180.0))
+    assert curve.steps == 100 and curve.x_probe == 0 and curve.cell_probe
+    explicit = long_time_extrapolation(profile, 100, 0, np.arange(180.0))
+    np.testing.assert_array_equal(curve.intensities, explicit.intensities)

@@ -1,8 +1,8 @@
 """Property tests of the walk kernel, the QWP scans, the ring spectrum and the bands.
 
-The walk, scan and decay-length tests draw coin angles from the gapped box
-phi1 in [1.1, 1.4], phi2 in [0.1, 0.3], which stays clear of the gap closing
-at phi1 = phi2; the spectrum, ring-symmetry, partner-solve and
+The walk, scan, decay-length and long-walk tests draw coin angles from the
+gapped box phi1 in [1.1, 1.4], phi2 in [0.1, 0.3], which stays clear of the
+gap closing at phi1 = phi2; the spectrum, ring-symmetry, partner-solve and
 eigenvalue-path tests draw any angles, gap closings included; the quadrant
 and anomaly tests draw angles with both protected gaps open, and the winding
 exchange, half-band and torus-oracle tests any angles with both gaps at
@@ -20,10 +20,10 @@ from susyqw import bloch
 from susyqw import (Frame, Lattice, Topology, UnoccupiedSiteError, WalkerState,
                     anomaly_expectation, band_structure, bloch_operator, cell_z_expectation,
                     coin_y_expectation, decay_length, evolve, find_midgap, full_spectrum,
-                    long_time_extrapolation, make_coin_profile, midgap_spectrum, one_step_matrix,
-                    prepare_input, protected_gaps, quadruple_closure_distance, qwp_scan,
-                    ring_with_interfaces, segment_for, site_polarizations, to_frame, torus_angles,
-                    winding_numbers)
+                    long_time_extrapolation, make_coin_profile, measure_bases, midgap_spectrum,
+                    one_step_matrix, prepare_input, protected_gaps, quadruple_closure_distance,
+                    qwp_scan, ring_with_interfaces, segment_for, site_polarization,
+                    site_polarizations, to_frame, torus_angles, waveplate, winding_numbers)
 
 from helpers import (SY, bloch_oracle, multiset_distance, primed_frame_rotation,
                      stokes_oracle, torus_oracle)
@@ -325,6 +325,58 @@ def test_fitted_decay_length_is_the_analytic_one(phi1, phi2):
     assert len(states) == 4
     for state in states:
         assert abs(state.decay_length / xi - 1) <= 5e-3
+
+
+def states_at_first_cut(phi1, phi2):
+    """The ring of ``ring_with_interfaces(400, ...)`` and its two midgap states bound to cut 1."""
+    ring = ring_with_interfaces(400, phi1, phi2)
+    states = [s for s in find_midgap(midgap_spectrum(ring)) if s.interface_cut == 1]
+    assert len(states) == 2
+    return ring, states
+
+
+@settings(max_examples=6, deadline=None)
+@given(phi1=PHI1, phi2=PHI2, theta=st.floats(min_value=0.0, max_value=180.0))
+def test_trapped_light_is_the_circular_midgap_polarization(phi1, phi2, theta):
+    """After 401 steps from x0 = 1 the light at site 0 is circular in the primed frame.
+
+    Both midgap states bound to cut 1 read S3 = 1 at site 0, and so does the
+    walked light, whatever QWP input: over 600 random draws and a 3 x 3 grid
+    of the box (inputs every 0.25 deg) |S3/S0 - 1| was at most 1.84e-5;
+    5e-5 is allowed.
+    """
+    ring, states = states_at_first_cut(phi1, phi2)
+    for state in states:
+        assert abs(site_polarization(state, ring, 0)[2] - 1) <= 1e-12
+    lattice = segment_for(1, 401)
+    profile = make_coin_profile("interface", lattice, phi1=phi1, phi2=phi2)
+    final = evolve(prepare_input(1, [("qwp", theta)], lattice), profile, 401)
+    b = measure_bases(final, 0, Frame.PRIMED, profile)
+    assert abs((b.i_r - b.i_l) / (b.i_h + b.i_v) - 1) <= 5e-5
+
+
+@settings(max_examples=6, deadline=None)
+@given(phi1=PHI1, phi2=PHI2)
+def test_trapped_intensity_is_the_midgap_projection(phi1, phi2):
+    """The long-time bond-pair scan tends to the projection onto the bound states.
+
+    With A = sum_s lambda_s^t s(0, 1) s(1)^dag over the two states bound to
+    cut 1, light c injected at site 1 leaves c^dag A^dag A c on the bond
+    (0, 1) after t steps, up to a transient that falls faster than 1/t.
+    Over 600 random draws and a 3 x 3 grid of the box, on the 180-angle QWP
+    grid, |delta| t was at most 0.40 at t = 400 and 0.27 at t = 1000 (the
+    curve ranges over 0.43 to 0.55); 0.6 is allowed.
+    """
+    _, states = states_at_first_cut(phi1, phi2)
+    grid = np.arange(0.0, 180.0, 1.0)
+    coins = waveplate("qwp", grid)[:, :, 0]
+    for t in (400, 1000):
+        a = sum(s.eigenvalue ** t * np.outer(s.amplitudes[[0, 1]].ravel(), s.amplitudes[1].conj())
+                for s in states)
+        expected = np.einsum("ka,ab,kb->k", coins.conj(), a.conj().T @ a, coins).real
+        profile = make_coin_profile("interface", segment_for(1, t), phi1=phi1, phi2=phi2)
+        curve = long_time_extrapolation(profile, t, 0, grid)
+        assert np.abs(curve.intensities - expected).max() * t <= 0.6
 
 
 QUARTER = st.floats(min_value=0.0, max_value=np.pi / 2, exclude_min=True, exclude_max=True)

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from susyqw import (BoundaryReachedError, Frame, Lattice, LatticeMismatchError,
                     ProfileError, Topology, apply_coin, apply_shift, evolve,
                     localized_state, make_coin_profile, one_step_matrix,
-                    segment_for, step, to_frame)
+                    resize_profile, segment_for, step, to_frame)
 
 from helpers import dense_ring_oracle
 
@@ -232,6 +234,48 @@ def test_profile_errors():
                           phi2=0.5, cuts=(99,))
     with pytest.raises(ProfileError):
         make_coin_profile("bulk", 12, phi1=np.nan, phi2=0.1)
+
+
+RING8 = Lattice(8, Topology.RING)
+
+
+@pytest.mark.parametrize("call, exc, fragment", [
+    (lambda: Lattice(8, Topology.RING, origin=1), ProfileError, "ring lattice uses origin 0"),
+    (lambda: make_coin_profile("uniform", 8), ProfileError, "uniform profile needs phi"),
+    (lambda: make_coin_profile("explicit", 8, angles=[0.1] * 7), ProfileError,
+     "explicit angles must have shape (8,)"),
+    (lambda: make_coin_profile("explicit", 8, angles=[0.1] * 7 + [np.inf]), ProfileError,
+     "coin angles must be finite"),
+    (lambda: make_coin_profile("stripes", 8, phi1=1.0, phi2=0.5), ProfileError,
+     "unknown profile kind 'stripes'"),
+    (lambda: make_coin_profile("interface", 8, phi1=1.0), ProfileError,
+     "interface profile needs phi1 and phi2"),
+    (lambda: make_coin_profile("interface", RING8, phi1=1.0, phi2=0.5, cuts=(1, 3, 5)),
+     ProfileError, "ring needs an even number of interfaces"),
+    (lambda: make_coin_profile("interface", RING8, phi1=1.0, phi2=0.5, cuts=(1, 8)),
+     ProfileError, "interface site 8 outside ring of 8"),
+    (lambda: make_coin_profile("interface", RING8, phi1=1.0, phi2=0.5, cuts=(3, 3)),
+     ProfileError, "duplicate interface sites"),
+    (lambda: resize_profile(make_coin_profile("explicit", 8, angles=[0.1] * 8), seg()),
+     ProfileError, "cannot resize an explicit profile"),
+    (lambda: localized_state(seg(), 0, (0.0, 0.0)), ValueError, "nonzero 2-vector"),
+    (lambda: evolve(localized_state(seg(), 0), make_coin_profile("uniform", seg(), phi=0.1), -1),
+     ValueError, "steps must be non-negative"),
+    (lambda: one_step_matrix(make_coin_profile("bulk", seg(), phi1=1.0, phi2=0.5)),
+     ProfileError, "assembled on rings only"),
+], ids=["ring-origin", "uniform-no-phi", "explicit-shape", "explicit-inf", "unknown-kind",
+        "missing-phi2", "odd-ring-cuts", "cut-off-ring", "duplicate-cuts", "resize-explicit",
+        "zero-spinor", "negative-steps", "segment-matrix"])
+def test_documented_raises(call, exc, fragment):
+    with pytest.raises(exc, match=re.escape(fragment)):
+        call()
+
+
+def test_resize_keeps_a_uniform_angle():
+    wider = Lattice(12, Topology.SEGMENT, origin=-6)
+    resized = resize_profile(make_coin_profile("uniform", seg(), phi=0.3), wider)
+    assert resized.lattice == wider and resized.kind == "uniform" and resized.trivial
+    np.testing.assert_array_equal(resized.angles, np.full(12, 0.3))
 
 
 def test_lattice_mismatch_is_rejected():
