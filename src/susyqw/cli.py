@@ -1,9 +1,13 @@
 """Command-line front end: evolve, bands, winding, midgap, scan, tomo.
 
 All commands are deterministic given their configuration (including the
-noise seed): identical invocations produce byte-identical output.  Data go
-to ``--out`` (or stdout); the trailing summary block uses ``# key = value``
-lines.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+noise seed): identical invocations produce byte-identical output.  Each
+command computes and formats its result, then hands it to the one writer,
+``_emit``: data go to ``--out`` (or stdout), followed by a summary block of
+``# key = value`` lines.  ``--out`` is opened only once the result is made,
+except by ``evolve``, which writes each step as the walk makes it.  Exit
+codes: 0 success, 2 configuration error, 3 numerical failure (including an
+array size the host cannot allocate).
 
 Angle units: coin angles are radians, waveplate angles degrees; both accept
 an explicit ``rad``/``deg`` suffix in config files (e.g. ``"137deg"``).
@@ -142,82 +146,65 @@ def _common(phi1: float, phi2: float) -> dict:
             "phi2": ("--phi2", _parse_angle, phi2, "second coin angle (radians)")}
 
 
-class _Output:
-    """Writes a command's output as it is made: the body, then the summary lines.
+def _table(header: list[str], blocks):
+    """The header line, then one text part per block of equal-length 1-d columns.
 
-    The destination, the ``--out`` file or stdout, is opened on creation; an
-    ``--out`` that cannot be opened is a configuration error.  As a context
-    manager it appends the summary on success (and echoes it to stdout after
-    an ``--out`` file).  On any exception it closes and removes the ``--out``
-    file; rows already written to stdout stay there.
-
-    Only ``evolve`` streams and creates it before its work; the other
-    commands create it once their results are computed.  A failed computation
-    then leaves an existing ``--out`` untouched, and the truncating open sits
-    next to the writes: opened before the work of a 2 ms ``tomo``, it made
-    the command about 5% slower in the benchmark (ext4, one pinned CPU).
+    A block is formatted only when the part before it has been taken, so a
+    lazy ``blocks`` is held one block at a time.  A cell is the ``repr`` of
+    the column's int or float: the shortest text that reads back as the same
+    float64.  ``repr`` runs once per distinct int and once per float other
+    than +0.0; a +0.0, as outside the light cone of ``evolve``, is the
+    constant "0.0".
     """
+    yield ",".join(header) + "\n"
+    int_text: dict[int, str] = {}
+    for block in blocks:
+        rows = map(",".join, zip(*(_cells(col, int_text) for col in block)))
+        # the final "" ends the last row; text + "\n" would copy the block
+        yield "\n".join([*rows, ""])
 
-    def __init__(self, out_path: str | None):
-        self.out_path = out_path
-        self.summary: list[str] = []
-        if not out_path:
-            self._fh = sys.stdout
-            return
-        try:
-            self._fh = open(out_path, "w", encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"out: cannot write: {exc}") from None
 
-    def __enter__(self):
-        return self
+def _summary(notes) -> str:
+    """``# key = value`` per ``(key, value)``; a float, NumPy's included, by ``_fmt``."""
+    return "".join(f"# {key} = {_fmt(v) if isinstance(v, (float, np.floating)) else v}\n"
+                   for key, v in notes)
 
-    def __exit__(self, exc_type, exc, tb):
-        tail = "".join(line + "\n" for line in self.summary)
-        if self.out_path:
-            complete = False
-            try:
-                with self._fh:
-                    if exc_type is None:
-                        self._fh.write(tail)
-                complete = exc_type is None
-            finally:
-                if not complete:
-                    self._remove_partial()
-        if exc_type is None:
-            sys.stdout.write(tail)
 
-    def _remove_partial(self):
-        """Remove the ``--out`` file; a symlink, pipe or device written through stays."""
+def _emit(out_path: str | None, parts, notes) -> None:
+    """Write ``parts``, then the summary of ``notes``, to ``--out`` or stdout.
+
+    The one writer of every command.  The summary is made once ``parts`` is
+    exhausted, so a lazy body may add to ``notes`` as it ends; after an
+    ``--out`` file it is echoed to stdout.  An ``--out`` that cannot be opened
+    is a configuration error.  On any exception the ``--out`` file is closed
+    and removed where it is a regular file (a symlink, pipe or device written
+    through stays); text already written to stdout stays there.
+
+    Only ``evolve`` passes a lazy body, so its walk runs as it is written.
+    The other commands pass text already made: ``--out`` is opened after the
+    work, a failed computation leaves an existing ``--out`` untouched, and
+    the truncating open is not followed by formatting (opened before the
+    work of a 2 ms ``tomo``, it made the command about 5% slower; ext4, one
+    pinned CPU).
+    """
+    if not out_path:
+        sys.stdout.writelines(parts)
+        sys.stdout.write(_summary(notes))
+        return
+    try:
+        fh = open(out_path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write: {exc}") from None
+    try:
+        with fh:
+            fh.writelines(parts)
+            fh.write(tail := _summary(notes))
+    except BaseException:
         with contextlib.suppress(OSError):
-            if stat.S_ISREG(os.lstat(self.out_path).st_mode):
-                os.remove(self.out_path)
-
-    def table(self, header: list[str], blocks):
-        """Header, then one row per index of each block of equal-length 1-d columns.
-
-        A cell is the ``repr`` of the column's int or float: the shortest text
-        that reads back as the same float64.  Each block is written as one
-        text part before the next block is made.  ``repr`` runs once per
-        distinct int and once per float other than +0.0; a +0.0, as outside
-        the light cone of ``evolve``, is the constant "0.0".
-        """
-        write = self._fh.write
-        write(",".join(header) + "\n")
-        int_text: dict[int, str] = {}
-        for block in blocks:
-            rows = map(",".join, zip(*(_cells(col, int_text) for col in block)))
-            # the final "" ends the last row; text + "\n" would copy the block
-            write("\n".join([*rows, ""]))
-
-    def write_text(self, text: str):
-        self._fh.write(text)
-
-    def note(self, key: str, value):
-        """Add ``# key = value``; a float, NumPy's included, is written by ``_fmt``."""
-        if isinstance(value, (float, np.floating)):
-            value = _fmt(value)
-        self.summary.append(f"# {key} = {value}")
+            if stat.S_ISREG(os.lstat(out_path).st_mode):
+                os.remove(out_path)
+        raise
+    sys.stdout.write(tail)
 
 
 def _cells(col: np.ndarray, int_text: dict[int, str]) -> list[str]:
@@ -246,7 +233,7 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def cmd_evolve(opts) -> int:
+def cmd_evolve(opts) -> None:
     """Per-site probabilities of every step of a walk, one table block per step.
 
     Each step is advanced, changed to the requested frames and written before
@@ -279,58 +266,54 @@ def cmd_evolve(opts) -> int:
 
     amps = prepare_input(opts.input_site, opts.plates, lattice).amplitudes.astype(complex)
     walk = itertools.chain([amps], advance(amps, profile, opts.steps))
-    with _Output(opts.out) as out:
-        out.table(["step", "x"] + [f"p_{f.value}_{c}" for f in opts.frame for c in "hv"],
-                  itertools.starmap(block, enumerate(walk)))
+    notes = [("kind", opts.kind), ("steps", opts.steps)]
+
+    def body():
+        yield from _table(["step", "x"] + [f"p_{f.value}_{c}" for f in opts.frame for c in "hv"],
+                          itertools.starmap(block, enumerate(walk)))
         # the walk has run: the buffer holds the final state
         probs = (np.abs(amps) ** 2).sum(axis=1)
-        out.note("kind", opts.kind)
-        out.note("steps", opts.steps)
-        out.note("final_norm", np.linalg.norm(amps))
-        out.note("heaviest_site", int(coords[int(np.argmax(probs))]))
-        out.note("heaviest_probability", probs.max())
-    return 0
+        notes.extend([("final_norm", np.linalg.norm(amps)),
+                      ("heaviest_site", int(coords[int(np.argmax(probs))])),
+                      ("heaviest_probability", probs.max())])
+
+    _emit(opts.out, body(), notes)
 
 
-def cmd_bands(opts) -> int:
+def cmd_bands(opts) -> None:
     bands = _band_energies(opts.phi1, opts.phi2, resolution=opts.resolution)
     re_lam2 = (bands.eigenvalues ** 2).real
     target = band_condition_value(bands.k_grid, opts.phi1, opts.phi2)
-    with _Output(opts.out) as out:
-        out.table(["k", "eps1", "eps2", "eps3", "eps4", "re_lambda_sq", "residual"],
-                  [[bands.k_grid, *bands.quasienergies.T, re_lam2.mean(axis=1),
-                    np.abs(re_lam2 - target[:, None]).max(axis=1)]])
-        out.note("phi1", opts.phi1)
-        out.note("phi2", opts.phi2)
-        out.note("resolution", opts.resolution)
-        out.note("gap_at_real", bands.gap_at_real())
-        out.note("gap_at_imag", bands.gap_at_imag())
-    return 0
+    table = [*_table(["k", "eps1", "eps2", "eps3", "eps4", "re_lambda_sq", "residual"],
+                     [[bands.k_grid, *bands.quasienergies.T, re_lam2.mean(axis=1),
+                       np.abs(re_lam2 - target[:, None]).max(axis=1)]])]
+    _emit(opts.out, table, [("phi1", opts.phi1), ("phi2", opts.phi2),
+                            ("resolution", opts.resolution),
+                            ("gap_at_real", bands.gap_at_real()),
+                            ("gap_at_imag", bands.gap_at_imag())])
 
 
-def cmd_winding(opts) -> int:
+def cmd_winding(opts) -> None:
     fwd = winding_numbers(opts.phi1, opts.phi2, opts.resolution)
     rev = fwd.swapped()
-
-    with _Output(opts.out) as out:
-        for tag, rep in (("forward", fwd), ("swapped", rev)):
-            out.write_text(f"[{tag}] phi1={_fmt(rep.phi1)} phi2={_fmt(rep.phi2)} "
-                           f"resolution={rep.resolution}\n")
-            out.write_text(f"[{tag}] gap_at_real={_fmt(rep.gap_at_real)} "
-                           f"gap_at_imag={_fmt(rep.gap_at_imag)}\n")
-            for b, (wv, res) in enumerate(zip(rep.windings, rep.residuals)):
-                out.write_text(f"[{tag}] band{b} w_alpha={wv[0]} w_beta={wv[1]} "
-                               f"w_gamma={wv[2]} residual={_fmt(res)}\n")
-        for b, (wf, wr) in enumerate(zip(fwd.windings, rev.windings)):
-            diff = tuple(a - c for a, c in zip(wf, wr))
-            out.write_text(f"[difference] band{b} dw_alpha={diff[0]} dw_beta={diff[1]} "
-                           f"dw_gamma={diff[2]}\n")
-        out.note("any_band_differs",
-                 any(wf != wr for wf, wr in zip(fwd.windings, rev.windings)))
-    return 0
+    lines = []
+    for tag, rep in (("forward", fwd), ("swapped", rev)):
+        lines.append(f"[{tag}] phi1={_fmt(rep.phi1)} phi2={_fmt(rep.phi2)} "
+                     f"resolution={rep.resolution}\n")
+        lines.append(f"[{tag}] gap_at_real={_fmt(rep.gap_at_real)} "
+                     f"gap_at_imag={_fmt(rep.gap_at_imag)}\n")
+        for b, (wv, res) in enumerate(zip(rep.windings, rep.residuals)):
+            lines.append(f"[{tag}] band{b} w_alpha={wv[0]} w_beta={wv[1]} "
+                         f"w_gamma={wv[2]} residual={_fmt(res)}\n")
+    for b, (wf, wr) in enumerate(zip(fwd.windings, rev.windings)):
+        diff = tuple(a - c for a, c in zip(wf, wr))
+        lines.append(f"[difference] band{b} dw_alpha={diff[0]} dw_beta={diff[1]} "
+                     f"dw_gamma={diff[2]}\n")
+    _emit(opts.out, lines,
+          [("any_band_differs", any(wf != wr for wf, wr in zip(fwd.windings, rev.windings)))])
 
 
-def cmd_midgap(opts) -> int:
+def cmd_midgap(opts) -> None:
     profile = ring_with_interfaces(opts.n, opts.phi1, opts.phi2)
     states = find_midgap(midgap_spectrum(profile, opts.tol), opts.tol)
 
@@ -340,22 +323,19 @@ def cmd_midgap(opts) -> int:
         stokes = np.array(site_polarizations(st, profile, sites.tolist()))
         return [np.full(sites.size, j), sites, probs[sites], *stokes.T]
 
-    blocks = [block(j, st) for j, st in enumerate(states)]
-    with _Output(opts.out) as out:
-        out.table(["state", "x", "prob", "s1", "s2", "s3"], blocks)
-        out.note("n", opts.n)
-        out.note("midgap_count", len(states))
-        for j, st in enumerate(states):
-            lam = st.eigenvalue
-            anom = anomaly_expectation(st, profile)
-            out.note(f"state{j}",
-                     f"lambda=({_fmt(lam.real)},{_fmt(lam.imag)}) center={st.center} "
-                     f"anomaly={_fmt(anom)} decay_length={_fmt(st.decay_length)} "
-                     f"fit_r2={_fmt(st.fit_r2)}")
-    return 0
+    table = [*_table(["state", "x", "prob", "s1", "s2", "s3"],
+                     itertools.starmap(block, enumerate(states)))]
+    notes = [("n", opts.n), ("midgap_count", len(states))]
+    for j, st in enumerate(states):
+        lam = st.eigenvalue
+        notes.append((f"state{j}",
+                      f"lambda=({_fmt(lam.real)},{_fmt(lam.imag)}) center={st.center} "
+                      f"anomaly={_fmt(anomaly_expectation(st, profile))} "
+                      f"decay_length={_fmt(st.decay_length)} fit_r2={_fmt(st.fit_r2)}"))
+    _emit(opts.out, table, notes)
 
 
-def cmd_scan(opts) -> int:
+def cmd_scan(opts) -> None:
     lattice = segment_for(1, opts.steps)
     scan = long_time_extrapolation if opts.cell else qwp_scan
     curves = {}
@@ -363,47 +343,39 @@ def cmd_scan(opts) -> int:
         profile = make_coin_profile(kind, lattice, phi1=opts.phi1, phi2=opts.phi2)
         curves[kind] = scan(profile, opts.steps, opts.probe_site, opts.angles)
 
-    with _Output(opts.out) as out:
-        out.table(["angle_deg", "interface", "bulk"],
-                  [[opts.angles, curves["interface"].intensities, curves["bulk"].intensities]])
-        out.note("steps", opts.steps)
-        out.note("probe_site", opts.probe_site)
-        out.note("cell_probe", opts.cell)
-        for kind in ("interface", "bulk"):
-            vals = curves[kind].intensities
-            out.note(f"{kind}_max", vals.max())
-            out.note(f"{kind}_min", vals.min())
-            out.note(f"{kind}_range", vals.max() - vals.min())
-    return 0
+    table = [*_table(["angle_deg", "interface", "bulk"],
+                     [[opts.angles, curves["interface"].intensities, curves["bulk"].intensities]])]
+    notes = [("steps", opts.steps), ("probe_site", opts.probe_site), ("cell_probe", opts.cell)]
+    for kind in ("interface", "bulk"):
+        vals = curves[kind].intensities
+        notes += [(f"{kind}_max", vals.max()), (f"{kind}_min", vals.min()),
+                  (f"{kind}_range", vals.max() - vals.min())]
+    _emit(opts.out, table, notes)
 
 
-def cmd_tomo(opts) -> int:
+def cmd_tomo(opts) -> None:
     lattice = segment_for(1, opts.steps)
     profile = make_coin_profile("interface", lattice, phi1=opts.phi1, phi2=opts.phi2)
     final = evolve(prepare_input(1, opts.plates, lattice), profile, opts.steps)
     rng = np.random.default_rng(opts.seed)
-    fits = []
+    lines, notes = [], []
     for frame in opts.frame:
         intens = measure_bases(final, opts.site, frame, profile)
         if opts.noise > 0:
             intens = jitter_intensities(intens, opts.noise, rng)
         rho = tomography(intens)
         spinor = to_frame(final, profile, frame).amplitudes[lattice.index(opts.site)]
-        fits.append((frame.value, rho, pure_state_fidelity(rho, spinor), rho.decomposition()))
-
-    with _Output(opts.out) as out:
-        for tag, rho, fid, (amp_h, amp_v, phase) in fits:
-            for (r, c), val in np.ndenumerate(rho.matrix):
-                out.write_text(f"rho_{tag}_{r}{c} = {_fmt(val.real)} {_fmt(val.imag)}\n")
-            out.note(f"{tag}_amp_h", amp_h)
-            out.note(f"{tag}_amp_v", amp_v)
-            out.note(f"{tag}_phase_over_pi", phase / np.pi)
-            out.note(f"{tag}_fidelity", fid)
-            out.note(f"{tag}_clipped", rho.clipped)
-        out.note("site", opts.site)
-        out.note("steps", opts.steps)
-        out.note("site_probability", final.site_probability(opts.site))
-    return 0
+        amp_h, amp_v, phase = rho.decomposition()
+        tag = frame.value
+        lines += [f"rho_{tag}_{r}{c} = {_fmt(val.real)} {_fmt(val.imag)}\n"
+                  for (r, c), val in np.ndenumerate(rho.matrix)]
+        notes += [(f"{tag}_amp_h", amp_h), (f"{tag}_amp_v", amp_v),
+                  (f"{tag}_phase_over_pi", phase / np.pi),
+                  (f"{tag}_fidelity", pure_state_fidelity(rho, spinor)),
+                  (f"{tag}_clipped", rho.clipped)]
+    notes += [("site", opts.site), ("steps", opts.steps),
+              ("site_probability", final.site_probability(opts.site))]
+    _emit(opts.out, lines, notes)
 
 
 # name -> (run, help, settings).  Each setting is declared once, as key ->
@@ -505,11 +477,12 @@ def _resolve(command: str, args: argparse.Namespace) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](_resolve(args.command, args))
+        _COMMANDS[args.command][0](_resolve(args.command, args))
+        return 0
     except (ConfigError, ProfileError) as exc:  # a bad ring, segment or site is user input
         print(f"susyqw: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (SusyqwError, np.linalg.LinAlgError, ValueError) as exc:
+    except (SusyqwError, np.linalg.LinAlgError, ValueError, MemoryError) as exc:
         print(f"susyqw: {exc}", file=sys.stderr)
         return 3
 

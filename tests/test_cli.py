@@ -19,7 +19,7 @@ from susyqw import bloch, cli, midgap
 from susyqw import (Frame, band_condition_value, band_structure, evolve, find_midgap,
                     full_spectrum, long_time_extrapolation, make_coin_profile, prepare_input,
                     qwp_scan, ring_with_interfaces, segment_for, site_polarization, to_frame)
-from susyqw.cli import _Output, main
+from susyqw.cli import _summary, _table, main
 
 
 def run_cli(args, capsys):
@@ -133,22 +133,17 @@ def test_table_writes_the_naive_repr_join(data, kinds):
                                                    max_size=rows)), dtype=CELL_VALUES[k][0])
                        for k in kinds])
     header = [f"c{j}" for j in range(len(kinds))]
-    written = io.StringIO()
-    with contextlib.redirect_stdout(written), _Output(None) as out:
-        out.table(header, blocks)
     expected = ",".join(header) + "\n" + "".join(
         ",".join(map(repr, row)) + "\n"
         for block in blocks for row in zip(*(col.tolist() for col in block)))
-    assert written.getvalue() == expected
+    assert "".join(_table(header, blocks)) == expected
 
 
 @pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.1), np.float64(-0.0),
                                    np.float32(np.inf), np.float64(1 / 3)])
 def test_note_writes_every_float_as_the_python_repr(value):
     """A NumPy float reads like the Python float of the same value, not as np.float64(...)."""
-    out = _Output(None)
-    out.note("x", value)
-    assert out.summary == [f"# x = {float(value)!r}"]
+    assert _summary([("x", value)]) == f"# x = {float(value)!r}\n"
 
 
 @pytest.mark.parametrize("kind", ["interface", "uniform"])
@@ -311,9 +306,15 @@ def test_cached_parser_survives_early_exits(capsys):
 def test_evolve_small_lattice_hits_boundary(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"steps": 10, "size": 5}))
-    code, _, err = run_cli(["evolve", "--config", str(cfg)], capsys)
+    code, out, err = run_cli(["evolve", "--config", str(cfg)], capsys)
     assert code == 3
     assert "boundary" in err
+    # the five sites around input site 1 hold steps 0 to 2; those rows stay
+    # on stdout, and no summary follows them
+    lines = out.splitlines()
+    assert lines[0] == "step,x,p_lab_h,p_lab_v,p_primed_h,p_primed_v"
+    assert [int(row["step"]) for row in read_rows(out)] == [t for t in range(3) for _ in range(5)]
+    assert not any(line.startswith("# ") for line in lines)
 
 
 @pytest.mark.parametrize("argv, out_name", [
@@ -343,13 +344,36 @@ def test_failed_run_leaves_no_partial_out(argv, config, expected_code, tmp_path,
     assert list(out_dir.iterdir()) == []
 
 
-def test_failed_computation_keeps_an_existing_out(tmp_path, capsys):
+@pytest.mark.parametrize("argv, expected_code", [
+    (["midgap", "--n", "12", "--tol", "2.5"], 3),
+    (["winding", "--phi1", "0.7", "--phi2", "0.7"], 3),
+    (["tomo", "--steps", "3", "--site", "1000"], 2),
+    (["scan", "--steps", "3", "--probe-site", "1000"], 2),
+], ids=["midgap-tolerance", "winding-gap-closed", "tomo-site-outside", "scan-probe-outside"])
+def test_failed_computation_keeps_an_existing_out(argv, expected_code, tmp_path, capsys):
     """Commands other than evolve open --out only once their results are computed."""
-    out_file = tmp_path / "states.csv"
+    out_file = tmp_path / "result.csv"
     out_file.write_text("earlier results\n")
-    code, _, _ = run_cli(["midgap", "--n", "12", "--tol", "2.5", "--out", str(out_file)], capsys)
-    assert code == 3
+    code, _, _ = run_cli([*argv, "--out", str(out_file)], capsys)
+    assert code == expected_code
     assert out_file.read_text() == "earlier results\n"
+
+
+# each size asks for >= 1e17 array elements, an allocation no host can make,
+# so it fails at once without committing memory
+@pytest.mark.parametrize("argv", [
+    ["scan", "--angles", "0:1e17:1"],
+    ["bands", "--resolution", "100000000000000000"],
+    ["winding", "--resolution", "100000000000000000"],
+    ["evolve", "--steps", "100000000000000000"],
+    ["tomo", "--steps", "100000000000000000"],
+    ["midgap", "--n", "100000000000000000"],
+], ids=["scan", "bands", "winding", "evolve", "tomo", "midgap"])
+def test_unallocatable_size_exits_three(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("susyqw: ") and err.count("\n") == 1
+    assert "allocate" in err and "Traceback" not in err
 
 
 def test_failed_run_keeps_a_symlink_out(tmp_path, capsys):
