@@ -76,13 +76,11 @@ def decay_length(phi1: float, phi2: float) -> float:
     at least 1: k is complex, and a midgap state decays from its interface
     as |psi|^2 ~ exp(-2 d / xi) over d sites, with
     xi = 2 / arccosh|(sin phi1 sin phi2 - 1) / (cos phi1 cos phi2)|.
-    xi is 0 where cos phi1 cos phi2 = 0 (a coin angle of pi/2 confines the
-    states to a few sites) and inf where sin phi1 = sin phi2 (the gap at
-    +-i closes).
+    xi tends to 0 as cos phi1 cos phi2 -> 0 (a coin angle of pi/2 confines
+    the states to a few sites; no double makes the product exactly 0) and is
+    inf where sin phi1 = sin phi2 (the gap at +-i closes).
     """
     c = math.cos(phi1) * math.cos(phi2)
-    if c == 0:
-        return 0.0
     r = abs((math.sin(phi1) * math.sin(phi2) - 1) / c)
     return 2 / math.acosh(r) if r > 1 else math.inf
 
@@ -135,13 +133,10 @@ def bloch_operator(k: float, phi1: float, phi2: float,
 
 
 def to_primed(op: BlochOperator) -> BlochOperator:
-    """Conjugate a lab-frame Bloch operator into the primed basis."""
+    """The same Bloch operator in the primed basis, built by ``bloch_operator``."""
     if op.frame is Frame.PRIMED:
         return op
-    v = np.zeros((4, 4), dtype=complex)
-    v[:2, :2] = coin_matrix(op.phi1 / 2)
-    v[2:, 2:] = coin_matrix(op.phi2 / 2)
-    return BlochOperator(v @ op.matrix @ v.conj().T, op.k, op.phi1, op.phi2, Frame.PRIMED)
+    return bloch_operator(op.k, op.phi1, op.phi2, Frame.PRIMED)
 
 
 @dataclass(frozen=True)
@@ -241,9 +236,6 @@ class BandStructure(_BandEnergies):
     """
 
     eigenvectors: np.ndarray    # (nk, 4, 4), column b is band b
-    phi1: float
-    phi2: float
-    frame: Frame
 
 
 def _k_points(k_grid: np.ndarray | None, resolution: int) -> np.ndarray:
@@ -329,7 +321,7 @@ def band_structure(phi1: float, phi2: float,
     vecs /= top / np.abs(top)
     overlaps = np.einsum("kab,kab->kb", vecs[:-1].conj(), vecs[1:])
     vecs[1:] *= np.exp(-1j * np.cumsum(np.angle(overlaps), axis=0))[:, None, :]
-    return BandStructure(ks, lams, eps, vecs, float(phi1), float(phi2), frame)
+    return BandStructure(ks, lams, eps, vecs)
 
 
 def quadruple_closure_distance(lams: np.ndarray) -> float:

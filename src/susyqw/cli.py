@@ -360,11 +360,12 @@ def cmd_tomo(opts) -> None:
     rng = np.random.default_rng(opts.seed)
     lines, notes = [], []
     for frame in opts.frame:
-        intens = measure_bases(final, opts.site, frame, profile)
+        framed = to_frame(final, profile, frame)
+        intens = measure_bases(framed, opts.site, frame, profile)
         if opts.noise > 0:
             intens = jitter_intensities(intens, opts.noise, rng)
         rho = tomography(intens)
-        spinor = to_frame(final, profile, frame).amplitudes[lattice.index(opts.site)]
+        spinor = framed.amplitudes[lattice.index(opts.site)]
         amp_h, amp_v, phase = rho.decomposition()
         tag = frame.value
         lines += [f"rho_{tag}_{r}{c} = {_fmt(val.real)} {_fmt(val.imag)}\n"

@@ -7,7 +7,7 @@ midgap circular state on even sites carries S3 = +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -44,12 +44,10 @@ def _plate_axis(theta) -> np.ndarray:
 
 
 def prepare_input(x0: int, plates: Sequence, lattice: Lattice) -> WalkerState:
-    """|x0> tensor (plate chain applied to |H>), first listed plate acts first."""
+    """|x0> tensor ((kind, angle_deg) plates applied to |H>), first listed plate acts first."""
     coin = np.array([1.0, 0.0], dtype=complex)
     for plate in plates:
-        mat = waveplate(*plate) if isinstance(plate, (tuple, list)) \
-            else np.asarray(plate, dtype=complex)
-        coin = mat @ coin
+        coin = waveplate(*plate) @ coin
     return localized_state(lattice, x0, coin)
 
 
@@ -63,42 +61,37 @@ class BasisIntensities:
     i_a: float
     i_r: float
     i_l: float
-    site: int = 0
-    step: int = 0
-    frame: Frame = Frame.LAB
 
 
 def measure_bases(state: WalkerState, x: int, frame: Frame = Frame.LAB,
                   profile: CoinProfile | None = None) -> BasisIntensities:
-    """Project the site amplitude pair onto the three measurement bases."""
-    if frame is Frame.PRIMED:
+    """Project the site amplitude pair onto the three bases of ``frame``.
+
+    A state in the other frame is converted first, which needs ``profile``.
+    """
+    if frame is not state.frame:
         if profile is None:
             raise ValueError("primed-frame measurement needs the coin profile")
-        state = to_frame(state, profile, Frame.PRIMED)
+        state = to_frame(state, profile, frame)
     h, v = state.amplitudes[state.lattice.index(x)]
     i_h, i_v = abs(h) ** 2, abs(v) ** 2
     i_d, i_a = abs(h + v) ** 2 / 2, abs(h - v) ** 2 / 2
     i_r, i_l = abs(h - 1j * v) ** 2 / 2, abs(h + 1j * v) ** 2 / 2
-    return BasisIntensities(float(i_h), float(i_v), float(i_d), float(i_a),
-                            float(i_r), float(i_l), int(x), state.t, frame)
+    return BasisIntensities(*map(float, (i_h, i_v, i_d, i_a, i_r, i_l)))
 
 
 def jitter_intensities(intens: BasisIntensities, rel: float,
                        rng: np.random.Generator) -> BasisIntensities:
     """Multiplicative relative intensity noise, clamped at zero."""
-    raw = np.array([intens.i_h, intens.i_v, intens.i_d, intens.i_a, intens.i_r, intens.i_l])
-    noisy = np.maximum(raw * (1.0 + rel * rng.standard_normal(6)), 0.0)
-    return BasisIntensities(*map(float, noisy), intens.site, intens.step, intens.frame)
+    noisy = np.maximum(np.array(astuple(intens)) * (1.0 + rel * rng.standard_normal(6)), 0.0)
+    return BasisIntensities(*map(float, noisy))
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """2x2 Hermitian polarization state at one (site, step); trace S0 > 0, above 1 if noisy."""
+    """2x2 Hermitian polarization state of one site; trace S0 > 0, above 1 if noisy."""
 
     matrix: np.ndarray
-    frame: Frame
-    site: int
-    step: int
     clipped: bool = False
 
     def decomposition(self) -> tuple[float, float, float]:
@@ -133,7 +126,7 @@ def tomography(intens: BasisIntensities) -> DensityMatrix:
         rho *= s0 / np.trace(rho).real
         clipped = True
     rho = (rho + rho.conj().T) / 2
-    return DensityMatrix(rho, intens.frame, intens.site, intens.step, clipped)
+    return DensityMatrix(rho, clipped)
 
 
 def pure_state_fidelity(rho: DensityMatrix, coin: np.ndarray) -> float:
@@ -149,7 +142,6 @@ class ScanCurve:
 
     angles_deg: np.ndarray
     intensities: np.ndarray
-    tag: str                 # profile kind: bulk / interface / ...
     steps: int
     x_probe: int
     sphere_max: float        # probe maximum over every input polarization
@@ -185,9 +177,8 @@ def _run_scan(profile: CoinProfile, steps: int, x_probe: int,
     gram = psi.conj().T @ psi
     coins = waveplate("qwp", angles_deg)[:, :, 0]
     vals = np.einsum("ka,ab,kb->k", coins.conj(), gram, coins).real
-    return ScanCurve(np.asarray(angles_deg, dtype=float), vals, profile.kind, steps,
-                     x_probe, sphere_max=float(np.linalg.eigvalsh(gram)[-1]),
-                     cell_probe=cell_probe)
+    return ScanCurve(np.asarray(angles_deg, dtype=float), vals, steps, x_probe,
+                     sphere_max=float(np.linalg.eigvalsh(gram)[-1]), cell_probe=cell_probe)
 
 
 def qwp_scan(profile: CoinProfile, steps: int, x_probe: int,

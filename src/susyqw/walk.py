@@ -177,14 +177,10 @@ def make_coin_profile(kind: str,
 
 def resize_profile(profile: CoinProfile, lattice: Lattice) -> CoinProfile:
     """Re-materialize a descriptor-based profile on another lattice."""
-    if profile.kind == "bulk":
-        return make_coin_profile("bulk", lattice, phi1=profile.phi1, phi2=profile.phi2)
-    if profile.kind == "interface":
-        return make_coin_profile("interface", lattice, phi1=profile.phi1,
-                                 phi2=profile.phi2, cuts=profile.cuts)
-    if profile.kind == "uniform":
-        return make_coin_profile("uniform", lattice, phi=float(profile.angles[0]))
-    raise ProfileError("cannot resize an explicit profile")
+    if profile.kind == "explicit":
+        raise ProfileError("cannot resize an explicit profile")
+    return make_coin_profile(profile.kind, lattice, phi1=profile.phi1, phi2=profile.phi2,
+                             phi=float(profile.angles[0]), cuts=profile.cuts)
 
 
 @dataclass(frozen=True, eq=False)

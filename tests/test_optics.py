@@ -127,6 +127,23 @@ def test_frame_consistency_of_tomography():
     np.testing.assert_allclose(half @ rho_lab @ half.conj().T, rho_primed, atol=1e-10)
 
 
+def test_measure_bases_reads_the_requested_frame_of_either_state():
+    lat = segment_for(1, 9)
+    prof = make_coin_profile("interface", lat, phi1=1.29, phi2=0.17)
+    final = evolve(prepare_input(1, [("qwp", 30)], lat), prof, 9)
+    primed = to_frame(final, prof, Frame.PRIMED)
+
+    def read(state, frame):
+        b = measure_bases(state, 0, frame, prof)
+        return np.array([b.i_h, b.i_v, b.i_d, b.i_a, b.i_r, b.i_l])
+
+    lab = read(final, Frame.LAB)
+    assert lab[0] == pytest.approx(0.00724, abs=1e-5) and lab[1] == pytest.approx(0.733, abs=1e-3)
+    np.testing.assert_allclose(read(primed, Frame.LAB), lab, rtol=0, atol=1e-12)
+    # bit for bit: measuring a primed state is measuring the lab state primed
+    np.testing.assert_array_equal(read(primed, Frame.PRIMED), read(final, Frame.PRIMED))
+
+
 def test_long_run_tomography_matches_trapped_circular_state():
     # |H> input on the interface, 17 steps: the trapped site-0 state is the
     # near-equal-amplitude right-circular primed superposition
