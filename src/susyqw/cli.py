@@ -250,10 +250,7 @@ def cmd_evolve(opts) -> None:
         raise ConfigError(f"input_site: the segment [{first}, {last}] around input site "
                           f"{opts.input_site} misses the interface bond (0, 1); "
                           f"choose an input site nearer the interface")
-    if opts.kind == "uniform":
-        profile = make_coin_profile("uniform", lattice, phi=opts.phi1)
-    else:
-        profile = make_coin_profile(opts.kind, lattice, phi1=opts.phi1, phi2=opts.phi2)
+    profile = make_coin_profile(opts.kind, lattice, phi=opts.phi1, phi1=opts.phi1, phi2=opts.phi2)
     coords = lattice.coords()
     primed = _coin_factors(profile.angles / 2)  # C(phi_x / 2), as in to_frame
 

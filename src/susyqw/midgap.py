@@ -94,13 +94,10 @@ def _invariant_groups(q: np.ndarray, mq: np.ndarray, re_mu: np.ndarray):
     n = re_mu.size
     gaps = np.diff(re_mu)
     cuts = [0, *(np.flatnonzero(gaps > _GROUP_GAP) + 1), n]
-    restricted = {}
 
     def restrict(s: int, e: int) -> tuple[np.ndarray, float]:
-        if (s, e) not in restricted:
-            block = q[:, s:e].T @ mq[:, s:e]
-            restricted[s, e] = block, np.linalg.norm(mq[:, s:e] - q[:, s:e] @ block)
-        return restricted[s, e]
+        block = q[:, s:e].T @ mq[:, s:e]
+        return block, np.linalg.norm(mq[:, s:e] - q[:, s:e] @ block)
 
     while True:
         merge = set()
@@ -256,10 +253,6 @@ def _amplitudes(state) -> np.ndarray:
     return arr
 
 
-def _primed(amps: np.ndarray, profile: CoinProfile) -> np.ndarray:
-    return _rotate_half(amps, profile.angles / 2)
-
-
 def _stokes(amps: np.ndarray, profile: CoinProfile) -> np.ndarray:
     """Primed-frame Stokes parameters (S0, S1, S2, S3) of every site, unnormalized, (4, N).
 
@@ -268,7 +261,7 @@ def _stokes(amps: np.ndarray, profile: CoinProfile) -> np.ndarray:
     |h|^2, 2 Re(h* v), 2 Im(h* v) on NumPy scalars, so one site and a stack
     round alike.
     """
-    primed = _primed(amps, profile)
+    primed = _rotate_half(amps, profile.angles / 2)
     hr, hi, vr, vi = primed[:, 0].real, primed[:, 0].imag, primed[:, 1].real, primed[:, 1].imag
     h2, v2 = np.float_power(np.hypot(hr, hi), 2), np.float_power(np.hypot(vr, vi), 2)
     return np.stack([h2 + v2, h2 - v2, 2 * (hr * vr + hi * vi), 2 * (hr * vi - hi * vr)])
@@ -302,7 +295,7 @@ def anomaly_expectation(state, profile: CoinProfile,
     a ring report opposite signs.
     """
     amps = _amplitudes(state)
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(amps) - 1.0) <= 1e-8:
         raise ValueError("state must be normalized")
     if registration not in ("interface", "global"):
         raise ValueError(f"unknown registration {registration!r}")
@@ -327,12 +320,12 @@ def site_polarizations(state, profile: CoinProfile, sites) -> list[tuple[float, 
     The array is computed in real arithmetic (see _stokes), so a site reads
     the same bits alone as in a stack.  Every site index is checked (a site
     outside a segment raises ProfileError) before occupancy: the first site
-    in the order given with S0 <= 1e-10 raises UnoccupiedSiteError.
+    in the order given with S0 <= 1e-10 (or NaN) raises UnoccupiedSiteError.
     """
     sites = list(sites)
     rows = [profile.lattice.index(x) for x in sites]
     stokes = _stokes(_amplitudes(state), profile)[:, rows]
-    empty = stokes[0] <= 1e-10
+    empty = ~(stokes[0] > 1e-10)
     if empty.any():
         raise UnoccupiedSiteError(f"site {sites[int(np.argmax(empty))]} unoccupied")
     return [tuple(s) for s in (stokes[1:] / stokes[0]).T.tolist()]
@@ -381,7 +374,7 @@ def _canonical_cluster_basis(vectors: np.ndarray, profile: CoinProfile) -> np.nd
     signs = _parity_signs(profile)
 
     # W = Sigma_z sigma_y in the primed frame, restricted to the cluster
-    qp = _primed(q.reshape(n_sites, 2, dim), profile)
+    qp = _rotate_half(q.reshape(n_sites, 2, dim), profile.angles / 2)
     wq = np.empty_like(qp)
     wq[:, 0, :] = -1j * qp[:, 1, :] * signs[:, None]
     wq[:, 1, :] = 1j * qp[:, 0, :] * signs[:, None]

@@ -71,7 +71,8 @@ def measure_bases(state: WalkerState, x: int, frame: Frame = Frame.LAB,
     """
     if frame is not state.frame:
         if profile is None:
-            raise ValueError("primed-frame measurement needs the coin profile")
+            raise ValueError(f"{frame.value}-frame measurement needs the coin profile "
+                             f"(the state is in the {state.frame.value} frame)")
         state = to_frame(state, profile, frame)
     h, v = state.amplitudes[state.lattice.index(x)]
     i_h, i_v = abs(h) ** 2, abs(v) ** 2
@@ -112,7 +113,7 @@ def tomography(intens: BasisIntensities) -> DensityMatrix:
     clipped to zero and the trace restored, with the ``clipped`` flag set.
     """
     s0 = intens.i_h + intens.i_v
-    if s0 <= 0:
+    if not s0 > 0:
         raise UnoccupiedSiteError("zero total intensity")
     s1 = intens.i_h - intens.i_v
     s2 = intens.i_d - intens.i_a

@@ -118,61 +118,54 @@ def make_coin_profile(kind: str,
                       cuts: Sequence[int] | None = None) -> CoinProfile:
     """Build a coin profile from a descriptor.
 
-    kind:
+    kind, and the arguments it reads (every other argument is ignored):
       * ``"bulk"``      -- phi1 on odd sites, phi2 on even sites
-      * ``"interface"`` -- bulk pattern interchanged across each cut
-                           (default: one cut between x=0 and x=1)
-      * ``"uniform"``   -- one angle everywhere
-      * ``"explicit"``  -- angles given per site
+      * ``"interface"`` -- phi1, phi2 and cuts: the bulk pattern interchanged
+                           across each cut (default: one cut between x=0 and x=1)
+      * ``"uniform"``   -- phi everywhere
+      * ``"explicit"``  -- angles, one per site
+    One finiteness check covers the angles (and phi1, phi2) of every kind.
     """
     if isinstance(lattice, int):
         lattice = Lattice(lattice, Topology.SEGMENT, origin=0)
-    if lattice.topology is Topology.RING and lattice.size % 2:
+    ring = lattice.topology is Topology.RING
+    if ring and lattice.size % 2:
         raise ProfileError("unit cell requires even ring")
-    coords = lattice.coords()
 
+    pair: tuple[float, ...] = ()
+    cut_list: tuple[int, ...] = ()
     if kind == "uniform":
         if phi is None:
             raise ProfileError("uniform profile needs phi")
-        return CoinProfile(lattice, np.full(lattice.size, float(phi)), kind, trivial=True)
-
-    if kind == "explicit":
+        arr = np.full(lattice.size, float(phi))
+    elif kind == "explicit":
         arr = np.asarray(angles, dtype=float)
         if arr.shape != (lattice.size,):
             raise ProfileError(f"explicit angles must have shape ({lattice.size},)")
-        if not np.all(np.isfinite(arr)):
-            raise ProfileError("coin angles must be finite")
-        return CoinProfile(lattice, arr, kind)
-
-    if kind not in ("bulk", "interface"):
-        raise ProfileError(f"unknown profile kind {kind!r}")
-    if phi1 is None or phi2 is None:
-        raise ProfileError(f"{kind} profile needs phi1 and phi2")
-    if not (np.isfinite(phi1) and np.isfinite(phi2)):
-        raise ProfileError("coin angles must be finite")
-
-    cut_list: tuple[int, ...] = ()
-    if kind == "interface":
-        cut_list = (1,) if cuts is None else tuple(int(c) for c in cuts)
-        if lattice.topology is Topology.RING:
-            if len(cut_list) % 2:
+    elif kind in ("bulk", "interface"):
+        if phi1 is None or phi2 is None:
+            raise ProfileError(f"{kind} profile needs phi1 and phi2")
+        pair = (float(phi1), float(phi2))
+        if kind == "interface":
+            cut_list = (1,) if cuts is None else tuple(int(c) for c in cuts)
+            if ring and len(cut_list) % 2:
                 raise ProfileError("ring needs an even number of interfaces")
-            for c in cut_list:
-                if not 0 <= c < lattice.size:
-                    raise ProfileError(f"interface site {c} outside ring of {lattice.size}")
-        else:
-            lo, hi = lattice.origin + 1, lattice.origin + lattice.size - 1
+            lo, hi = (0 if ring else lattice.origin + 1), lattice.origin + lattice.size - 1
+            where = f"ring of {lattice.size}" if ring else f"segment bonds [{lo}, {hi}]"
             for c in cut_list:
                 if not lo <= c <= hi:
-                    raise ProfileError(f"interface site {c} outside segment bonds [{lo}, {hi}]")
-        if len(set(cut_list)) != len(cut_list):
-            raise ProfileError("duplicate interface sites")
+                    raise ProfileError(f"interface site {c} outside {where}")
+            if len(set(cut_list)) != len(cut_list):
+                raise ProfileError("duplicate interface sites")
+        coords = lattice.coords()
+        arr = np.where((coords % 2 == 1) ^ _swap_flags(coords, cut_list, lattice.topology), *pair)
+    else:
+        raise ProfileError(f"unknown profile kind {kind!r}")
 
-    swapped = _swap_flags(coords, cut_list, lattice.topology)
-    odd = coords % 2 == 1
-    arr = np.where(odd ^ swapped, float(phi1), float(phi2))
-    trivial = kind == "interface" and phi1 == phi2
-    return CoinProfile(lattice, arr, kind, float(phi1), float(phi2), cut_list, trivial)
+    if not np.isfinite(np.append(arr, pair)).all():
+        raise ProfileError("coin angles must be finite")
+    trivial = kind == "uniform" or (kind == "interface" and pair[0] == pair[1])
+    return CoinProfile(lattice, arr, kind, *pair, cuts=cut_list, trivial=trivial)
 
 
 def resize_profile(profile: CoinProfile, lattice: Lattice) -> CoinProfile:

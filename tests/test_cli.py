@@ -146,7 +146,7 @@ def test_note_writes_every_float_as_the_python_repr(value):
     assert _summary([("x", value)]) == f"# x = {float(value)!r}\n"
 
 
-@pytest.mark.parametrize("kind", ["interface", "uniform"])
+@pytest.mark.parametrize("kind", ["interface", "bulk", "uniform"])
 def test_evolve_cells_outside_the_light_cone_are_exact_zeros(kind, capsys):
     """After t steps from x0 only |x - x0| <= t with x - x0 + t even can be occupied."""
     steps, x0 = 40, 1

@@ -434,11 +434,16 @@ def explicit_ring():
     (primed_readout, ValueError, "pass lab-frame amplitudes"),
     (lambda: anomaly_expectation(*ring_state(), registration="cells"), ValueError,
      "unknown registration 'cells'"),
+    (lambda: anomaly_expectation(np.full((12, 2), np.nan), ring_with_interfaces(12, 1.29, 0.17)),
+     ValueError, "state must be normalized"),
+    (lambda: site_polarizations(np.full((12, 2), np.nan), ring_with_interfaces(12, 1.29, 0.17),
+                                [3, 0]), UnoccupiedSiteError, "site 3 unoccupied"),
     (lambda: midgap_spectrum(explicit_ring()), ValueError,
      "explicit profiles need an explicit tolerance"),
     (lambda: find_midgap(full_spectrum(explicit_ring())), ValueError,
      "explicit profiles need an explicit tolerance"),
-], ids=["primed-walker", "unknown-registration", "explicit-window-tol", "explicit-find-tol"])
+], ids=["primed-walker", "unknown-registration", "nan-anomaly", "nan-polarization",
+        "explicit-window-tol", "explicit-find-tol"])
 def test_documented_raises(call, exc, fragment):
     with pytest.raises(exc, match=re.escape(fragment)):
         call()

@@ -249,10 +249,17 @@ def test_jitter_is_seeded_and_clamped():
 @pytest.mark.parametrize("call, exc, fragment", [
     (lambda: measure_bases(localized_state(segment_for(1, 3), 1), 1, Frame.PRIMED), ValueError,
      "primed-frame measurement needs the coin profile"),
+    (lambda: measure_bases(to_frame(localized_state(segment_for(1, 3), 1),
+                                    make_coin_profile("uniform", segment_for(1, 3), phi=0.3),
+                                    Frame.PRIMED), 1, Frame.LAB), ValueError,
+     "lab-frame measurement needs the coin profile (the state is in the primed frame)"),
+    (lambda: tomography(BasisIntensities(np.nan, 0.0, 0.0, 0.0, 0.0, 0.0)), UnoccupiedSiteError,
+     "zero total intensity"),
     (lambda: waveplate("lwp", 0.0), ValueError, "unknown waveplate kind 'lwp'"),
     (lambda: qwp_scan(make_coin_profile("bulk", 9, phi1=1.29, phi2=0.17), 3, 0, []), ValueError,
      "angle grid is empty"),
-], ids=["primed-without-profile", "unknown-plate", "empty-scan-grid"])
+], ids=["primed-without-profile", "lab-without-profile", "nan-intensity", "unknown-plate",
+        "empty-scan-grid"])
 def test_documented_raises(call, exc, fragment):
     with pytest.raises(exc, match=re.escape(fragment)):
         call()

@@ -246,6 +246,10 @@ RING8 = Lattice(8, Topology.RING)
      "explicit angles must have shape (8,)"),
     (lambda: make_coin_profile("explicit", 8, angles=[0.1] * 7 + [np.inf]), ProfileError,
      "coin angles must be finite"),
+    (lambda: make_coin_profile("uniform", 8, phi=np.nan), ProfileError,
+     "coin angles must be finite"),
+    (lambda: make_coin_profile("uniform", RING8, phi=np.inf), ProfileError,
+     "coin angles must be finite"),
     (lambda: make_coin_profile("stripes", 8, phi1=1.0, phi2=0.5), ProfileError,
      "unknown profile kind 'stripes'"),
     (lambda: make_coin_profile("interface", 8, phi1=1.0), ProfileError,
@@ -263,9 +267,9 @@ RING8 = Lattice(8, Topology.RING)
      ValueError, "steps must be non-negative"),
     (lambda: one_step_matrix(make_coin_profile("bulk", seg(), phi1=1.0, phi2=0.5)),
      ProfileError, "assembled on rings only"),
-], ids=["ring-origin", "uniform-no-phi", "explicit-shape", "explicit-inf", "unknown-kind",
-        "missing-phi2", "odd-ring-cuts", "cut-off-ring", "duplicate-cuts", "resize-explicit",
-        "zero-spinor", "negative-steps", "segment-matrix"])
+], ids=["ring-origin", "uniform-no-phi", "explicit-shape", "explicit-inf", "uniform-nan",
+        "uniform-ring-inf", "unknown-kind", "missing-phi2", "odd-ring-cuts", "cut-off-ring",
+        "duplicate-cuts", "resize-explicit", "zero-spinor", "negative-steps", "segment-matrix"])
 def test_documented_raises(call, exc, fragment):
     with pytest.raises(exc, match=re.escape(fragment)):
         call()
