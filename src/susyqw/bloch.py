@@ -239,10 +239,10 @@ class BandStructure(_BandEnergies):
 
 
 def _k_points(k_grid: np.ndarray | None, resolution: int) -> np.ndarray:
-    """The k grid as floats: the given one, or ``resolution`` points on [0, 2pi)."""
+    """The k grid as floats: a copy of the given one, or ``resolution`` points on [0, 2pi)."""
     if k_grid is None:
         k_grid = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
-    ks = np.asarray(k_grid, dtype=float)
+    ks = np.array(k_grid, dtype=float)
     if ks.size == 0:
         raise ValueError("k grid is empty")
     if not np.isfinite(ks).all():
@@ -402,8 +402,11 @@ def winding_numbers(phi1: float, phi2: float, resolution: int = 512) -> WindingR
     if resolution < 256:
         raise ValueError("winding needs resolution >= 256")
     # the default band_structure grid plus k = 2pi, which closes the loop
-    loop = band_structure(phi1, phi2, k_grid=np.linspace(0.0, 2 * np.pi, resolution + 1),
-                          frame=Frame.PRIMED)
+    try:
+        ks = np.linspace(0.0, 2 * np.pi, resolution + 1)
+    except IndexError:  # near 2**63 points linspace makes an empty array, then indexes it
+        raise MemoryError(f"cannot allocate a k loop of {resolution + 1} points") from None
+    loop = band_structure(phi1, phi2, k_grid=ks, frame=Frame.PRIMED)
     gap_real, gap_imag = (_gap(loop.quasienergies[:-1], t) for t in (0.0, np.pi / 2))
     # the analytic gaps catch a closing that falls between grid points
     if min(gap_real, gap_imag, *protected_gaps(phi1, phi2)) < 1e-6:

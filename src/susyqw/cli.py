@@ -7,7 +7,7 @@ command computes and formats its result, then hands it to the one writer,
 ``# key = value`` lines.  ``--out`` is opened only once the result is made,
 except by ``evolve``, which writes each step as the walk makes it.  Exit
 codes: 0 success, 2 configuration error, 3 numerical failure (including an
-array size the host cannot allocate).
+array size the host cannot allocate, or a site past the int64 range).
 
 Angle units: coin angles are radians, waveplate angles degrees; both accept
 an explicit ``rad``/``deg`` suffix in config files (e.g. ``"137deg"``).
@@ -83,21 +83,14 @@ class _Choice(dict):
 
 
 def _parse_angle(value, default_unit: str = "rad") -> float:
-    """Angle in its native unit; strings may carry a rad/deg suffix."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        out = float(value)
-    else:
-        text = str(value).strip().lower()
-        unit = text[-3:] if text.endswith(("rad", "deg")) else default_unit
-        try:
-            out = float(text.removesuffix(unit))
-        except ValueError:
-            raise ConfigError(f"cannot parse angle {value!r}") from None
-        if unit != default_unit:
-            out = np.rad2deg(out) if default_unit == "deg" else np.deg2rad(out)
-    if not np.isfinite(out):
-        raise ConfigError(f"angle must be finite, got {value!r}")
-    return float(out)
+    """Angle in its native unit; a string may carry a rad/deg suffix."""
+    unit = default_unit
+    if isinstance(value, str) and value.strip()[-3:].lower() in ("rad", "deg"):
+        value, unit = value.strip()[:-3], value.strip()[-3:].lower()
+    out = _real(value)
+    if unit != default_unit:  # read again: 1e308 rad is no finite number of degrees
+        out = _real(math.degrees(out) if unit == "rad" else math.radians(out))
+    return out
 
 
 def _parse_plates(raw) -> list[tuple[str, float]]:
@@ -109,20 +102,15 @@ def _parse_plates(raw) -> list[tuple[str, float]]:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigError(f"plate {item!r} must be \"kind:angle\" or [kind, angle]")
         kind, angle = pair
-        kind = str(kind).lower()
-        if kind not in ("qwp", "hwp"):
-            raise ConfigError(f"unknown plate kind {kind!r}")
-        plates.append((kind, _parse_angle(angle, "deg")))
+        plates.append((_PLATE_KINDS(str(kind).lower()), _parse_angle(angle, "deg")))
     return plates
 
 
 def _parse_grid(spec) -> np.ndarray:
-    try:
-        start, stop, step = (float(p) for p in str(spec).split(":"))
-    except ValueError:
-        raise ConfigError(f"angle grid {spec!r} must be start:stop:step (degrees)") from None
-    if not all(map(math.isfinite, (start, stop, step))):
-        raise ConfigError(f"angle grid {spec!r} needs finite bounds")
+    fields = spec.split(":") if isinstance(spec, str) else ()
+    if len(fields) != 3:
+        raise ConfigError(f"angle grid {spec!r} must be start:stop:step (degrees)")
+    start, stop, step = map(_real, fields)
     if step <= 0 or stop <= start:
         raise ConfigError(f"empty angle grid {spec!r}")
     return np.arange(start, stop, step)
@@ -134,6 +122,7 @@ def _size(value):
 
 _count = _at_least(_integer, 0)
 _FRAMES = _Choice(lab=(Frame.LAB,), primed=(Frame.PRIMED,), both=(Frame.LAB, Frame.PRIMED))
+_PLATE_KINDS = _Choice(qwp="qwp", hwp="hwp")
 _PLATES = ("--plate", _parse_plates, (),
            "input waveplate kind:angle, repeatable (e.g. qwp:137deg)")
 
@@ -480,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ProfileError) as exc:  # a bad ring, segment or site is user input
         print(f"susyqw: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (SusyqwError, np.linalg.LinAlgError, ValueError, MemoryError) as exc:
+    except (SusyqwError, np.linalg.LinAlgError, ValueError, MemoryError, OverflowError) as exc:
         print(f"susyqw: {exc}", file=sys.stderr)
         return 3
 

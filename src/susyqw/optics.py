@@ -178,14 +178,14 @@ def _run_scan(profile: CoinProfile, steps: int, x_probe: int,
     gram = psi.conj().T @ psi
     coins = waveplate("qwp", angles_deg)[:, :, 0]
     vals = np.einsum("ka,ab,kb->k", coins.conj(), gram, coins).real
-    return ScanCurve(np.asarray(angles_deg, dtype=float), vals, steps, x_probe,
+    return ScanCurve(angles_deg, vals, steps, x_probe,
                      sphere_max=float(np.linalg.eigvalsh(gram)[-1]), cell_probe=cell_probe)
 
 
 def qwp_scan(profile: CoinProfile, steps: int, x_probe: int,
              angles_deg: Sequence[float], x0: int = 1) -> ScanCurve:
     """Evolve QWP(theta)|H> inputs and record the probability at the probe site."""
-    return _run_scan(profile, steps, x_probe, np.asarray(angles_deg, dtype=float),
+    return _run_scan(profile, steps, x_probe, np.array(angles_deg, dtype=float),
                      cell_probe=False, x0=x0)
 
 
@@ -200,5 +200,5 @@ def long_time_extrapolation(profile: CoinProfile, steps: int = 100, x_probe: int
     """
     if angles_deg is None:
         angles_deg = np.arange(0.0, 180.0, 1.0)
-    return _run_scan(profile, steps, x_probe, np.asarray(angles_deg, dtype=float),
+    return _run_scan(profile, steps, x_probe, np.array(angles_deg, dtype=float),
                      cell_probe=True, x0=x0)

@@ -122,9 +122,10 @@ def make_coin_profile(kind: str,
       * ``"bulk"``      -- phi1 on odd sites, phi2 on even sites
       * ``"interface"`` -- phi1, phi2 and cuts: the bulk pattern interchanged
                            across each cut (default: one cut between x=0 and x=1)
-      * ``"uniform"``   -- phi everywhere
-      * ``"explicit"``  -- angles, one per site
+      * ``"uniform"``   -- phi everywhere, recorded as phi1 = phi2 = phi
+      * ``"explicit"``  -- angles, one per site (copied)
     One finiteness check covers the angles (and phi1, phi2) of every kind.
+    The profile's angle array is read-only.
     """
     if isinstance(lattice, int):
         lattice = Lattice(lattice, Topology.SEGMENT, origin=0)
@@ -137,9 +138,10 @@ def make_coin_profile(kind: str,
     if kind == "uniform":
         if phi is None:
             raise ProfileError("uniform profile needs phi")
-        arr = np.full(lattice.size, float(phi))
+        pair = (float(phi),) * 2
+        arr = np.full(lattice.size, pair[0])
     elif kind == "explicit":
-        arr = np.asarray(angles, dtype=float)
+        arr = np.array(angles, dtype=float)
         if arr.shape != (lattice.size,):
             raise ProfileError(f"explicit angles must have shape ({lattice.size},)")
     elif kind in ("bulk", "interface"):
@@ -165,6 +167,7 @@ def make_coin_profile(kind: str,
     if not np.isfinite(np.append(arr, pair)).all():
         raise ProfileError("coin angles must be finite")
     trivial = kind == "uniform" or (kind == "interface" and pair[0] == pair[1])
+    arr.flags.writeable = False
     return CoinProfile(lattice, arr, kind, *pair, cuts=cut_list, trivial=trivial)
 
 
@@ -173,7 +176,7 @@ def resize_profile(profile: CoinProfile, lattice: Lattice) -> CoinProfile:
     if profile.kind == "explicit":
         raise ProfileError("cannot resize an explicit profile")
     return make_coin_profile(profile.kind, lattice, phi1=profile.phi1, phi2=profile.phi2,
-                             phi=float(profile.angles[0]), cuts=profile.cuts)
+                             phi=profile.phi1, cuts=profile.cuts)
 
 
 @dataclass(frozen=True, eq=False)

@@ -284,6 +284,19 @@ def test_quasi_energy_definition():
     np.testing.assert_allclose(quasi_energies(lam), [0.3, 2.0, 4.0], atol=1e-12)
 
 
+def test_winding_loop_near_2_63_points_is_unallocatable():
+    # near 2**63 points np.linspace raises IndexError rather than MemoryError
+    with pytest.raises(MemoryError, match="cannot allocate a k loop of 9223372036854775807"):
+        winding_numbers(1.29, 0.17, 2**63 - 2)
+
+
+def test_band_structure_keeps_a_copy_of_its_k_grid():
+    ks = np.linspace(0.0, np.pi, 9)
+    bands = band_structure(1.29, 0.17, k_grid=ks)
+    ks[0] = 0.5
+    assert bands.k_grid is not ks and bands.k_grid[0] == 0.0
+
+
 @pytest.mark.parametrize("call, exc, fragment", [
     (lambda: band_structure(1.29, 0.17, k_grid=[]), ValueError, "k grid is empty"),
     (lambda: bloch._band_energies(1.29, 0.17, k_grid=np.empty(0)), ValueError,

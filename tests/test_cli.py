@@ -8,11 +8,12 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import susyqw
 from susyqw import bloch, cli, midgap
@@ -255,13 +256,13 @@ MISREAD_INPUTS = [
                  id="bands-resolution-negative"),
     pytest.param("winding", None, ["--resolution", "10"], "resolution:",
                  id="winding-resolution-low"),
-    pytest.param("bands", None, ["--phi1", "abc"], "phi1: cannot parse angle",
+    pytest.param("bands", None, ["--phi1", "abc"], "phi1: must be a finite number",
                  id="bands-phi1-string"),
-    pytest.param("bands", None, ["--phi1", "inf"], "phi1: angle must be finite",
+    pytest.param("bands", None, ["--phi1", "inf"], "phi1: must be a finite number",
                  id="bands-phi1-inf"),
     pytest.param("evolve", {"plates": "qwp:10"}, [], "plates: must be a list",
                  id="evolve-plates-string"),
-    pytest.param("evolve", None, ["--plate", "xwp:10"], "plates: unknown plate kind",
+    pytest.param("evolve", None, ["--plate", "xwp:10"], "plates: must be one of qwp, hwp",
                  id="evolve-plate-kind-unknown"),
     pytest.param("scan", None, ["--angles", "0:180"], "angles:", id="scan-grid-two-fields"),
     # os.devnull is a file, so nothing can lie below it
@@ -281,6 +282,83 @@ def test_config_type_errors_exit_two(command, config, flags, expected, tmp_path,
     code, out, err = run_cli(argv, capsys)
     assert code == 2, out
     assert err.startswith("susyqw: configuration error: ") and expected in err
+
+
+# values a setting may be given: non-finite and overflowing numbers, int64
+# edges, booleans, null, bad strings and lists, next to a few valid ones.  A
+# step count, ring size or resolution drawn from it is small or cannot be
+# allocated, so every run is quick.
+CONTRACT_VALUES = [math.nan, math.inf, 1e300, 10**400, 2**63, 2**63 - 2, -1, 0, 3, 12,
+                   True, False, None, "", "abc", "1e308rad", "10deg", "bulk", "primed",
+                   "0:180:7.5", "0:1e17:1", [], ["hwp:1e308rad", "QWP:30"], [["qwp", 5]],
+                   [1, 2]]
+
+
+@st.composite
+def contract_draws(draw):
+    """A command and values for up to three of its settings (``--out`` aside)."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    keys = sorted(set(cli._COMMANDS[command][2]) - {"out"})
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=3))
+    return command, {key: draw(st.sampled_from(CONTRACT_VALUES)) for key in chosen}
+
+
+def flag_form(command, values):
+    """The argv and the config left over when each value that has a flag goes as one."""
+    table = cli._COMMANDS[command][2]
+    argv, config = [command], {}
+    for key, value in values.items():
+        flag = table[key][0]
+        if key == "cell" and isinstance(value, bool):
+            argv += [flag] * value
+        elif key == "plates" and isinstance(value, list) and all(isinstance(v, str) for v in value):
+            argv += [f"{flag}={v}" for v in value]
+        elif key not in ("cell", "plates") and flag and isinstance(value, (int, float, str)):
+            argv.append(f"{flag}={value}")
+        else:
+            config[key] = value
+    return argv, config
+
+
+def contract_run(argv, config):
+    """(exit code, stdout, stderr) of one in-process run; a warning is a stderr line too."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if config:
+            path = os.path.join(tmp, "run.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            argv = [*argv, "--config", path]
+        with (contextlib.redirect_stdout(io.StringIO()) as out,
+              contextlib.redirect_stderr(io.StringIO()) as err,
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
+            code = main(argv)
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                    for w in caught)
+    return code, out.getvalue(), err.getvalue() + shown
+
+
+@settings(max_examples=40, deadline=None)
+@given(draw=contract_draws())
+@example(("bands", {"phi1": 10**400}))
+@example(("evolve", {"plates": ["hwp:1e308rad"]}))
+@example(("evolve", {"kind": "bulk", "input_site": 10**20}))
+@example(("winding", {"resolution": 2**63 - 2}))
+def test_cli_contract(draw):
+    """Whatever the settings: exit 0, 2 or 3, one "susyqw: " line on failure and
+    no nan on success; a rerun gives the same bytes, and the flag form the
+    same exit code and stdout (its stderr quotes the value as typed)."""
+    command, values = draw
+    config = contract_run([command], values)
+    flags = contract_run(*flag_form(command, values))
+    for code, out, err in (config, flags):
+        assert code in (0, 2, 3)
+        if code:
+            assert err.startswith("susyqw: ") and err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert err == "" and "nan" not in out
+    assert contract_run([command], values) == config
+    assert flags[:2] == config[:2]
 
 
 def test_evolve_far_input_site_names_the_interface(capsys):

@@ -413,6 +413,18 @@ def test_find_midgap_rejects_unusable_tolerances():
         find_midgap(full_spectrum(explicit), 2.5)
 
 
+def test_uniform_ring_has_no_midgap_states():
+    """A uniform profile is trivial: phi1 = phi2 = phi, and the gap at +-i is closed."""
+    for ring in (make_coin_profile("uniform", Lattice(40, Topology.RING), phi=0.7),
+                 ring_with_interfaces(40, 0.7, 0.7)):
+        assert ring.trivial and (ring.phi1, ring.phi2) == (0.7, 0.7)
+        assert find_midgap(full_spectrum(ring)) == []
+        window = midgap_spectrum(ring)
+        assert window.eigenvalues.size == 0 and window.eigenvectors.shape == (80, 0)
+        with pytest.raises(ValueError, match="reaches the bulk bands"):
+            find_midgap(full_spectrum(ring), 1e-3)
+
+
 def ring_state():
     """A normalized lab-frame walker on the N = 12 interface ring, with the ring."""
     ring = ring_with_interfaces(12, 1.29, 0.17)

@@ -199,6 +199,15 @@ def test_qwp_scan_zero_steps_flat_zero():
     assert np.all(curve.intensities == 0.0)
 
 
+@pytest.mark.parametrize("scan", [qwp_scan, long_time_extrapolation])
+def test_scan_curve_keeps_a_copy_of_its_grid(scan):
+    prof = make_coin_profile("interface", segment_for(1, 5), phi1=1.29, phi2=0.17)
+    grid = np.arange(0.0, 180.0, 30.0)
+    curve = scan(prof, 5, 0, grid)
+    grid[0] = 90.0
+    assert curve.angles_deg is not grid and curve.angles_deg[0] == 0.0
+
+
 def test_scan_pi_periodicity():
     prof = make_coin_profile("interface", segment_for(1, 7), phi1=1.29, phi2=0.17)
     a = qwp_scan(prof, 7, 0, np.arange(0.0, 180.0, 15.0))

@@ -213,6 +213,16 @@ def test_uniform_profile():
     assert np.all(prof.angles == 0.0)
 
 
+@pytest.mark.parametrize("kind", ["bulk", "interface", "uniform", "explicit"])
+def test_profile_angles_are_a_read_only_copy(kind):
+    given = np.full(8, 0.3)
+    prof = make_coin_profile(kind, 8, phi1=0.3, phi2=0.3, phi=0.3, angles=given)
+    given[0] = np.nan
+    np.testing.assert_array_equal(prof.angles, np.full(8, 0.3))
+    with pytest.raises(ValueError, match="read-only"):
+        prof.angles[0] = 1.0
+
+
 def test_interface_profile_interchanges_pattern():
     lat = Lattice(40, Topology.SEGMENT, origin=-20)
     prof = make_coin_profile("interface", lat, phi1=1.29, phi2=0.17)
