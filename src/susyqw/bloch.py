@@ -242,6 +242,8 @@ def _k_points(k_grid: np.ndarray | None, resolution: int) -> np.ndarray:
     """The k grid as floats: a copy of the given one, or ``resolution`` points on [0, 2pi)."""
     if k_grid is None:
         k_grid = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
+        if k_grid.size < resolution:  # near 2**63 points linspace returns an empty array
+            raise MemoryError(f"cannot allocate a k grid of {resolution} points")
     ks = np.array(k_grid, dtype=float)
     if ks.size == 0:
         raise ValueError("k grid is empty")
@@ -402,10 +404,7 @@ def winding_numbers(phi1: float, phi2: float, resolution: int = 512) -> WindingR
     if resolution < 256:
         raise ValueError("winding needs resolution >= 256")
     # the default band_structure grid plus k = 2pi, which closes the loop
-    try:
-        ks = np.linspace(0.0, 2 * np.pi, resolution + 1)
-    except IndexError:  # near 2**63 points linspace makes an empty array, then indexes it
-        raise MemoryError(f"cannot allocate a k loop of {resolution + 1} points") from None
+    ks = np.append(_k_points(None, resolution), 2 * np.pi)
     loop = band_structure(phi1, phi2, k_grid=ks, frame=Frame.PRIMED)
     gap_real, gap_imag = (_gap(loop.quasienergies[:-1], t) for t in (0.0, np.pi / 2))
     # the analytic gaps catch a closing that falls between grid points

@@ -97,7 +97,6 @@ class CoinProfile:
     phi1: float | None = None
     phi2: float | None = None
     cuts: tuple[int, ...] = ()
-    trivial: bool = False
 
     def angle_at(self, x: int) -> float:
         return float(self.angles[self.lattice.index(x)])
@@ -166,9 +165,8 @@ def make_coin_profile(kind: str,
 
     if not np.isfinite(np.append(arr, pair)).all():
         raise ProfileError("coin angles must be finite")
-    trivial = kind == "uniform" or (kind == "interface" and pair[0] == pair[1])
     arr.flags.writeable = False
-    return CoinProfile(lattice, arr, kind, *pair, cuts=cut_list, trivial=trivial)
+    return CoinProfile(lattice, arr, kind, *pair, cuts=cut_list)
 
 
 def resize_profile(profile: CoinProfile, lattice: Lattice) -> CoinProfile:

@@ -285,9 +285,25 @@ def test_quasi_energy_definition():
 
 
 def test_winding_loop_near_2_63_points_is_unallocatable():
-    # near 2**63 points np.linspace raises IndexError rather than MemoryError
-    with pytest.raises(MemoryError, match="cannot allocate a k loop of 9223372036854775807"):
+    # near 2**63 points np.linspace returns an empty array rather than raising MemoryError
+    with pytest.raises(MemoryError,
+                       match="cannot allocate a k grid of 9223372036854775806 points"):
         winding_numbers(1.29, 0.17, 2**63 - 2)
+
+
+def test_winding_loop_is_the_bands_grid_closed_at_2pi(monkeypatch):
+    """The loop is bit for bit ``linspace(0, 2pi, r + 1)``: the bands grid plus k = 2pi."""
+    grids, original = [], bloch.band_structure
+
+    def recorded(*args, **kwargs):
+        grids.append(kwargs["k_grid"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bloch, "band_structure", recorded)
+    for r in (256, 257, 1000, 2048, 4097):
+        winding_numbers(1.29, 0.17, r)
+        assert grids[-1].tobytes() == np.linspace(0.0, 2 * np.pi, r + 1).tobytes()
+    assert len(grids) == 5
 
 
 def test_band_structure_keeps_a_copy_of_its_k_grid():

@@ -44,11 +44,6 @@ def test_ring_profile_rejects_odd_or_small():
         ring_with_interfaces(8, 1.0, 0.5)
 
 
-def test_equal_angles_profile_flagged_trivial():
-    prof = ring_with_interfaces(12, 0.7, 0.7)
-    assert prof.trivial
-
-
 def test_shift_ring_spectrum_is_fourth_roots_twice():
     lat = Lattice(4, Topology.RING)
     prof = make_coin_profile("uniform", lat, phi=0.0)
@@ -250,9 +245,19 @@ def test_finite_size_splitting_decays_over_twice_the_decay_length(phi1, phi2):
     assert 0.98 <= slope * -2 * decay_length(phi1, phi2) <= 1.02
 
 
-def test_trivial_ring_has_no_midgap_states():
-    spec = full_spectrum(ring_with_interfaces(40, 0.7, 0.7))
-    assert find_midgap(spec) == []
+@pytest.mark.parametrize("profile", [
+    lambda: ring_with_interfaces(40, 0.7, 0.7),
+    lambda: ring_with_interfaces(40, 0.7, np.pi - 0.7),
+    lambda: make_coin_profile("bulk", Lattice(40, Topology.RING), phi1=0.7, phi2=0.7),
+    lambda: make_coin_profile("uniform", Lattice(40, Topology.RING), phi=0.7),
+], ids=["interface-equal", "interface-supplementary", "bulk-equal", "uniform"])
+def test_trivial_ring_has_no_midgap_states(profile):
+    """Where sin phi1 = sin phi2 the gap at +-i is closed and binds no midgap state."""
+    p = profile()
+    assert protected_gaps(p.phi1, p.phi2)[1] == 0.0
+    assert find_midgap(full_spectrum(p)) == []
+    window = midgap_spectrum(p)
+    assert window.eigenvalues.size == 0 and window.eigenvectors.shape == (80, 0)
 
 
 def test_decay_lengths_follow_the_gap(interface_ring):
@@ -417,7 +422,7 @@ def test_uniform_ring_has_no_midgap_states():
     """A uniform profile is trivial: phi1 = phi2 = phi, and the gap at +-i is closed."""
     for ring in (make_coin_profile("uniform", Lattice(40, Topology.RING), phi=0.7),
                  ring_with_interfaces(40, 0.7, 0.7)):
-        assert ring.trivial and (ring.phi1, ring.phi2) == (0.7, 0.7)
+        assert (ring.phi1, ring.phi2) == (0.7, 0.7)
         assert find_midgap(full_spectrum(ring)) == []
         window = midgap_spectrum(ring)
         assert window.eigenvalues.size == 0 and window.eigenvectors.shape == (80, 0)

@@ -288,7 +288,7 @@ def test_documented_raises(call, exc, fragment):
 def test_resize_keeps_a_uniform_angle():
     wider = Lattice(12, Topology.SEGMENT, origin=-6)
     resized = resize_profile(make_coin_profile("uniform", seg(), phi=0.3), wider)
-    assert resized.lattice == wider and resized.kind == "uniform" and resized.trivial
+    assert resized.lattice == wider and resized.kind == "uniform"
     np.testing.assert_array_equal(resized.angles, np.full(12, 0.3))
 
 
