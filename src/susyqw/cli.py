@@ -32,8 +32,8 @@ from .bloch import _band_energies, band_condition_value, winding_numbers
 from .errors import ConfigError, ProfileError, SusyqwError
 from .midgap import (anomaly_expectation, find_midgap, midgap_spectrum,
                      ring_with_interfaces, site_polarizations)
-from .optics import (jitter_intensities, long_time_extrapolation, measure_bases,
-                     prepare_input, pure_state_fidelity, qwp_scan, tomography)
+from .optics import (_run_scan, jitter_intensities, measure_bases, prepare_input,
+                     pure_state_fidelity, tomography)
 from .walk import (Frame, Lattice, Topology, _coin, _coin_factors, advance, evolve,
                    make_coin_profile, segment_for, to_frame)
 
@@ -243,15 +243,16 @@ def cmd_evolve(opts) -> None:
     coords = lattice.coords()
     primed = _coin_factors(profile.angles / 2)  # C(phi_x / 2), as in to_frame
 
-    def block(t, amps):
+    def block(t, lab):
         cols = [np.full(coords.size, t), coords]
         for frame in opts.frame:
-            cols += [np.abs(c) ** 2 for c in (amps.T if frame is Frame.LAB
-                                               else _coin(amps, primed))]
+            cols += [np.abs(c) ** 2 for c in (lab if frame is Frame.LAB
+                                               else _coin(*lab, primed))]
         return cols
 
     amps = prepare_input(opts.input_site, opts.plates, lattice).amplitudes.astype(complex)
-    walk = itertools.chain([amps], advance(amps, profile, opts.steps))
+    lab = amps.T  # the (h, v) rows of the walk buffer
+    walk = itertools.chain([lab], advance(lab, profile.angles, lattice.topology, opts.steps))
     notes = [("kind", opts.kind), ("steps", opts.steps)]
 
     def body():
@@ -323,16 +324,15 @@ def cmd_midgap(opts) -> None:
 
 def cmd_scan(opts) -> None:
     lattice = segment_for(1, opts.steps)
-    scan = long_time_extrapolation if opts.cell else qwp_scan
-    curves = {}
-    for kind in ("interface", "bulk"):
-        profile = make_coin_profile(kind, lattice, phi1=opts.phi1, phi2=opts.phi2)
-        curves[kind] = scan(profile, opts.steps, opts.probe_site, opts.angles)
+    kinds = ("interface", "bulk")
+    profiles = [make_coin_profile(kind, lattice, phi1=opts.phi1, phi2=opts.phi2) for kind in kinds]
+    curves = dict(zip(kinds, _run_scan(profiles, opts.steps, opts.probe_site, opts.angles,
+                                       cell_probe=opts.cell, x0=1)))
 
     table = [*_table(["angle_deg", "interface", "bulk"],
                      [[opts.angles, curves["interface"].intensities, curves["bulk"].intensities]])]
     notes = [("steps", opts.steps), ("probe_site", opts.probe_site), ("cell_probe", opts.cell)]
-    for kind in ("interface", "bulk"):
+    for kind in kinds:
         vals = curves[kind].intensities
         notes += [(f"{kind}_max", vals.max()), (f"{kind}_min", vals.min()),
                   (f"{kind}_range", vals.max() - vals.min())]

@@ -22,7 +22,7 @@ import numpy as np
 from .bloch import _lift, protected_gaps
 from .errors import ProfileError, UnoccupiedSiteError
 from .walk import CoinProfile, Frame, Lattice, Topology, WalkerState, \
-    make_coin_profile, _coin, _rotate_half
+    make_coin_profile, _coin, _coin_factors, _rotate_half
 
 _PROJECTION_TOL = 1e-10
 _CENTER_RTOL = 1e-9
@@ -73,8 +73,9 @@ def _parity_hop(rows: np.ndarray, angles: np.ndarray, up: int, down: int) -> np.
     source sublattice, whose n sites carry ``angles``; after the coin, H
     lands on target site j + up and V on j + down (mod n).
     """
-    cos, minus_sin = np.cos(angles)[:, None], -np.sin(angles)[:, None]
-    out = np.stack(_coin(rows.reshape(angles.size, 2, -1), (cos, minus_sin, minus_sin)), axis=1)
+    pairs = rows.reshape(angles.size, 2, -1)
+    out = np.stack(_coin(pairs[:, 0], pairs[:, 1], _coin_factors(angles[:, None], real=True)),
+                   axis=1)
     out[:, 0] = np.roll(out[:, 0], up, axis=0)
     out[:, 1] = np.roll(out[:, 1], down, axis=0)
     return out.reshape(rows.shape)

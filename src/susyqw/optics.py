@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import UnoccupiedSiteError
 from .walk import CoinProfile, Frame, WalkerState, Lattice, Topology, \
-    localized_state, evolve, resize_profile, segment_for, to_frame
+    _read_only, advance, localized_state, resize_profile, segment_for, to_frame
 
 # Paulis of the (H, V) polarization, the Stokes basis of ``tomography``
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -158,35 +158,49 @@ def _scan_lattice(profile: CoinProfile, x0: int, steps: int) -> CoinProfile:
     return resize_profile(profile, segment_for(x0, steps))
 
 
-def _run_scan(profile: CoinProfile, steps: int, x_probe: int,
-              angles_deg: np.ndarray, cell_probe: bool, x0: int) -> ScanCurve:
-    """Probe intensities of QWP(theta)|H> inputs by linearity of the walk.
+def _run_scan(profiles: Sequence[CoinProfile], steps: int, x_probe: int,
+              angles_deg: Sequence[float], cell_probe: bool, x0: int) -> list[ScanCurve]:
+    """Probe intensities of QWP(theta)|H> inputs, one curve per profile, by linearity.
 
     The final state of a|H> + b|V> is a psi_H + b psi_V, so with the probe
     amplitudes of the two basis evolutions as the columns of Psi, the probe
     intensity of the input spinor c is c^dag G c with G = Psi^dag Psi.  The
     largest eigenvalue of G is the maximum over the whole polarization sphere.
+
+    The profiles share one lattice, and all their basis walks advance as one
+    real array in the real gauge (h, -i v) of ``advance``: |H> starts as
+    (1, 0) and |V> as -i times the walk from (0, 1).  Lab amplitudes are
+    formed only at the probe: psi_H = (h, i v) and psi_V = (-i h, v).
     """
-    if angles_deg.size == 0:
+    grid = _read_only(np.array(angles_deg, dtype=float))
+    if grid.size == 0:
         raise ValueError("angle grid is empty")
-    prof = _scan_lattice(profile, x0, steps)
-    lattice = prof.lattice
+    profs = [_scan_lattice(p, x0, steps) for p in profiles]
+    lattice = profs[0].lattice
     rows = [lattice.index(x) for x in (x_probe, x_probe + 1)[:1 + cell_probe]]
-    finals = [evolve(localized_state(lattice, x0, coin), prof, steps)
-              for coin in ((1.0, 0.0), (0.0, 1.0))]
-    psi = np.stack([final.amplitudes[rows].ravel() for final in finals], axis=1)
-    gram = psi.conj().T @ psi
-    coins = waveplate("qwp", angles_deg)[:, :, 0]
-    vals = np.einsum("ka,ab,kb->k", coins.conj(), gram, coins).real
-    return ScanCurve(angles_deg, vals, steps, x_probe,
-                     sphere_max=float(np.linalg.eigvalsh(gram)[-1]), cell_probe=cell_probe)
+    walks = np.zeros((2, len(profs), 2, lattice.size))  # component, profile, input, site
+    start = lattice.index(x0)
+    walks[0, :, 0, start] = walks[1, :, 1, start] = 1.0
+    for _ in advance(walks, np.array([[p.angles] * 2 for p in profs]), lattice.topology, steps):
+        pass
+    # [component, input] factor from the real gauge to lab amplitudes
+    probe = walks[..., rows] * np.array([[1, -1j], [1j, 1]])[:, None, :, None]
+    coins = waveplate("qwp", grid)[:, :, 0]
+    curves = []
+    for amps in probe.transpose(1, 3, 0, 2):  # per profile: [row, component, input]
+        psi = amps.reshape(-1, 2)
+        gram = psi.conj().T @ psi
+        vals = _read_only(np.einsum("ka,ab,kb->k", coins.conj(), gram, coins).real.copy())
+        curves.append(ScanCurve(grid, vals, steps, x_probe,
+                                sphere_max=float(np.linalg.eigvalsh(gram)[-1]),
+                                cell_probe=cell_probe))
+    return curves
 
 
 def qwp_scan(profile: CoinProfile, steps: int, x_probe: int,
              angles_deg: Sequence[float], x0: int = 1) -> ScanCurve:
     """Evolve QWP(theta)|H> inputs and record the probability at the probe site."""
-    return _run_scan(profile, steps, x_probe, np.array(angles_deg, dtype=float),
-                     cell_probe=False, x0=x0)
+    return _run_scan([profile], steps, x_probe, angles_deg, cell_probe=False, x0=x0)[0]
 
 
 def long_time_extrapolation(profile: CoinProfile, steps: int = 100, x_probe: int = 0,
@@ -200,5 +214,4 @@ def long_time_extrapolation(profile: CoinProfile, steps: int = 100, x_probe: int
     """
     if angles_deg is None:
         angles_deg = np.arange(0.0, 180.0, 1.0)
-    return _run_scan(profile, steps, x_probe, np.array(angles_deg, dtype=float),
-                     cell_probe=True, x0=x0)
+    return _run_scan([profile], steps, x_probe, angles_deg, cell_probe=True, x0=x0)[0]

@@ -7,6 +7,12 @@ statement: the walk step, the frame changes, ``coin_matrix`` (read by the
 Bloch blocks in ``bloch``) and the dense ring matrix ``one_step_matrix`` all
 take their entries from it.
 
+``advance`` is the one coin-and-shift loop.  It steps a buffer of shape
+(2, ..., N): the two coin components first, the N sites last, and any
+number of walks on one lattice in between.  ``evolve`` passes the transpose
+of its (N, 2) amplitudes; a QWP scan (``optics``) passes one real array
+holding the |H> and |V> walks of each of its profiles.
+
 The coin angle pattern is fixed by one parity convention: in the bulk
 configuration odd sites carry the first angle ``phi1`` and even sites carry
 ``phi2`` (the injection site x=1 carries phi1).  An interface is a bond
@@ -212,9 +218,17 @@ def _check_shared_lattice(state: WalkerState, profile: CoinProfile) -> None:
         raise LatticeMismatchError("state and profile live on different lattices")
 
 
-def _coin_factors(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cos, i sin, -i sin) of the angles: C(phi) = [[c, -i s], [-i s, c]]."""
+def _coin_factors(angles: np.ndarray,
+                  real: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, a, b) of C(angles), which maps (h, v) to (c h - a v, b h + c v).
+
+    On lab amplitudes these are (cos, i sin, -i sin): C(phi) = [[c, -i s],
+    [-i s, c]].  With ``real`` they act in the real gauge (h, -i v), where
+    C(phi) is the rotation [[cos, sin], [-sin, cos]]: (cos, -sin, -sin).
+    """
     s = np.sin(angles)
+    if real:
+        return np.cos(angles), -s, -s
     return np.cos(angles), 1j * s, -1j * s
 
 
@@ -224,31 +238,53 @@ def coin_matrix(phi: float) -> np.ndarray:
     return np.array([[c, minus_i_s], [minus_i_s, c]])
 
 
-def _coin(amps: np.ndarray, factors) -> tuple[np.ndarray, np.ndarray]:
-    """The H and V columns of C(phi_x) applied sitewise to (N, 2) amplitudes."""
-    c, i_s, minus_i_s = factors
-    h, v = amps[:, 0], amps[:, 1]
-    return c * h - i_s * v, minus_i_s * h + c * v
+def _coin(h: np.ndarray, v: np.ndarray, factors,
+          out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+    """C(phi_x) applied sitewise to the coin components h and v.
 
-
-def _shift_into(out: np.ndarray, h: np.ndarray, v: np.ndarray, topology: Topology) -> None:
-    """Write S(h, v) into ``out``: H one site up, V one site down.
-
-    On a segment the wrapped entries are the zeros the boundary check found.
-    ``out`` must not share memory with ``h`` or ``v``.
+    The factors of ``_coin_factors`` broadcast against h and v; the two
+    results are written into the pair ``out`` where it is given.
     """
-    if topology is Topology.SEGMENT and (h[-1] != 0 or v[0] != 0):
-        raise BoundaryReachedError("walk reached boundary")
-    out[1:, 0] = h[:-1]
-    out[0, 0] = h[-1]
-    out[:-1, 1] = v[1:]
-    out[-1, 1] = v[0]
+    c, a, b = factors
+    return np.subtract(c * h, a * v, out=out[0]), np.add(b * h, c * v, out=out[1])
+
+
+def _shift_into(h: np.ndarray, v: np.ndarray, sites: int, topology: Topology):
+    """The shift S into the components h and v: H one site up, V one site down.
+
+    h and v are 1-d: the ``sites`` sites of each walk form one run, and the
+    runs lie end to end.  Returns ``(coined, shift)``: write a coin output
+    into the pair ``coined``, then ``shift()`` moves it into h and v.  The
+    pair lies in a zeroed scratch one slot longer than h, H one slot right
+    of where ``shift`` copies it from and V one slot left, so one copy per
+    component shifts every run.  On a segment a nonzero entry leaving its
+    run raises BoundaryReachedError before anything is written; the zeros
+    that leave land on the sites that the runs' ends free, as do the
+    scratch's end slots.  On a ring what leaves a run wraps around in it.
+    """
+    scratch = np.zeros((2, h.size + 1), h.dtype)
+    coined = scratch[0, 1:], scratch[1, :-1]
+    h_from, v_from = scratch[0, :-1], scratch[1, 1:]
+    h_out, v_out = scratch[0, sites::sites], scratch[1, :-1:sites]  # leaving each run
+    ring = topology is Topology.RING
+    h_wrap, v_wrap = h[::sites], v[sites - 1::sites]
+
+    def shift() -> None:
+        if not ring and (any(h_out.tolist()) or any(v_out.tolist())):
+            raise BoundaryReachedError("walk reached boundary")
+        h[:] = h_from
+        v[:] = v_from
+        if ring:
+            h_wrap[:] = h_out
+            v_wrap[:] = v_out
+
+    return coined, shift
 
 
 def _rotate_half(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Apply C(angles[x]) sitewise to an (N, 2) or (N, 2, m) amplitude array."""
     angles = angles.reshape(angles.shape + (1,) * (amps.ndim - 2))
-    return np.stack(_coin(amps, _coin_factors(angles)), axis=1)
+    return np.stack(_coin(amps[:, 0], amps[:, 1], _coin_factors(angles)), axis=1)
 
 
 def apply_coin(state: WalkerState, profile: CoinProfile) -> WalkerState:
@@ -261,7 +297,10 @@ def apply_shift(state: WalkerState) -> WalkerState:
     """Move the H component one site up and the V component one site down."""
     amps = state.amplitudes
     shifted = np.empty_like(amps)
-    _shift_into(shifted, amps[:, 0], amps[:, 1], state.lattice.topology)
+    coined, shift = _shift_into(*shifted.T, state.lattice.size, state.lattice.topology)
+    for dest, column in zip(coined, amps.T):
+        dest[:] = column
+    shift()
     return replace(state, amplitudes=shifted)
 
 
@@ -270,19 +309,32 @@ def step(state: WalkerState, profile: CoinProfile) -> WalkerState:
     return evolve(state, profile, 1)
 
 
-def advance(amps: np.ndarray, profile: CoinProfile, steps: int) -> Iterator[np.ndarray]:
+def advance(amps: np.ndarray, angles: np.ndarray, topology: Topology,
+            steps: int) -> Iterator[np.ndarray]:
     """Advance ``amps`` in place by ``steps`` protocol steps, yielding it after each.
 
-    ``amps`` is the (N, 2) complex lab-frame buffer of a state on the lattice
-    of ``profile``: the coin is evaluated from it and the shift writes the
-    result back by slice assignment.  Every step yields the same live array,
-    so a consumer that keeps a step must copy it.
+    ``amps`` has shape (2, ..., N): the two coin components first, the N
+    sites of the lattice last, and any number of walks on that lattice in
+    between.  It must reshape to (2, -1) without a copy, as the transpose
+    of an (N, 2) buffer and a C-contiguous array do.  Complex amplitudes
+    are the lab components (h, v); real ones are the real gauge (h, -i v),
+    where the coin is a rotation and a real walk stays real.  ``angles``
+    has the shape of ``amps[0]``: the coin angle at each site of each walk.
+    Every step yields the same live array, so a consumer that keeps a step
+    must copy it.
     """
-    factors = _coin_factors(profile.angles)
-    topology = profile.lattice.topology
+    h, v = amps.reshape(2, -1, copy=False)
+    factors = _coin_factors(angles.reshape(h.shape), real=amps.dtype.kind != "c")
+    coined, shift = _shift_into(h, v, amps.shape[-1], topology)
     for _ in range(steps):
-        _shift_into(amps, *_coin(amps, factors), topology)
+        _coin(h, v, factors, coined)
+        shift()
         yield amps
+
+
+def _read_only(amps: np.ndarray) -> np.ndarray:
+    amps.flags.writeable = False
+    return amps
 
 
 def evolve(state: WalkerState, profile: CoinProfile, steps: int,
@@ -290,7 +342,10 @@ def evolve(state: WalkerState, profile: CoinProfile, steps: int,
     """Apply ``steps`` protocol steps; with record=True return the whole trajectory.
 
     The amplitudes advance in one buffer (``advance``); a recorded step is a
-    copy of it, an unrecorded walk makes no per-step object.
+    copy of it, an unrecorded walk makes no per-step object.  Every state
+    that the walk makes owns a read-only array.  The given state is never
+    written; it is the first entry of a trajectory and the result of zero
+    steps.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -301,13 +356,13 @@ def evolve(state: WalkerState, profile: CoinProfile, steps: int,
         return [state] if record else state
     lattice = state.lattice
     amps = state.amplitudes.astype(complex)
-    buffers = advance(amps, profile, steps)
+    walk = advance(amps.T, profile.angles, lattice.topology, steps)
     if record:
-        return [state, *(WalkerState(a.copy(), lattice, t)
-                         for t, a in enumerate(buffers, state.t + 1))]
-    for _ in buffers:
+        return [state, *(WalkerState(_read_only(amps.copy()), lattice, t)
+                         for t, _ in enumerate(walk, state.t + 1))]
+    for _ in walk:
         pass
-    return WalkerState(amps, lattice, state.t + steps)
+    return WalkerState(_read_only(amps), lattice, state.t + steps)
 
 
 def to_frame(state: WalkerState, profile: CoinProfile, frame: Frame | str) -> WalkerState:
@@ -335,7 +390,10 @@ def one_step_matrix(profile: CoinProfile) -> np.ndarray:
     if profile.lattice.topology is not Topology.RING:
         raise ProfileError("dense one-step matrix is assembled on rings only")
     n = 2 * profile.lattice.size
-    units = np.eye(n, dtype=complex).reshape(-1, 2, n)
-    umat = np.empty_like(units)
-    _shift_into(umat, *_coin(units, _coin_factors(profile.angles[:, None])), Topology.RING)
-    return umat.reshape(n, n)
+    # [c, j, x]: coin component c at site x of the j-th unit vector
+    units = np.eye(n, dtype=complex).reshape(n, -1, 2).transpose(2, 0, 1)
+    stepped = np.empty_like(units, order="C")
+    coined, shift = _shift_into(*stepped.reshape(2, -1), profile.lattice.size, Topology.RING)
+    _coin(*units, _coin_factors(profile.angles), [c.reshape(n, -1) for c in coined])
+    shift()
+    return stepped.transpose(2, 0, 1).reshape(n, n)

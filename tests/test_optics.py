@@ -208,6 +208,15 @@ def test_scan_curve_keeps_a_copy_of_its_grid(scan):
     assert curve.angles_deg is not grid and curve.angles_deg[0] == 0.0
 
 
+@pytest.mark.parametrize("scan", [qwp_scan, long_time_extrapolation])
+def test_scan_curve_arrays_are_read_only(scan):
+    prof = make_coin_profile("interface", segment_for(1, 5), phi1=1.29, phi2=0.17)
+    curve = scan(prof, 5, 0, np.arange(0.0, 180.0, 30.0))
+    for values in (curve.intensities, curve.angles_deg):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+
+
 def test_scan_pi_periodicity():
     prof = make_coin_profile("interface", segment_for(1, 7), phi1=1.29, phi2=0.17)
     a = qwp_scan(prof, 7, 0, np.arange(0.0, 180.0, 15.0))

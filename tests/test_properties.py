@@ -2,12 +2,13 @@
 
 The walk, scan, decay-length and long-walk tests draw coin angles from the
 gapped box phi1 in [1.1, 1.4], phi2 in [0.1, 0.3], which stays clear of the
-gap closing at phi1 = phi2; the spectrum, ring-symmetry, partner-solve and
-eigenvalue-path tests draw any angles, gap closings included; the quadrant
-and anomaly tests draw angles with both protected gaps open, and the winding
-exchange, half-band and torus-oracle tests any angles with both gaps at
-least 1e-3; the midgap-window test draws any interface angles in (0, pi/2),
-small gaps included; the Stokes-readout test any angles on explicit rings.
+gap closing at phi1 = phi2; the spectrum, ring-symmetry, batched-scan,
+partner-solve and eigenvalue-path tests draw any angles, gap closings
+included; the quadrant and anomaly tests draw angles with both protected
+gaps open, and the winding exchange, half-band and torus-oracle tests any
+angles with both gaps at least 1e-3; the midgap-window test draws any
+interface angles in (0, pi/2), small gaps included; the Stokes-readout test
+any angles on explicit rings.
 """
 
 from dataclasses import replace
@@ -16,14 +17,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from susyqw import bloch
+from susyqw import bloch, optics
 from susyqw import (Frame, Lattice, Topology, UnoccupiedSiteError, WalkerState,
                     anomaly_expectation, band_structure, bloch_operator, cell_z_expectation,
                     coin_y_expectation, decay_length, evolve, find_midgap, full_spectrum,
-                    long_time_extrapolation, make_coin_profile, measure_bases, midgap_spectrum,
-                    one_step_matrix, prepare_input, protected_gaps, quadruple_closure_distance,
-                    qwp_scan, ring_with_interfaces, segment_for, site_polarization,
-                    site_polarizations, to_frame, torus_angles, waveplate, winding_numbers)
+                    localized_state, long_time_extrapolation, make_coin_profile,
+                    measure_bases, midgap_spectrum, one_step_matrix, prepare_input,
+                    protected_gaps, quadruple_closure_distance, qwp_scan, ring_with_interfaces,
+                    segment_for, site_polarization, site_polarizations, to_frame, torus_angles,
+                    waveplate, winding_numbers)
 
 from helpers import (SY, bloch_oracle, multiset_distance, primed_frame_rotation,
                      stokes_oracle, torus_oracle)
@@ -227,6 +229,39 @@ def test_winding_reads_half_the_bands(phi1, phi2, resolution):
 # an angle pair that is often on a gap closing: phi2 = phi1 or phi2 = -phi1
 CLOSING_PRONE = ANGLE.flatmap(lambda a: st.tuples(st.just(a),
                                                   st.one_of(st.just(a), st.just(-a), ANGLE)))
+
+
+def gram_scan(profile, steps, probe, angles_deg, cell):
+    """Probe intensities and sphere maximum from two separate complex walks from site 1."""
+    lattice = profile.lattice
+    rows = [lattice.index(x) for x in (probe, probe + 1)[:1 + cell]]
+    finals = [evolve(localized_state(lattice, 1, coin), profile, steps)
+              for coin in ((1.0, 0.0), (0.0, 1.0))]
+    psi = np.stack([final.amplitudes[rows].ravel() for final in finals], axis=1)
+    gram = psi.conj().T @ psi
+    coins = waveplate("qwp", angles_deg)[:, :, 0]
+    return (np.einsum("ka,ab,kb->k", coins.conj(), gram, coins).real,
+            float(np.linalg.eigvalsh(gram)[-1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), angles=CLOSING_PRONE, steps=st.integers(min_value=0, max_value=60),
+       cell=st.booleans())
+def test_batched_real_gauge_scan_is_the_gram_of_separate_walks(data, angles, steps, cell):
+    """One real-gauge walk of both profiles and inputs gives the complex walks' scan bit for bit."""
+    lattice = segment_for(1, steps)
+    profiles = [make_coin_profile(kind, lattice, phi1=angles[0], phi2=angles[1])
+                for kind in ("interface", "bulk")]
+    probe = data.draw(st.integers(min_value=lattice.origin,
+                                  max_value=lattice.origin + lattice.size - 1 - cell))
+    grid = np.arange(0.0, 180.0, 7.5)
+    scan = long_time_extrapolation if cell else qwp_scan
+    batch = optics._run_scan(profiles, steps, probe, grid, cell_probe=cell, x0=1)
+    for profile, batched in zip(profiles, batch):
+        values, top = gram_scan(profile, steps, probe, grid, cell)
+        for curve in (scan(profile, steps, probe, grid), batched):
+            np.testing.assert_array_equal(bits(curve.intensities), bits(values))
+            assert bits(curve.sphere_max) == bits(top)
 
 
 @settings(max_examples=60, deadline=None)

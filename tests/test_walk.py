@@ -7,6 +7,7 @@ from susyqw import (BoundaryReachedError, Frame, Lattice, LatticeMismatchError,
                     ProfileError, Topology, apply_coin, apply_shift, evolve,
                     localized_state, make_coin_profile, one_step_matrix,
                     resize_profile, segment_for, step, to_frame)
+from susyqw.walk import advance
 
 from helpers import dense_ring_oracle
 
@@ -145,6 +146,60 @@ def test_boundary_error_fires_when_the_walk_leaves_the_segment(edge, i0):
         evolve(st, prof, last_ok + 1)
     with pytest.raises(BoundaryReachedError):
         evolve(st, prof, last_ok + 1, record=True)
+
+
+def steps_made(walk) -> int:
+    """The steps a walk makes before it reaches the boundary, which it must."""
+    made = 0
+    with pytest.raises(BoundaryReachedError):
+        for _ in walk:
+            made += 1
+    return made
+
+
+@pytest.mark.parametrize("edge_first", [True, False])
+@pytest.mark.parametrize("runner_site, coin", [(6, (1, 0)), (2, (0, 1))])
+def test_a_batch_stops_where_its_one_edge_walk_does(edge_first, runner_site, coin):
+    # phi = 0 moves H up and V down one site a step, so on sites 0..8 the
+    # H walk from site 6 (the V walk from site 2) makes 2 steps and leaves
+    # at its 3rd; no walk from site 4 meets an edge within 4 steps
+    lat = Lattice(9, Topology.SEGMENT, origin=0)
+    runner = make_coin_profile("uniform", lat, phi=0.0)
+    other = make_coin_profile("bulk", lat, phi1=1.29, phi2=0.17)
+    alone = localized_state(lat, runner_site, coin)
+    assert steps_made(advance(alone.amplitudes.astype(complex).T, runner.angles,
+                              lat.topology, 9)) == 2
+    with pytest.raises(BoundaryReachedError):
+        evolve(alone, runner, 3)
+
+    # both inputs of both profiles in the real gauge (h, -i v) of advance:
+    # |H> starts as (1, 0), |V> is -i times the walk from (0, 1)
+    profiles = [runner, other] if edge_first else [other, runner]
+    walks = np.zeros((2, 2, 2, lat.size))
+    for p, profile in enumerate(profiles):
+        site = runner_site if profile is runner else 4
+        walks[0, p, 0, site] = walks[1, p, 1, site] = 1.0
+    angles = np.array([[p.angles] * 2 for p in profiles])
+    assert steps_made(advance(walks, angles, lat.topology, 9)) == 2
+    # the error leaves the buffer at the last step made, where the other
+    # profile's walks are its lone complex walks
+    inside = walks[:, profiles.index(other)]
+    lab = [np.stack([inside[0, 0], 1j * inside[1, 0]], axis=1),
+           np.stack([-1j * inside[0, 1], inside[1, 1]], axis=1)]
+    for start, amps in zip(((1, 0), (0, 1)), lab):
+        lone = evolve(localized_state(lat, 4, start), other, 2)
+        np.testing.assert_array_equal(amps, lone.amplitudes)
+
+
+def test_evolve_results_are_read_only():
+    lat = segment_for(1, 3)
+    prof = make_coin_profile("bulk", lat, phi1=0.5, phi2=0.2)
+    start = localized_state(lat, 1)
+    made = [evolve(start, prof, 3), step(start, prof), *evolve(start, prof, 3, record=True)[1:]]
+    for state in made:
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[0, 0] = 1.0
+    assert start.amplitudes.flags.writeable  # the given state is left as it was
 
 
 @pytest.mark.parametrize("n_sites", [4, 6, 8])
