@@ -16,8 +16,8 @@ from .midgap import (MidgapState, SpectrumResult, anomaly_expectation,
                      site_polarization, site_polarizations)
 from .optics import (BasisIntensities, DensityMatrix, ScanCurve,
                      jitter_intensities, long_time_extrapolation, measure_bases,
-                     prepare_input, pure_state_fidelity, qwp_scan, tomography,
-                     waveplate)
+                     prepare_input, pure_state_fidelity, qwp_scan, scan,
+                     tomography, waveplate)
 from .walk import (CoinProfile, Frame, Lattice, Topology, WalkerState,
                    apply_coin, apply_shift, evolve, localized_state,
                    make_coin_profile, one_step_matrix, resize_profile,
@@ -39,7 +39,7 @@ __all__ = [
     "long_time_extrapolation", "make_coin_profile", "measure_bases", "midgap_spectrum",
     "one_step_matrix", "prepare_input", "protected_gaps", "pure_state_fidelity",
     "quadruple_closure_distance", "quasi_energies", "qwp_scan", "resize_profile",
-    "ring_with_interfaces", "segment_for", "site_polarization", "site_polarizations", "step",
+    "ring_with_interfaces", "scan", "segment_for", "site_polarization", "site_polarizations", "step",
     "susy_partners", "to_frame", "to_primed", "tomography", "torus_angles",
     "waveplate", "winding_numbers",
 ]

@@ -32,8 +32,8 @@ from .bloch import _band_energies, band_condition_value, winding_numbers
 from .errors import ConfigError, ProfileError, SusyqwError
 from .midgap import (anomaly_expectation, find_midgap, midgap_spectrum,
                      ring_with_interfaces, site_polarizations)
-from .optics import (_run_scan, jitter_intensities, measure_bases, prepare_input,
-                     pure_state_fidelity, tomography)
+from .optics import (jitter_intensities, measure_bases, prepare_input,
+                     pure_state_fidelity, scan, tomography)
 from .walk import (Frame, Lattice, Topology, _coin, _coin_factors, advance, evolve,
                    make_coin_profile, segment_for, to_frame)
 
@@ -326,8 +326,8 @@ def cmd_scan(opts) -> None:
     lattice = segment_for(1, opts.steps)
     kinds = ("interface", "bulk")
     profiles = [make_coin_profile(kind, lattice, phi1=opts.phi1, phi2=opts.phi2) for kind in kinds]
-    curves = dict(zip(kinds, _run_scan(profiles, opts.steps, opts.probe_site, opts.angles,
-                                       cell_probe=opts.cell, x0=1)))
+    curves = dict(zip(kinds, scan(profiles, opts.steps, opts.probe_site, opts.angles,
+                                  cell_probe=opts.cell, x0=1)))
 
     table = [*_table(["angle_deg", "interface", "bulk"],
                      [[opts.angles, curves["interface"].intensities, curves["bulk"].intensities]])]

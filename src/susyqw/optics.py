@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UnoccupiedSiteError
+from .errors import LatticeMismatchError, UnoccupiedSiteError
 from .walk import CoinProfile, Frame, WalkerState, Lattice, Topology, \
     _read_only, advance, localized_state, resize_profile, segment_for, to_frame
 
@@ -158,8 +158,9 @@ def _scan_lattice(profile: CoinProfile, x0: int, steps: int) -> CoinProfile:
     return resize_profile(profile, segment_for(x0, steps))
 
 
-def _run_scan(profiles: Sequence[CoinProfile], steps: int, x_probe: int,
-              angles_deg: Sequence[float], cell_probe: bool, x0: int) -> list[ScanCurve]:
+def scan(profiles: Sequence[CoinProfile], steps: int, x_probe: int,
+         angles_deg: Sequence[float], cell_probe: bool = False,
+         x0: int = 1) -> list[ScanCurve]:
     """Probe intensities of QWP(theta)|H> inputs, one curve per profile, by linearity.
 
     The final state of a|H> + b|V> is a psi_H + b psi_V, so with the probe
@@ -167,7 +168,9 @@ def _run_scan(profiles: Sequence[CoinProfile], steps: int, x_probe: int,
     intensity of the input spinor c is c^dag G c with G = Psi^dag Psi.  The
     largest eigenvalue of G is the maximum over the whole polarization sphere.
 
-    The profiles share one lattice, and all their basis walks advance as one
+    A profile whose lattice does not cover the walk is first resized to
+    ``segment_for(x0, steps)``; the profiles must then share one lattice
+    (LatticeMismatchError otherwise).  All their basis walks advance as one
     real array in the real gauge (h, -i v) of ``advance``: |H> starts as
     (1, 0) and |V> as -i times the walk from (0, 1).  Lab amplitudes are
     formed only at the probe: psi_H = (h, i v) and psi_V = (-i h, v).
@@ -175,8 +178,12 @@ def _run_scan(profiles: Sequence[CoinProfile], steps: int, x_probe: int,
     grid = _read_only(np.array(angles_deg, dtype=float))
     if grid.size == 0:
         raise ValueError("angle grid is empty")
+    if not profiles:
+        raise ValueError("no profile to scan")
     profs = [_scan_lattice(p, x0, steps) for p in profiles]
     lattice = profs[0].lattice
+    if any(p.lattice != lattice for p in profs):
+        raise LatticeMismatchError("scanned profiles live on different lattices")
     rows = [lattice.index(x) for x in (x_probe, x_probe + 1)[:1 + cell_probe]]
     walks = np.zeros((2, len(profs), 2, lattice.size))  # component, profile, input, site
     start = lattice.index(x0)
@@ -200,7 +207,7 @@ def _run_scan(profiles: Sequence[CoinProfile], steps: int, x_probe: int,
 def qwp_scan(profile: CoinProfile, steps: int, x_probe: int,
              angles_deg: Sequence[float], x0: int = 1) -> ScanCurve:
     """Evolve QWP(theta)|H> inputs and record the probability at the probe site."""
-    return _run_scan([profile], steps, x_probe, angles_deg, cell_probe=False, x0=x0)[0]
+    return scan([profile], steps, x_probe, angles_deg, cell_probe=False, x0=x0)[0]
 
 
 def long_time_extrapolation(profile: CoinProfile, steps: int = 100, x_probe: int = 0,
@@ -214,4 +221,4 @@ def long_time_extrapolation(profile: CoinProfile, steps: int = 100, x_probe: int
     """
     if angles_deg is None:
         angles_deg = np.arange(0.0, 180.0, 1.0)
-    return _run_scan([profile], steps, x_probe, angles_deg, cell_probe=True, x0=x0)[0]
+    return scan([profile], steps, x_probe, angles_deg, cell_probe=True, x0=x0)[0]

@@ -316,14 +316,18 @@ def advance(amps: np.ndarray, angles: np.ndarray, topology: Topology,
     ``amps`` has shape (2, ..., N): the two coin components first, the N
     sites of the lattice last, and any number of walks on that lattice in
     between.  It must reshape to (2, -1) without a copy, as the transpose
-    of an (N, 2) buffer and a C-contiguous array do.  Complex amplitudes
+    of an (N, 2) buffer and a C-contiguous array do; any other layout
+    raises ValueError.  Complex amplitudes
     are the lab components (h, v); real ones are the real gauge (h, -i v),
     where the coin is a rotation and a real walk stays real.  ``angles``
     has the shape of ``amps[0]``: the coin angle at each site of each walk.
     Every step yields the same live array, so a consumer that keeps a step
     must copy it.
     """
-    h, v = amps.reshape(2, -1, copy=False)
+    flat = amps.reshape(2, -1)
+    if not np.may_share_memory(flat, amps):
+        raise ValueError("amps must reshape to (2, -1) without a copy")
+    h, v = flat
     factors = _coin_factors(angles.reshape(h.shape), real=amps.dtype.kind != "c")
     coined, shift = _shift_into(h, v, amps.shape[-1], topology)
     for _ in range(steps):

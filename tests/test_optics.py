@@ -3,10 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from susyqw import (Frame, UnoccupiedSiteError, evolve, jitter_intensities,
-                    localized_state, long_time_extrapolation, make_coin_profile,
-                    measure_bases, prepare_input, pure_state_fidelity, qwp_scan,
-                    segment_for, to_frame, tomography, waveplate)
+from susyqw import (Frame, Lattice, LatticeMismatchError, Topology, UnoccupiedSiteError,
+                    evolve, jitter_intensities, localized_state, long_time_extrapolation,
+                    make_coin_profile, measure_bases, prepare_input, pure_state_fidelity,
+                    qwp_scan, scan, segment_for, to_frame, tomography, waveplate)
 from susyqw.optics import BasisIntensities
 
 from helpers import coin_2x2
@@ -281,6 +281,28 @@ def test_jitter_is_seeded_and_clamped():
 def test_documented_raises(call, exc, fragment):
     with pytest.raises(exc, match=re.escape(fragment)):
         call()
+
+
+@pytest.mark.parametrize("other", [Lattice(11, Topology.SEGMENT, origin=-5),
+                                   Lattice(13, Topology.SEGMENT, origin=-5)],
+                         ids=["same-size-other-origin", "other-size"])
+def test_scan_needs_its_profiles_on_one_lattice(other):
+    # a 3-step walk from site 1 stays on sites -2..4, which both segments
+    # and segment_for(1, 3) = -4..6 cover, so no profile is resized
+    grid = np.arange(0.0, 180.0, 30.0)
+    own = make_coin_profile("interface", segment_for(1, 3), phi1=1.29, phi2=0.17)
+    moved = make_coin_profile("bulk", other, phi1=1.29, phi2=0.17)
+    with pytest.raises(LatticeMismatchError, match="different lattices"):
+        scan([own, moved], 3, 0, grid)
+    # a profile too small for the walk is resized onto segment_for(1, 3) first
+    small = make_coin_profile("bulk", Lattice(5, Topology.SEGMENT, origin=-1),
+                              phi1=1.29, phi2=0.17)
+    for curve, profile in zip(scan([own, small], 3, 0, grid), [own, small]):
+        alone = qwp_scan(profile, 3, 0, grid)
+        np.testing.assert_array_equal(curve.intensities, alone.intensities)
+        assert curve.sphere_max == alone.sphere_max
+    with pytest.raises(ValueError, match="no profile to scan"):
+        scan([], 3, 0, grid)
 
 
 def test_long_time_extrapolation_defaults_to_a_degree_grid():

@@ -256,7 +256,7 @@ def test_batched_real_gauge_scan_is_the_gram_of_separate_walks(data, angles, ste
                                   max_value=lattice.origin + lattice.size - 1 - cell))
     grid = np.arange(0.0, 180.0, 7.5)
     scan = long_time_extrapolation if cell else qwp_scan
-    batch = optics._run_scan(profiles, steps, probe, grid, cell_probe=cell, x0=1)
+    batch = optics.scan(profiles, steps, probe, grid, cell_probe=cell, x0=1)
     for profile, batched in zip(profiles, batch):
         values, top = gram_scan(profile, steps, probe, grid, cell)
         for curve in (scan(profile, steps, probe, grid), batched):

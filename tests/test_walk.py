@@ -191,6 +191,15 @@ def test_a_batch_stops_where_its_one_edge_walk_does(edge_first, runner_site, coi
         np.testing.assert_array_equal(amps, lone.amplitudes)
 
 
+def test_advance_refuses_a_buffer_it_cannot_flatten_in_place():
+    # every other walk of a (2, 4, N) array: the (2, -1) reshape would copy,
+    # and the walk would advance the copy
+    walks = np.zeros((2, 4, 7))[:, ::2]
+    walks[0, :, 3] = 1.0
+    with pytest.raises(ValueError, match="without a copy"):
+        next(advance(walks, np.zeros((2, 7)), Topology.SEGMENT, 1))
+
+
 def test_evolve_results_are_read_only():
     lat = segment_for(1, 3)
     prof = make_coin_profile("bulk", lat, phi1=0.5, phi2=0.2)
