@@ -111,10 +111,14 @@ def tomography(intens: BasisIntensities) -> DensityMatrix:
 
     Negative eigenvalues beyond -1e-10 (possible with noisy intensities) are
     clipped to zero and the trace restored, with the ``clipped`` flag set.
+    A zero or NaN total intensity I_H + I_V raises UnoccupiedSiteError; any
+    other non-finite intensity raises ValueError.
     """
     s0 = intens.i_h + intens.i_v
     if not s0 > 0:
         raise UnoccupiedSiteError("zero total intensity")
+    if not np.isfinite(astuple(intens)).all():
+        raise ValueError("basis intensities must be finite")
     s1 = intens.i_h - intens.i_v
     s2 = intens.i_d - intens.i_a
     s3 = intens.i_r - intens.i_l
@@ -174,10 +178,15 @@ def scan(profiles: Sequence[CoinProfile], steps: int, x_probe: int,
     real array in the real gauge (h, -i v) of ``advance``: |H> starts as
     (1, 0) and |V> as -i times the walk from (0, 1).  Lab amplitudes are
     formed only at the probe: psi_H = (h, i v) and psi_V = (-i h, v).
+    Negative ``steps`` and an empty or non-finite grid raise ValueError.
     """
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
     grid = _read_only(np.array(angles_deg, dtype=float))
     if grid.size == 0:
         raise ValueError("angle grid is empty")
+    if not np.isfinite(grid).all():
+        raise ValueError("angle grid must be finite")
     if not profiles:
         raise ValueError("no profile to scan")
     profs = [_scan_lattice(p, x0, steps) for p in profiles]

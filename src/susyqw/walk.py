@@ -7,11 +7,13 @@ statement: the walk step, the frame changes, ``coin_matrix`` (read by the
 Bloch blocks in ``bloch``) and the dense ring matrix ``one_step_matrix`` all
 take their entries from it.
 
-``advance`` is the one coin-and-shift loop.  It steps a buffer of shape
-(2, ..., N): the two coin components first, the N sites last, and any
-number of walks on one lattice in between.  ``evolve`` passes the transpose
-of its (N, 2) amplitudes; a QWP scan (``optics``) passes one real array
-holding the |H> and |V> walks of each of its profiles.
+``advance`` is the one coin-and-shift loop, and the shift S lives only
+there.  It steps a buffer of shape (2, ..., N): the two coin components
+first, the N sites last, and any number of walks on one lattice in between.
+``evolve`` passes the transpose of its (N, 2) amplitudes; a QWP scan
+(``optics``) passes one real array holding the |H> and |V> walks of each of
+its profiles.  ``apply_shift`` (identity coin) and ``one_step_matrix`` (two
+ring probes) are each one ``advance`` step.
 
 The coin angle pattern is fixed by one parity convention: in the bulk
 configuration odd sites carry the first angle ``phi1`` and even sites carry
@@ -249,59 +251,32 @@ def _coin(h: np.ndarray, v: np.ndarray, factors,
     return np.subtract(c * h, a * v, out=out[0]), np.add(b * h, c * v, out=out[1])
 
 
-def _shift_into(h: np.ndarray, v: np.ndarray, sites: int, topology: Topology):
-    """The shift S into the components h and v: H one site up, V one site down.
-
-    h and v are 1-d: the ``sites`` sites of each walk form one run, and the
-    runs lie end to end.  Returns ``(coined, shift)``: write a coin output
-    into the pair ``coined``, then ``shift()`` moves it into h and v.  The
-    pair lies in a zeroed scratch one slot longer than h, H one slot right
-    of where ``shift`` copies it from and V one slot left, so one copy per
-    component shifts every run.  On a segment a nonzero entry leaving its
-    run raises BoundaryReachedError before anything is written; the zeros
-    that leave land on the sites that the runs' ends free, as do the
-    scratch's end slots.  On a ring what leaves a run wraps around in it.
-    """
-    scratch = np.zeros((2, h.size + 1), h.dtype)
-    coined = scratch[0, 1:], scratch[1, :-1]
-    h_from, v_from = scratch[0, :-1], scratch[1, 1:]
-    h_out, v_out = scratch[0, sites::sites], scratch[1, :-1:sites]  # leaving each run
-    ring = topology is Topology.RING
-    h_wrap, v_wrap = h[::sites], v[sites - 1::sites]
-
-    def shift() -> None:
-        if not ring and (any(h_out.tolist()) or any(v_out.tolist())):
-            raise BoundaryReachedError("walk reached boundary")
-        h[:] = h_from
-        v[:] = v_from
-        if ring:
-            h_wrap[:] = h_out
-            v_wrap[:] = v_out
-
-    return coined, shift
-
-
 def _rotate_half(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Apply C(angles[x]) sitewise to an (N, 2) or (N, 2, m) amplitude array."""
     angles = angles.reshape(angles.shape + (1,) * (amps.ndim - 2))
     return np.stack(_coin(amps[:, 0], amps[:, 1], _coin_factors(angles)), axis=1)
 
 
+def _read_only(amps: np.ndarray) -> np.ndarray:
+    amps.flags.writeable = False
+    return amps
+
+
 def apply_coin(state: WalkerState, profile: CoinProfile) -> WalkerState:
-    """Sitewise coin rotation C(phi_x)."""
+    """Sitewise coin rotation C(phi_x); the result's amplitudes are read-only."""
     _check_shared_lattice(state, profile)
-    return replace(state, amplitudes=_rotate_half(state.amplitudes, profile.angles))
+    return replace(state, amplitudes=_read_only(_rotate_half(state.amplitudes, profile.angles)))
 
 
 def apply_shift(state: WalkerState) -> WalkerState:
-    """Move the H component one site up and the V component one site down."""
-    amps = state.amplitudes
-    shifted = np.empty_like(amps)
-    coined, shift = _shift_into(*shifted.T, state.lattice.size, state.lattice.topology)
-    for dest, column in zip(coined, amps.T):
-        dest[:] = column
-    shift()
-    return replace(state, amplitudes=shifted)
+    """Move the H component one site up and the V component one site down.
+
+    One ``advance`` step of a copy of the amplitudes with the identity coin
+    (zero angles); the frame and step counter stay, the result is read-only.
+    """
+    amps = state.amplitudes.copy()
+    next(advance(amps.T, np.zeros(state.lattice.size), state.lattice.topology, 1))
+    return replace(state, amplitudes=_read_only(amps))
 
 
 def step(state: WalkerState, profile: CoinProfile) -> WalkerState:
@@ -317,28 +292,41 @@ def advance(amps: np.ndarray, angles: np.ndarray, topology: Topology,
     sites of the lattice last, and any number of walks on that lattice in
     between.  It must reshape to (2, -1) without a copy, as the transpose
     of an (N, 2) buffer and a C-contiguous array do; any other layout
-    raises ValueError.  Complex amplitudes
-    are the lab components (h, v); real ones are the real gauge (h, -i v),
-    where the coin is a rotation and a real walk stays real.  ``angles``
-    has the shape of ``amps[0]``: the coin angle at each site of each walk.
-    Every step yields the same live array, so a consumer that keeps a step
-    must copy it.
+    raises ValueError.  Complex amplitudes are the lab components (h, v);
+    real ones are the real gauge (h, -i v), where the coin is a rotation
+    and a real walk stays real.  ``angles`` has the shape of ``amps[0]``:
+    the coin angle at each site of each walk.  Every step yields the same
+    live array, so a consumer that keeps a step must copy it.
     """
     flat = amps.reshape(2, -1)
     if not np.may_share_memory(flat, amps):
         raise ValueError("amps must reshape to (2, -1) without a copy")
     h, v = flat
+    sites = amps.shape[-1]
     factors = _coin_factors(angles.reshape(h.shape), real=amps.dtype.kind != "c")
-    coined, shift = _shift_into(h, v, amps.shape[-1], topology)
+    # The shift S moves H one site up and V one site down; in h and v the
+    # walks' runs of ``sites`` entries lie end to end.  The coin writes into
+    # a zeroed scratch one slot longer than h, H one slot right of where it
+    # is copied back from and V one slot left, so one copy per component
+    # shifts every run.  What leaves a run lands in an end slot or the next
+    # run's free one: on a segment a nonzero there raises before anything is
+    # written, on a ring it wraps around in its own run.
+    scratch = np.zeros((2, h.size + 1), h.dtype)
+    coined = scratch[0, 1:], scratch[1, :-1]
+    h_from, v_from = scratch[0, :-1], scratch[1, 1:]
+    h_out, v_out = scratch[0, sites::sites], scratch[1, :-1:sites]  # leaving each run
+    h_wrap, v_wrap = h[::sites], v[sites - 1::sites]
+    ring = topology is Topology.RING
     for _ in range(steps):
         _coin(h, v, factors, coined)
-        shift()
+        if not ring and (any(h_out.tolist()) or any(v_out.tolist())):
+            raise BoundaryReachedError("walk reached boundary")
+        h[:] = h_from
+        v[:] = v_from
+        if ring:
+            h_wrap[:] = h_out
+            v_wrap[:] = v_out
         yield amps
-
-
-def _read_only(amps: np.ndarray) -> np.ndarray:
-    amps.flags.writeable = False
-    return amps
 
 
 def evolve(state: WalkerState, profile: CoinProfile, steps: int,
@@ -375,29 +363,36 @@ def to_frame(state: WalkerState, profile: CoinProfile, frame: Frame | str) -> Wa
     The primed components at site x are obtained by C(phi_x / 2); the frame
     angle of a site equals the coin angle applied there.  ``frame`` may be a
     Frame or its value, "lab" or "primed"; anything else raises ValueError.
+    The result's amplitudes are read-only.
     """
     frame = Frame(frame)
     _check_shared_lattice(state, profile)
     if state.frame is frame:
-        return replace(state, amplitudes=state.amplitudes.copy())
+        return replace(state, amplitudes=_read_only(state.amplitudes.copy()))
     sign = 1.0 if frame is Frame.PRIMED else -1.0
     amps = _rotate_half(state.amplitudes, sign * profile.angles / 2)
-    return replace(state, amplitudes=amps, frame=frame)
+    return replace(state, amplitudes=_read_only(amps), frame=frame)
 
 
 def one_step_matrix(profile: CoinProfile) -> np.ndarray:
     """Dense 2N x 2N one-step matrix of the walk on a ring.
 
-    Flattened index is 2*x + c with c = 0 (H), 1 (V); column j is one step
-    (``_coin``, then ``_shift_into``) of the j-th unit vector.
+    Flattened index is 2*x + c with c = 0 (H), 1 (V); column 2*x + c is one
+    step of the unit vector e_c at site x.  The entries come from one
+    ``advance`` step of two probes: probe c holds e_c on every site.
     """
     if profile.lattice.topology is not Topology.RING:
         raise ProfileError("dense one-step matrix is assembled on rings only")
-    n = 2 * profile.lattice.size
-    # [c, j, x]: coin component c at site x of the j-th unit vector
-    units = np.eye(n, dtype=complex).reshape(n, -1, 2).transpose(2, 0, 1)
-    stepped = np.empty_like(units, order="C")
-    coined, shift = _shift_into(*stepped.reshape(2, -1), profile.lattice.size, Topology.RING)
-    _coin(*units, _coin_factors(profile.angles), [c.reshape(n, -1) for c in coined])
-    shift()
-    return stepped.transpose(2, 0, 1).reshape(n, n)
+    n = profile.lattice.size
+    probes = np.zeros((2, 2, n), dtype=complex)  # [component, probe c, site]
+    probes[0, 0] = probes[1, 1] = 1.0
+    next(advance(probes, np.array([profile.angles] * 2), Topology.RING, 1))
+    # After the step, H at site y came from y - 1 and V from y + 1, so each
+    # probe entry lands in row 2*y (H) or 2*y + 1 (V) of the column of its
+    # source; the dense-oracle tests pin these landing rows.  Stepping all
+    # 2N unit vectors through ``advance`` gives the same matrix, slower.
+    y = np.arange(n)
+    matrix = np.zeros((n, 2, n, 2), dtype=complex)  # [y, component, x, c]
+    matrix[y, 0, (y - 1) % n] = probes[0].T
+    matrix[y, 1, (y + 1) % n] = probes[1].T
+    return matrix.reshape(2 * n, 2 * n)

@@ -116,6 +116,13 @@ def test_tomography_zero_intensity_rejected():
         tomography(BasisIntensities(0, 0, 0, 0, 0, 0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+def test_tomography_refuses_non_finite_intensities(bad):
+    # an occupied site with one non-finite reading would give an all-NaN rho
+    with pytest.raises(ValueError, match="basis intensities must be finite"):
+        tomography(BasisIntensities(1.0, 0.0, bad, 0.5, 0.5, 0.5))
+
+
 def test_frame_consistency_of_tomography():
     lat = segment_for(1, 9)
     prof = make_coin_profile("interface", lat, phi1=1.29, phi2=0.17)
@@ -303,6 +310,17 @@ def test_scan_needs_its_profiles_on_one_lattice(other):
         assert curve.sphere_max == alone.sphere_max
     with pytest.raises(ValueError, match="no profile to scan"):
         scan([], 3, 0, grid)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda p: long_time_extrapolation(p, -3, 0, [0.0, 45.0]), "steps must be non-negative"),
+    (lambda p: qwp_scan(p, 3, 1, [0.0, np.nan]), "angle grid must be finite"),
+], ids=["negative-steps", "nan-grid"])
+def test_scan_refuses_what_it_would_answer_wrongly(call, fragment):
+    # without the checks these read the input state or a NaN intensity
+    profile = make_coin_profile("interface", segment_for(1, 3), phi1=1.29, phi2=0.17)
+    with pytest.raises(ValueError, match=fragment):
+        call(profile)
 
 
 def test_long_time_extrapolation_defaults_to_a_degree_grid():

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,21 @@ def test_evolve_results_are_read_only():
     assert start.amplitudes.flags.writeable  # the given state is left as it was
 
 
+@pytest.mark.parametrize("make", [
+    lambda st, prof: apply_coin(st, prof),
+    lambda st, prof: apply_shift(st),
+    lambda st, prof: to_frame(st, prof, Frame.PRIMED),
+    lambda st, prof: to_frame(st, prof, Frame.LAB),
+], ids=["apply-coin", "apply-shift", "to-other-frame", "to-same-frame"])
+def test_single_operations_return_read_only_amplitudes(make):
+    lat = seg()
+    prof = make_coin_profile("bulk", lat, phi1=0.5, phi2=0.2)
+    start = localized_state(lat, 1)
+    with pytest.raises(ValueError, match="read-only"):
+        make(start, prof).amplitudes[0, 0] = 1.0
+    assert start.amplitudes.flags.writeable
+
+
 @pytest.mark.parametrize("n_sites", [4, 6, 8])
 def test_dense_matrix_oracle_on_ring(n_sites):
     rng = np.random.default_rng(n_sites)
@@ -226,6 +242,20 @@ def test_dense_matrix_oracle_on_ring(n_sites):
         st = type(st)(amps, lat)
         stepped = step(st, prof).amplitudes.ravel()
         np.testing.assert_allclose(stepped, oracle @ amps.ravel(), atol=1e-12)
+
+
+def test_one_step_matrix_peak_stays_near_its_output():
+    # at N = 512 the matrix is 16 MiB of complex128; assembling it must not
+    # hold further arrays of that size (one per unit vector and a scratch)
+    n = 512
+    prof = make_coin_profile("bulk", Lattice(n, Topology.RING), phi1=1.29, phi2=0.17)
+    tracemalloc.start()
+    try:
+        one_step_matrix(prof)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (2 * n) ** 2 * 16
 
 
 def test_frame_roundtrip_and_unitarity():
