@@ -16,13 +16,14 @@ signs: the anomaly operator is traceless on each of the +-i eigenspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from .bloch import _lift, protected_gaps
 from .errors import ProfileError, UnoccupiedSiteError
 from .walk import CoinProfile, Frame, Lattice, Topology, WalkerState, \
-    make_coin_profile, _coin, _coin_factors, _rotate_half
+    make_coin_profile, _coin, _coin_factors, _read_only, _rotate_half
 
 _PROJECTION_TOL = 1e-10
 _CENTER_RTOL = 1e-9
@@ -30,6 +31,13 @@ _CENTER_RTOL = 1e-9
 _GROUP_GAP = 1e-9
 _MERGE_TOL = 1e-12
 _MERGE_GAP = 1e-2
+# The window solve of the chiral sectors (see _sector_windows).
+_SHIFT = 1e-11         # sigma = -1 - _SHIFT lies below every Re mu
+_RATE = 0.1            # certified contraction of one shift-invert sweep
+_ITERATED = 8          # widest sector window that shift-invert iteration solves
+_RESIDUAL = 1e-14      # ||S X - X (X^T S X)|| that ends the iteration
+_TINY_PIVOT = 1e-300   # stands in for a zero pivot of an inertia count
+_GOLDEN = (5 ** 0.5 - 1) / 2  # step of the Weyl sequence that starts the iteration
 
 
 def ring_with_interfaces(N: int, phi1: float, phi2: float) -> CoinProfile:
@@ -53,7 +61,10 @@ def ring_with_interfaces(N: int, phi1: float, phi2: float) -> CoinProfile:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
-    """Eigenpairs of the one-step ring operator: all 2N of them, or a window."""
+    """Eigenpairs of the one-step ring operator: all 2N of them, or a window.
+
+    ``full_spectrum`` and ``midgap_spectrum`` hand out read-only arrays.
+    """
 
     eigenvalues: np.ndarray   # (m,) on the unit circle; m = 2N for the full spectrum
     eigenvectors: np.ndarray  # (2N, m), column j belongs to eigenvalues[j]
@@ -73,11 +84,12 @@ def _parity_hop(rows: np.ndarray, angles: np.ndarray, up: int, down: int) -> np.
     source sublattice, whose n sites carry ``angles``; after the coin, H
     lands on target site j + up and V on j + down (mod n).
     """
-    pairs = rows.reshape(angles.size, 2, -1)
-    out = np.stack(_coin(pairs[:, 0], pairs[:, 1], _coin_factors(angles[:, None], real=True)),
-                   axis=1)
-    out[:, 0] = np.roll(out[:, 0], up, axis=0)
-    out[:, 1] = np.roll(out[:, 1], down, axis=0)
+    n = angles.size
+    pairs = rows.reshape(n, 2, -1)
+    out = np.empty_like(pairs)
+    coined = _coin(pairs[:, 0], pairs[:, 1], _coin_factors(angles[:, None], real=True))
+    for part, moved, shift in zip((0, 1), coined, (up % n, down % n)):
+        out[shift:, part], out[:shift, part] = moved[:n - shift], moved[n - shift:]
     return out.reshape(rows.shape)
 
 
@@ -126,8 +138,8 @@ def _parity_block_size(profile: CoinProfile) -> int:
     return profile.lattice.size  # N/2 sites x 2 coins
 
 
-def _chiral_sectors(profile: CoinProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``eigh`` of the symmetric part of M in its two chiral sectors.
+def _sector_tridiagonals(profile: CoinProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two chiral sectors of the symmetric part of M, as cyclic tridiagonals.
 
     In the real gauge the primed frame turns odd site j by the rotation
     R_j = R(phi_j / 2) = [[c, s], [-s, c]], and chiral symmetry is sigma_x on
@@ -135,9 +147,16 @@ def _chiral_sectors(profile: CoinProfile) -> tuple[np.ndarray, np.ndarray, np.nd
     M'^T, so the symmetric part of M' commutes with sigma_x and splits into
     its sigma_x = +1 (s = 0) and -1 (s = 1) sectors.  Returns the frames
     (N/2, 2, 2), whose column s at site j is R_j^T (1, +-1) / sqrt(2), the
-    sector-s basis vector of site j in the odd block; Re mu per sector
-    (2, N/2); and the eigenvectors of each sector in its basis (2, N/2, N/2).
-    Each block V_s^T M V_s is built per site, O(N^2), with no dense product.
+    sector-s basis vector of site j in the odd block; and each sector S_s as
+    its diagonal and cyclic coupling, both (2, N/2): S_s holds diag[s, j] at
+    (j, j) and coupling[s, j] at (j, j + 1 mod N/2) and (j + 1 mod N/2, j).
+
+    M moves odd site j to j - 1, j and j + 1 only, so S_s is tridiagonal
+    with one corner.  Comb probes, each the sum of the basis vectors of sites
+    at least three apart around the ring (3 to 5 of them per sector), go
+    through one pair of parity hops and give every entry in O(N).  With two
+    odd sites both neighbours coincide, and coupling[:, 0] alone holds the
+    coupling; with one there is none.
     """
     odd, even = profile.angles[1::2], profile.angles[0::2]
     half = odd.size
@@ -146,38 +165,184 @@ def _chiral_sectors(profile: CoinProfile) -> tuple[np.ndarray, np.ndarray, np.nd
     frames[:, 0, 0], frames[:, 1, 0] = c - s, s + c
     frames[:, 0, 1], frames[:, 1, 1] = c + s, s - c
     frames *= np.sqrt(0.5)
-    values, vectors = np.empty((2, half)), np.empty((2, half, half))
     sites = np.arange(half)
-    for sector in range(2):
-        basis = np.zeros((half, 2, half))
-        basis[sites, :, sites] = frames[:, :, sector]
-        mv = _parity_hop(_parity_hop(basis.reshape(2 * half, half), odd, 1, 0), even, 0, -1)
-        mv = mv.reshape(half, 2, half)
-        block = frames[:, 0, sector, None] * mv[:, 0] + frames[:, 1, sector, None] * mv[:, 1]
-        values[sector], vectors[sector] = np.linalg.eigh((block + block.T) / 2)
-    return frames, values, vectors
+    whole = half - half % 3  # sites 0 .. whole - 1 share three combs; the rest probe alone
+    comb = np.where(sites < whole, sites % 3, sites - whole + 3)
+    probes = np.zeros((half, 2, 2, comb[-1] + 1))
+    probes[sites, :, :, comb] = frames
+    out = _parity_hop(_parity_hop(probes.reshape(2 * half, -1), odd, 1, 0), even, 0, -1)
+    seen = np.einsum("jcs,jcsp->sjp", frames, out.reshape(probes.shape))
+    nxt = np.roll(sites, -1)
+    diag = seen[:, sites, comb]
+    coupling = (seen[:, nxt, comb] + seen[:, sites, comb[nxt]]) / 2
+    if half <= 2:
+        coupling[:, -1] = 0
+    return frames, diag, coupling
 
 
-def _ring_spectrum(profile: CoinProfile, below: float = np.inf) -> SpectrumResult:
+def _sector_blocks(diag: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """The sectors (2, N/2, N/2) of ``_sector_tridiagonals`` as dense matrices."""
+    half = diag.shape[1]
+    sites = np.arange(half)
+    nxt = np.roll(sites, -1)
+    blocks = np.zeros((2, half, half))
+    blocks[:, sites, sites] = diag
+    blocks[:, sites, nxt] += coupling
+    blocks[:, nxt, sites] += coupling
+    return blocks
+
+
+def _chiral_sectors(profile: CoinProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``eigh`` of the symmetric part of M in its two chiral sectors.
+
+    Returns the frames of ``_sector_tridiagonals``; Re mu per sector
+    (2, N/2); and the eigenvectors of each sector in its basis (2, N/2, N/2),
+    from one ``eigh`` of the sectors scattered into dense blocks.
+    """
+    frames, diag, coupling = _sector_tridiagonals(profile)
+    return (frames, *np.linalg.eigh(_sector_blocks(diag, coupling)))
+
+
+def _cyclic_ldl(diag: list, coupling: list, t: float) -> tuple[list, list, list]:
+    """LDL^T of S - t for the cyclic tridiagonal sector S given by (diag, coupling).
+
+    Row i < n - 1 of L holds mults[i] at (i, i - 1), with pivot pivots[i];
+    the last row, coupled to row n - 2 and through the corner to row 0,
+    holds arrow[i] at (n - 1, i) for every i < n - 1, and its pivot
+    pivots[-1] is the Schur complement of the leading rows.  By Sylvester's
+    law of inertia the negative pivots count the eigenvalues of S below t,
+    the last one by Haynsworth's inertia additivity.  O(N) pure-Python float
+    arithmetic; a zero pivot is replaced by -_TINY_PIVOT.
+    """
+    m = len(diag) - 1
+    corner = [0.0] * m  # the last row's coupling to the leading rows
+    if m:
+        corner[0] = coupling[m]
+        corner[m - 1] += coupling[m - 1]
+    off = [0.0, *coupling][:m]  # row i's coupling to row i - 1
+    pivot = 1.0
+    pivots = [pivot := (a - t - b * b / pivot) or -_TINY_PIVOT for a, b in zip(diag[:m], off)]
+    mults = [b / p for b, p in zip(off, [1.0, *pivots])]
+    y = 0.0
+    column = [y := u - l * y for u, l in zip(corner, mults)]  # L^-1 of the corner column
+    arrow = [y / p for y, p in zip(column, pivots)]
+    pivots.append(diag[m] - t - sum(map(mul, arrow, column)))
+    return mults, pivots, arrow
+
+
+def _count_below(diag: list, coupling: list, t: float) -> int:
+    """How many eigenvalues of the sector (diag, coupling) lie below t (see _cyclic_ldl)."""
+    return sum(map((0.0).__gt__, _cyclic_ldl(diag, coupling, t)[1]))
+
+
+def _lowest_eigenpairs(diag: np.ndarray, coupling: np.ndarray, counts: list):
+    """The counts[s] lowest eigenpairs of each sector by shift-invert iteration, or None.
+
+    Block inverse iteration with (S_s - sigma)^-1, sigma = -1 - _SHIFT below
+    every Re mu (None where S_s - sigma is not positive definite), runs its
+    substitutions as pure-Python float loops on the LDL^T of _cyclic_ldl.
+    Both sectors iterate as one (2, N/2, k) block of k = max(counts)
+    columns from a fixed Weyl sequence, orthonormalized and Rayleigh-Ritz
+    projected every sweep, until the residual ||S y - theta y|| of each
+    sector's counts[s] lowest Ritz pairs (theta, y) is at most _RESIDUAL.
+    Returns their Re mu, ascending, and eigenvectors per sector; None if a
+    sweep fails to halve the residual before that.
+    """
+    solvers = []
+    for d, c in zip(diag.tolist(), coupling.tolist()):
+        mults, pivots, arrow = _cyclic_ldl(d, c, -1.0 - _SHIFT)
+        if min(pivots) <= 0:
+            return None
+        solvers.append(_substitutions(mults, pivots, arrow))
+    half, k = diag.shape[1], max(counts)
+    sites = np.arange(half)
+    nxt, prv = (sites + 1) % half, (sites - 1) % half
+    diag, ahead, behind = diag[:, :, None], coupling[:, :, None], coupling[:, prv, None]
+    wanted = np.arange(k) < np.array(counts)[:, None]
+    x = (np.arange(1, 2 * half * k + 1) * _GOLDEN % 1 - 0.5).reshape(2, half, k)
+    previous = np.inf
+    while True:
+        y = np.array([[solve(col) for col in xs] for solve, xs in zip(solvers, x.mT.tolist())]).mT
+        x = np.linalg.qr(y)[0] if k > 1 else y / np.sqrt((y * y).sum(1, keepdims=True))
+        sx = diag * x + ahead * x[:, nxt] + behind * x[:, prv]
+        theta, rot = np.linalg.eigh(x.mT @ sx)
+        x, sx = x @ rot, sx @ rot
+        r = sx - x * theta[:, None]
+        residual = (r * r).sum(1)[wanted].max() ** 0.5
+        if residual <= _RESIDUAL:
+            return [t[:n] for t, n in zip(theta, counts)], [v[:, :n] for v, n in zip(x, counts)]
+        if not residual < previous / 2:  # stalled above _RESIDUAL, at the rounding floor
+            return None
+        previous = residual
+
+
+def _substitutions(mults: list, pivots: list, arrow: list):
+    """The solver x = (L D L^T)^-1 y, on lists, of a factorization from _cyclic_ldl."""
+    last, lead = pivots[-1], pivots[-2::-1]
+    later, flipped = (mults[1:] + [0.0])[::-1], arrow[::-1]
+
+    def solve(col: list) -> list:
+        z = 0.0
+        forward = [z := r - l * z for r, l in zip(col, mults)]
+        x_last = (col[-1] - sum(map(mul, arrow, forward))) / last
+        x = 0.0
+        back = [x := z / p - l * x - e * x_last
+                for z, p, l, e in zip(reversed(forward), lead, later, flipped)]
+        back.reverse()
+        back.append(x_last)
+        return back
+
+    return solve
+
+
+def _sector_windows(diag: np.ndarray, coupling: np.ndarray, below: float):
+    """Per sector, the Re mu < ``below`` and their eigenvectors; None where eigh must decide.
+
+    Counts of both sectors at ``below`` and at ``top`` certify the window
+    (see _cyclic_ldl).  Equal counts leave no Re mu in [below, top), and
+    top >= below + _MERGE_GAP, so the window needs no _MERGE_GAP growth; and
+    shift-invert iteration from sigma = -1 - _SHIFT then converges on it by
+    at least (below - sigma) / (top - sigma) <= _RATE per sweep.  An empty
+    window needs nothing more.  Counts that differ, or a sector window of
+    more than _ITERATED values, return None: the dense ``eigh`` of the same
+    tridiagonals decides.
+    """
+    sigma = -1.0 - _SHIFT
+    top = max(below + _MERGE_GAP, sigma + (below - sigma) / _RATE)
+    rows = list(zip(diag.tolist(), coupling.tolist()))
+    counts = [_count_below(d, c, below) for d, c in rows]
+    if not any(counts):
+        return [np.empty(0)] * 2, [np.empty((diag.shape[1], 0))] * 2
+    if max(counts) > _ITERATED or any(_count_below(d, c, top) != k
+                                      for (d, c), k in zip(rows, counts)):
+        return None
+    return _lowest_eigenpairs(diag, coupling, counts)
+
+
+def _ring_spectrum(profile: CoinProfile, sectors, below: float = np.inf) -> SpectrumResult:
     """The eigenpairs of the ring operator U with Re mu = Re lambda^2 in the bottom window.
 
-    The window holds every Re mu < ``below`` and grows past it until the next
-    gap in Re mu is at least _MERGE_GAP, so _invariant_groups never merges
-    across its edge and its eigenpairs are bit for bit those of the full solve
-    (``below`` = inf).  Columns are ordered as in ``full_spectrum``.
+    ``sectors`` holds the frames and, per sector, Re mu and its eigenvectors
+    (all of them, as from ``_chiral_sectors``, or a bottom window of them).
+    The window holds every Re mu < ``below`` and grows past it until the
+    next gap in Re mu is at least _MERGE_GAP, so _invariant_groups never
+    merges across its edge.  Columns are ordered as in ``full_spectrum``;
+    the result's arrays are read-only.
     """
-    n = _parity_block_size(profile)
+    n = profile.lattice.size
     odd, even = profile.angles[1::2], profile.angles[0::2]
-    frames, values, vectors = _chiral_sectors(profile)
-    order = np.argsort(values.ravel(), kind="stable")
-    re_mu = values.ravel()[order]
+    frames, values, vectors = sectors
+    sector = np.repeat([0, 1], [len(v) for v in values])
+    re_mu, vecs = np.concatenate(values), np.concatenate(vectors, axis=1)
+    order = np.argsort(re_mu, kind="stable")
+    re_mu = re_mu[order]
     w = int(np.searchsorted(re_mu, below))
-    if 0 < w < n:
+    if 0 < w < re_mu.size:
         wide = np.flatnonzero(np.diff(re_mu[w - 1:]) >= _MERGE_GAP)
-        w += int(wide[0]) if wide.size else n - w
-    sector, col = np.divmod(order[:w], n // 2)
+        w += int(wide[0]) if wide.size else re_mu.size - w
+    cols = order[:w]
     # the window's eigenvectors of the symmetric part, pulled back to the odd block
-    q = (frames[:, :, sector] * vectors[sector, :, col].T[:, None]).reshape(n, w)
+    q = (frames[:, :, sector[cols]] * vecs[:, None, cols]).reshape(n, w)
     aq = _parity_hop(q, odd, 1, 0)
     mq = _parity_hop(aq, even, 0, -1)
 
@@ -192,7 +357,7 @@ def _ring_spectrum(profile: CoinProfile, below: float = np.inf) -> SpectrumResul
     lams = _lift(mu, vec.reshape(n // 2, 2, w), avec.reshape(n // 2, 2, w),
                 psi[:, 1], psi[:, 0])
     psi[:, :, 1] *= 1j  # back from the real gauge (h, -i v) to lab amplitudes (h, v)
-    return SpectrumResult(lams, psi.reshape(2 * n, 2 * w), profile)
+    return SpectrumResult(_read_only(lams), _read_only(psi.reshape(2 * n, 2 * w)), profile)
 
 
 def full_spectrum(profile: CoinProfile) -> SpectrumResult:
@@ -202,13 +367,16 @@ def full_spectrum(profile: CoinProfile) -> SpectrumResult:
     (even -> odd) U^2 is block diagonal and its odd block M = B A is an N x N
     orthogonal matrix in the real gauge (see _parity_hop).  The symmetric
     part of M, seen in the primed frame, splits into two N/2 x N/2 chiral
-    sectors (see _chiral_sectors), each diagonalized by ``eigh``; a conjugate
-    pair mu, conj(mu) puts one Re mu in each sector.  Each group of equal
-    Re mu is resolved by a small ``eig`` of M restricted to it.  An eigenpair
-    (mu, v) of M gives the two eigenpairs lambda = +-sqrt(mu),
-    psi = (v, A v / lambda) / sqrt(2) of U (``bloch._lift``).
+    sectors, each a cyclic tridiagonal matrix (see _sector_tridiagonals);
+    this dense reference scatters them into blocks for one ``eigh``
+    (``_chiral_sectors``).  A conjugate pair mu, conj(mu) puts one Re mu in
+    each sector.  Each group of equal Re mu is resolved by a small ``eig``
+    of M restricted to it.  An eigenpair (mu, v) of M gives the two
+    eigenpairs lambda = +-sqrt(mu), psi = (v, A v / lambda) / sqrt(2) of U
+    (``bloch._lift``).  The result's arrays are read-only.
     """
-    return _ring_spectrum(profile)
+    _parity_block_size(profile)
+    return _ring_spectrum(profile, _chiral_sectors(profile))
 
 
 def midgap_spectrum(profile: CoinProfile, tol: float | None = None) -> SpectrumResult:
@@ -217,15 +385,26 @@ def midgap_spectrum(profile: CoinProfile, tol: float | None = None) -> SpectrumR
     |lambda -+ i| < tol implies Re mu < -1 + 2 tol, since
     Re mu = -1 + |mu + 1|^2 / 2 and |mu + 1| = |lambda - i| |lambda + i|;
     _GROUP_GAP more covers the rounding of Re mu.  Only that bottom window of
-    the spectrum is lifted (see _ring_spectrum).  With the default tolerance
-    on a closed gap nothing is solved: the result has no eigenpairs.
+    the spectrum is lifted (see _ring_spectrum), in O(N): inertia counts
+    certify the window in each tridiagonal sector, and shift-invert
+    iteration gives its eigenvectors (see _sector_windows).  Where the
+    counts cannot certify it, the dense ``eigh`` of the same tridiagonals
+    decides, as in ``full_spectrum``, so the window is always the full
+    solve's, up to rounding.
+    With the default tolerance on a closed gap nothing is solved: the
+    result has no eigenpairs.  The result's arrays are read-only.
     """
     n = _parity_block_size(profile)
     tol = _midgap_tol(profile, tol)
     if tol is None:
-        return SpectrumResult(np.empty(0, dtype=complex), np.empty((2 * n, 0), dtype=complex),
-                              profile)
-    return _ring_spectrum(profile, -1 + 2 * tol + _GROUP_GAP)
+        return SpectrumResult(_read_only(np.empty(0, dtype=complex)),
+                              _read_only(np.empty((2 * n, 0), dtype=complex)), profile)
+    below = -1 + 2 * tol + _GROUP_GAP
+    frames, diag, coupling = _sector_tridiagonals(profile)
+    window = _sector_windows(diag, coupling, below)
+    if window is None:
+        window = np.linalg.eigh(_sector_blocks(diag, coupling))
+    return _ring_spectrum(profile, (frames, *window), below)
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,7 +618,7 @@ def find_midgap(spectrum: SpectrumResult, tol: float | None = None) -> list[Midg
         basis = _canonical_cluster_basis(spectrum.eigenvectors[:, sel], profile)
         lam = complex(np.mean(spectrum.eigenvalues[sel]))
         for j in range(basis.shape[1]):
-            amps = basis[:, j].reshape(n_sites, 2)
+            amps = _read_only(basis[:, j].reshape(n_sites, 2))
             probs = (np.abs(amps) ** 2).sum(axis=1)
             # first site within rounding of the maximum: the two sites of an
             # interface bond carry equal probability

@@ -83,8 +83,13 @@ def measure_bases(state: WalkerState, x: int, frame: Frame = Frame.LAB,
 
 def jitter_intensities(intens: BasisIntensities, rel: float,
                        rng: np.random.Generator) -> BasisIntensities:
-    """Multiplicative relative intensity noise, clamped at zero."""
-    noisy = np.maximum(np.array(astuple(intens)) * (1.0 + rel * rng.standard_normal(6)), 0.0)
+    """Multiplicative relative intensity noise, clamped at zero.
+
+    Noise large enough to overflow gives inf (NaN on a zero intensity)
+    without a warning; ``tomography`` rejects it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        noisy = np.maximum(np.array(astuple(intens)) * (1.0 + rel * rng.standard_normal(6)), 0.0)
     return BasisIntensities(*map(float, noisy))
 
 

@@ -43,10 +43,76 @@ def dense_ring_oracle(angles):
 
 
 def multiset_distance(a, b):
-    """Max matched pairwise distance between two equal-size complex multisets."""
+    """Max matched pairwise distance between two equal-size complex multisets (0 if empty)."""
     cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
     rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    return float(cost[rows, cols].max(initial=0.0))
+
+
+# The window solve of ``midgap_spectrum`` against the dense ``full_spectrum``.
+# Both tolerances were fixed before either solve was compared.
+EIGENVALUE_TOL = 1e-12
+PROJECTOR_TOL = 1e-10
+# Eigenvalues closer than GROUP_GAP form one group.  A backward error e of a
+# solve moves a group's projector by about e / GROUP_GAP, and both solves
+# stop at e <= 1e-14, within PROJECTOR_TOL.
+GROUP_GAP = 1e-4
+
+
+def projector_distance(a, b):
+    """Largest entry of P_a - P_b, P the orthogonal projector onto the span of the columns."""
+    qa, qb = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
+    return float(np.abs(qa @ qa.conj().T - qb @ qb.conj().T).max(initial=0.0))
+
+
+def eigenvalue_groups(values):
+    """Index arrays of the groups of ``values``: runs linked by distances below GROUP_GAP."""
+    linked = np.abs(values[:, None] - values[None, :]) < GROUP_GAP
+    label = np.arange(values.size)
+    while True:  # every member takes the smallest label among its links
+        relabel = np.where(linked, label[None, :], values.size).min(axis=1, initial=values.size)
+        if (relabel == label).all():
+            return [np.flatnonzero(label == g) for g in np.unique(label)]
+        label = relabel
+
+
+def assert_same_eigenspaces(values, vectors, ref_values, ref_vectors):
+    """Equal eigenvalues within EIGENVALUE_TOL and eigenspaces within PROJECTOR_TOL.
+
+    Neither the column order nor the basis inside a group is compared: the
+    eigenvalues as multisets, and each group of ``values`` by the projector
+    onto its columns against the one onto the reference columns whose
+    eigenvalues lie within GROUP_GAP of the group.
+    """
+    assert values.shape == ref_values.shape
+    assert multiset_distance(values, ref_values) <= EIGENVALUE_TOL
+    for group in eigenvalue_groups(values):
+        near = np.abs(ref_values[:, None] - values[None, group]).min(axis=1) < GROUP_GAP
+        assert near.sum() == group.size
+        assert projector_distance(vectors[:, group], ref_vectors[:, near]) <= PROJECTOR_TOL
+
+
+def assert_same_states(states, ref_states):
+    """The same ``find_midgap`` states: count, centers and interface bonds exactly,
+    eigenvalues within EIGENVALUE_TOL and each state's projector within PROJECTOR_TOL."""
+    assert [(s.center, s.interface_cut) for s in states] == \
+        [(s.center, s.interface_cut) for s in ref_states]
+    for s, ref in zip(states, ref_states):
+        assert abs(s.eigenvalue - ref.eigenvalue) <= EIGENVALUE_TOL
+        assert projector_distance(s.amplitudes.reshape(-1, 1),
+                                  ref.amplitudes.reshape(-1, 1)) <= PROJECTOR_TOL
+
+
+def record_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call's positional arguments."""
+    calls, original = [], getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
 
 
 def ring_bloch_state(v, n_cells, m_momentum):

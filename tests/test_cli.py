@@ -18,27 +18,17 @@ from hypothesis import example, given, settings, strategies as st
 import susyqw
 from susyqw import bloch, cli, midgap
 from susyqw import (Frame, band_condition_value, band_structure, evolve, find_midgap,
-                    full_spectrum, long_time_extrapolation, make_coin_profile, prepare_input,
+                    long_time_extrapolation, make_coin_profile, midgap_spectrum, prepare_input,
                     qwp_scan, ring_with_interfaces, segment_for, site_polarization, to_frame)
 from susyqw.cli import _summary, _table, main
+
+from helpers import record_calls
 
 
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def record_calls(monkeypatch, module, name):
-    """Replace ``module.name`` by a wrapper that records each call's positional arguments."""
-    calls, original = [], getattr(module, name)
-
-    def recorded(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, recorded)
-    return calls
 
 
 def summary_dict(text):
@@ -191,7 +181,7 @@ def _scan_table(cell):
 
 def _midgap_table(cols):
     profile = ring_with_interfaces(40, 1.29, 0.17)
-    states = find_midgap(full_spectrum(profile))
+    states = find_midgap(midgap_spectrum(profile))
     stokes = np.array([site_polarization(states[int(j)], profile, int(x))
                        for j, x in zip(cols["state"], cols["x"])])
     return {"s1": stokes[:, 0], "s2": stokes[:, 1], "s3": stokes[:, 2]}
@@ -344,6 +334,7 @@ def contract_run(argv, config):
 @example(("evolve", {"plates": ["hwp:1e308rad"]}))
 @example(("evolve", {"kind": "bulk", "input_site": 10**20}))
 @example(("winding", {"resolution": 2**63 - 2}))
+@example(("tomo", {"noise": 1e308, "seed": 3}))
 def test_cli_contract(draw):
     """Whatever the settings: exit 0, 2 or 3, one "susyqw: " line on failure and
     no nan on success; a rerun gives the same bytes, and the flag form the

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from susyqw import (Frame, Lattice, ProfileError, SpectrumResult, Topology,
                     protected_gaps, ring_with_interfaces, site_polarization,
                     site_polarizations, to_frame)
 
+from susyqw import midgap
 from susyqw.midgap import _chiral_sectors
 
-from helpers import SX, dense_ring_oracle, primed_frame_rotation, ring_bloch_state
+from helpers import (SX, assert_same_eigenspaces, assert_same_states, dense_ring_oracle,
+                     primed_frame_rotation, record_calls, ring_bloch_state)
 
 
 @pytest.fixture(scope="module")
@@ -122,8 +125,78 @@ def test_midgap_window_keeps_merged_groups_whole():
     w = window.eigenvalues.size // 2
     assert w == split + 3
     cols = np.r_[0:w, 40:40 + w]
-    np.testing.assert_array_equal(window.eigenvalues, full.eigenvalues[cols], strict=True)
-    np.testing.assert_array_equal(window.eigenvectors, full.eigenvectors[:, cols], strict=True)
+    assert_same_eigenspaces(window.eigenvalues, window.eigenvectors,
+                            full.eigenvalues[cols], full.eigenvectors[:, cols])
+
+
+@pytest.mark.parametrize("n, phi1, phi2", [(400, 1.25, 0.2), (46, 0.908, 0.439), (40, 0.8, 0.75)])
+def test_midgap_spectrum_runs_no_sector_sized_eigh(monkeypatch, n, phi1, phi2):
+    """Inertia counts certify these windows: only k x k Rayleigh-Ritz blocks reach eigh."""
+    calls = record_calls(monkeypatch, np.linalg, "eigh")
+    profile = ring_with_interfaces(n, phi1, phi2)
+    assert midgap_spectrum(profile).eigenvalues.size == 4
+    assert calls and all(np.shape(args[0])[-1] < n // 2 for args in calls)
+
+
+def test_midgap_window_too_wide_to_iterate_takes_the_dense_eigh(monkeypatch):
+    """A window of more Re mu per sector than the iteration takes is the dense solve's.
+
+    Without angles there is no band bound on the tolerance: tol = 0.5 keeps
+    every Re mu below about 0, most of the spectrum, so the certified
+    counts send the sectors to one ``eigh`` of their dense blocks.
+    """
+    ring = ring_with_interfaces(40, 1.29, 0.17)
+    explicit = make_coin_profile("explicit", ring.lattice, angles=ring.angles)
+    calls = record_calls(monkeypatch, np.linalg, "eigh")
+    window = midgap_spectrum(explicit, 0.5)
+    assert [np.shape(args[0]) for args in calls] == [(2, 20, 20)]
+    full = full_spectrum(explicit)
+    w = window.eigenvalues.size // 2
+    assert 8 < w < 40
+    cols = np.r_[0:w, 40:40 + w]
+    assert_same_eigenspaces(window.eigenvalues, window.eigenvectors,
+                            full.eigenvalues[cols], full.eigenvectors[:, cols])
+
+
+@pytest.mark.parametrize("n_sites", [2, 4, 6, 8, 16])
+def test_whole_spectrum_window_iterates_on_small_rings(monkeypatch, n_sites):
+    """Up to 8 odd sites a window of the whole spectrum still iterates; at one or
+    two odd sites both neighbours of a site coincide."""
+    angles = np.random.default_rng(n_sites).uniform(-np.pi, np.pi, n_sites)
+    profile = make_coin_profile("explicit", Lattice(n_sites, Topology.RING), angles=angles)
+    full = full_spectrum(profile)
+    dense = record_calls(monkeypatch, midgap, "_sector_blocks")
+    window = midgap_spectrum(profile, 1.9)  # Re mu < -1 + 3.8: all of them
+    assert window.eigenvalues.size == 2 * n_sites and not dense
+    assert_same_eigenspaces(window.eigenvalues, window.eigenvectors,
+                            full.eigenvalues, full.eigenvectors)
+
+
+def test_midgap_spectrum_memory_is_linear_in_the_ring():
+    """At N = 2048 the window solve peaks near 0.9 MB; two dense sector blocks alone are 16 MB.
+
+    Measured in its own untimed run: tracemalloc slows the float loops.
+    """
+    profile = ring_with_interfaces(2048, 1.25, 0.2)
+    tracemalloc.start()
+    try:
+        spectrum = midgap_spectrum(profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spectrum.eigenvalues.size == 4
+    assert peak <= 4e6, f"peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("solve", [full_spectrum, midgap_spectrum], ids=["full", "window"])
+def test_spectrum_results_are_read_only(solve):
+    spectrum = solve(ring_with_interfaces(40, 1.29, 0.17))
+    for array in (spectrum.eigenvalues, spectrum.eigenvectors):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    state = find_midgap(spectrum)[0]
+    with pytest.raises(ValueError, match="read-only"):
+        state.amplitudes[0, 0] = 0
 
 
 def test_bulk_ring_is_gapped_at_imaginary_axis(interface_ring):
@@ -165,8 +238,7 @@ def test_four_interface_ring_binds_one_state_per_interface():
         np.testing.assert_allclose(glob, [-1, 1, -1, 1], atol=1e-9)
     window = find_midgap(midgap_spectrum(prof, 1e-6), 1e-6)
     assert len(window) == 8
-    for s, w in zip(states, window):
-        np.testing.assert_array_equal(w.amplitudes, s.amplitudes)
+    assert_same_states(window, states)
     # a random unitary mix inside each cluster canonicalizes to the same states
     rng = np.random.default_rng(0)
     mixed = spectrum.eigenvectors.copy()

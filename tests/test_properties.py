@@ -7,8 +7,8 @@ partner-solve and eigenvalue-path tests draw any angles, gap closings
 included; the quadrant and anomaly tests draw angles with both protected
 gaps open, and the winding exchange, half-band and torus-oracle tests any
 angles with both gaps at least 1e-3; the midgap-window test draws any
-interface angles in (0, pi/2), small gaps included; the Stokes-readout test
-any angles on explicit rings.
+interface angles in (0, pi/2), small gaps included, and so does the
+sector-inertia test; the Stokes-readout test any angles on explicit rings.
 """
 
 from dataclasses import replace
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from susyqw import bloch, optics
+from susyqw import bloch, midgap, optics
 from susyqw import (Frame, Lattice, Topology, UnoccupiedSiteError, WalkerState,
                     anomaly_expectation, band_structure, bloch_operator, cell_z_expectation,
                     coin_y_expectation, decay_length, evolve, find_midgap, full_spectrum,
@@ -27,8 +27,8 @@ from susyqw import (Frame, Lattice, Topology, UnoccupiedSiteError, WalkerState,
                     segment_for, site_polarization, site_polarizations, to_frame, torus_angles,
                     waveplate, winding_numbers)
 
-from helpers import (SY, bloch_oracle, multiset_distance, primed_frame_rotation,
-                     stokes_oracle, torus_oracle)
+from helpers import (SY, assert_same_eigenspaces, assert_same_states, bloch_oracle,
+                     multiset_distance, primed_frame_rotation, stokes_oracle, torus_oracle)
 
 PHI1 = st.floats(min_value=1.1, max_value=1.4)
 PHI2 = st.floats(min_value=0.1, max_value=0.3)
@@ -428,35 +428,88 @@ def jittered(profile, strength, seed):
     return replace(profile, angles=profile.angles + noise)
 
 
-@settings(max_examples=40, deadline=None)
-@example(angles=(0.9, 0.7), half=200, strength=None, seed=0)
-@example(angles=(0.8, 0.75), half=100, strength=None, seed=0)
-@example(angles=(0.8, 0.75), half=6, strength=0.9, seed=1)
-@given(angles=st.tuples(QUARTER, QUARTER), half=st.integers(min_value=6, max_value=200),
-       strength=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0,
-                                               exclude_max=True)),
-       seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_midgap_window_is_the_full_solve_restricted(angles, half, strength, seed):
-    """``midgap_spectrum`` returns bit for bit the bottom columns of ``full_spectrum``.
+def window_width(re_mu, bound):
+    """How many of the ascending ``re_mu`` the window rule keeps: every one below
+    ``bound``, then the next ones until the gap to the following one is at least 1e-2."""
+    w = int(np.searchsorted(re_mu, bound))
+    while 0 < w < re_mu.size and re_mu[w] - re_mu[w - 1] < 1e-2:
+        w += 1
+    return w
 
-    Clean interface rings use the default tolerance; jittered ones move every
-    angle by up to ``strength`` times the clean gap at +-i and pass 1e-4 of
-    that gap explicitly.  ``find_midgap`` finds the same states in both.
+
+def interface_window_case(angles, half, strength, seed):
+    """(ring, tol passed, tol in force) of the midgap-window properties.
+
+    Clean interface rings use the default tolerance, 1e-4 of the gap at
+    +-i (None where it is closed); jittered ones move every angle by up to
+    ``strength`` times that gap and pass the default tolerance explicitly.
     """
     profile, tol = ring_with_interfaces(2 * half, *angles), None
     gap = protected_gaps(*angles)[1]
     if strength is not None and gap > 0:
         profile, tol = jittered(profile, strength * gap, seed), 1e-4 * gap
+    return profile, tol, 1e-4 * gap if gap > 0 else None
+
+
+WINDOW_CASES = st.tuples(
+    st.tuples(QUARTER, QUARTER), st.integers(min_value=6, max_value=200),
+    st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+    st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@example(case=((0.9, 0.7), 200, None, 0))
+@example(case=((0.8, 0.75), 100, None, 0))
+@example(case=((0.8, 0.75), 6, 0.9, 1))
+@given(case=WINDOW_CASES)
+def test_midgap_window_is_the_full_solve_restricted(case):
+    """``midgap_spectrum`` returns the bottom columns of ``full_spectrum``.
+
+    The window keeps exactly as many columns as the window rule gives on the
+    full spectrum, at the bound -1 + 2 tol + 1e-9; their eigenvalues agree
+    within EIGENVALUE_TOL and their eigenspaces within PROJECTOR_TOL
+    (``helpers.assert_same_eigenspaces``).  ``find_midgap`` finds the same
+    states in both (``helpers.assert_same_states``).  Rings as in
+    ``interface_window_case``: N = 12..400, either residue mod 4.
+    """
+    profile, tol, in_force = interface_window_case(*case)
     full, window = full_spectrum(profile), midgap_spectrum(profile, tol)
     n, w = profile.lattice.size, window.eigenvalues.size // 2
+    re_mu = np.sort((full.eigenvalues[:n] ** 2).real)  # lambda = +sqrt(mu) come first
+    assert w == (window_width(re_mu, -1 + 2 * in_force + 1e-9) if in_force else 0)
     cols = np.r_[0:w, n:n + w]  # branch-major: +sqrt(mu) columns, then -sqrt(mu)
-    np.testing.assert_array_equal(bits(window.eigenvalues), bits(full.eigenvalues[cols]))
-    np.testing.assert_array_equal(bits(window.eigenvectors), bits(full.eigenvectors[:, cols]))
-    from_full, from_window = find_midgap(full, tol), find_midgap(window, tol)
-    assert [(s.eigenvalue, s.center, s.interface_cut) for s in from_window] == \
-        [(s.eigenvalue, s.center, s.interface_cut) for s in from_full]
-    for a, b in zip(from_window, from_full):
-        np.testing.assert_array_equal(bits(a.amplitudes), bits(b.amplitudes))
+    assert_same_eigenspaces(window.eigenvalues, window.eigenvectors,
+                            full.eigenvalues[cols], full.eigenvectors[:, cols])
+    assert_same_states(find_midgap(window, tol), find_midgap(full, tol))
+
+
+@settings(max_examples=40, deadline=None)
+@example(case=((0.7, 0.7 + 1e-3), 100, None, 0))  # a gap at +-i about to close
+@example(case=((0.908, 0.439), 23, None, 0))      # N = 2 mod 4: hybridized interfaces
+@example(case=((1.29, 0.17), 20, 0.9, 5))
+@given(case=WINDOW_CASES)
+def test_sector_inertia_counts_are_the_dense_counts(case):
+    """Each sector's inertia count is the number of its dense ``eigh`` values below a bound.
+
+    At the window bound -1 + 2 tol + 1e-9 and at the grown bound, the
+    largest Re mu the window keeps plus 1e-2, on the rings of
+    ``interface_window_case``.  The counts are per sector, so the property
+    does not depend on how the two Re mu = -1 of the interface states split
+    between the sectors.
+    """
+    profile, _, in_force = interface_window_case(*case)
+    assume(in_force is not None)
+    _, diag, coupling = midgap._sector_tridiagonals(profile)
+    _, values, _ = midgap._chiral_sectors(profile)
+    merged = np.sort(values.ravel())
+    below = -1 + 2 * in_force + 1e-9
+    w = window_width(merged, below)
+    grown = merged[w - 1] + 1e-2 if w else below
+    for bound in (below, grown):
+        for d, c, v in zip(diag.tolist(), coupling.tolist(), values):
+            assert midgap._count_below(d, c, bound) == int((v < bound).sum())
+    assert sum(midgap._count_below(d, c, grown)
+               for d, c in zip(diag.tolist(), coupling.tolist())) == w
 
 
 @settings(max_examples=30, deadline=None)
