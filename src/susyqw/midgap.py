@@ -34,7 +34,6 @@ _MERGE_GAP = 1e-2
 # The window solve of the chiral sectors (see _sector_windows).
 _SHIFT = 1e-11         # sigma = -1 - _SHIFT lies below every Re mu
 _RATE = 0.1            # certified contraction of one shift-invert sweep
-_ITERATED = 8          # widest sector window that shift-invert iteration solves
 _RESIDUAL = 1e-14      # ||S X - X (X^T S X)|| that ends the iteration
 _TINY_PIVOT = 1e-300   # stands in for a zero pivot of an inertia count
 _GOLDEN = (5 ** 0.5 - 1) / 2  # step of the Weyl sequence that starts the iteration
@@ -172,7 +171,7 @@ def _sector_tridiagonals(profile: CoinProfile) -> tuple[np.ndarray, np.ndarray, 
     probes[sites, :, :, comb] = frames
     out = _parity_hop(_parity_hop(probes.reshape(2 * half, -1), odd, 1, 0), even, 0, -1)
     seen = np.einsum("jcs,jcsp->sjp", frames, out.reshape(probes.shape))
-    nxt = np.roll(sites, -1)
+    nxt = (sites + 1) % half
     diag = seen[:, sites, comb]
     coupling = (seen[:, nxt, comb] + seen[:, sites, comb[nxt]]) / 2
     if half <= 2:
@@ -180,27 +179,30 @@ def _sector_tridiagonals(profile: CoinProfile) -> tuple[np.ndarray, np.ndarray, 
     return frames, diag, coupling
 
 
-def _sector_blocks(diag: np.ndarray, coupling: np.ndarray) -> np.ndarray:
-    """The sectors (2, N/2, N/2) of ``_sector_tridiagonals`` as dense matrices."""
+def _dense_sectors(diag: np.ndarray, coupling: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One ``eigh`` of the sectors of ``_sector_tridiagonals`` scattered into dense blocks.
+
+    Returns Re mu per sector (2, N/2) and the eigenvectors of each sector
+    in its basis (2, N/2, N/2).
+    """
     half = diag.shape[1]
     sites = np.arange(half)
-    nxt = np.roll(sites, -1)
+    nxt = (sites + 1) % half
     blocks = np.zeros((2, half, half))
     blocks[:, sites, sites] = diag
     blocks[:, sites, nxt] += coupling
     blocks[:, nxt, sites] += coupling
-    return blocks
+    return np.linalg.eigh(blocks)
 
 
 def _chiral_sectors(profile: CoinProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``eigh`` of the symmetric part of M in its two chiral sectors.
 
-    Returns the frames of ``_sector_tridiagonals``; Re mu per sector
-    (2, N/2); and the eigenvectors of each sector in its basis (2, N/2, N/2),
-    from one ``eigh`` of the sectors scattered into dense blocks.
+    Returns the frames of ``_sector_tridiagonals`` and the Re mu and
+    eigenvectors of ``_dense_sectors``.
     """
     frames, diag, coupling = _sector_tridiagonals(profile)
-    return (frames, *np.linalg.eigh(_sector_blocks(diag, coupling)))
+    return (frames, *_dense_sectors(diag, coupling))
 
 
 def _cyclic_ldl(diag: list, coupling: list, t: float) -> tuple[list, list, list]:
@@ -262,10 +264,12 @@ def _lowest_eigenpairs(diag: np.ndarray, coupling: np.ndarray, counts: list):
     x = (np.arange(1, 2 * half * k + 1) * _GOLDEN % 1 - 0.5).reshape(2, half, k)
     previous = np.inf
     while True:
-        y = np.array([[solve(col) for col in xs] for solve, xs in zip(solvers, x.mT.tolist())]).mT
+        columns = x.transpose(0, 2, 1).tolist()
+        y = np.array([[solve(c) for c in xs] for solve, xs in zip(solvers, columns)])
+        y = y.transpose(0, 2, 1)
         x = np.linalg.qr(y)[0] if k > 1 else y / np.sqrt((y * y).sum(1, keepdims=True))
         sx = diag * x + ahead * x[:, nxt] + behind * x[:, prv]
-        theta, rot = np.linalg.eigh(x.mT @ sx)
+        theta, rot = np.linalg.eigh(x.transpose(0, 2, 1) @ sx)
         x, sx = x @ rot, sx @ rot
         r = sx - x * theta[:, None]
         residual = (r * r).sum(1)[wanted].max() ** 0.5
@@ -303,9 +307,8 @@ def _sector_windows(diag: np.ndarray, coupling: np.ndarray, below: float):
     top >= below + _MERGE_GAP, so the window needs no _MERGE_GAP growth; and
     shift-invert iteration from sigma = -1 - _SHIFT then converges on it by
     at least (below - sigma) / (top - sigma) <= _RATE per sweep.  An empty
-    window needs nothing more.  Counts that differ, or a sector window of
-    more than _ITERATED values, return None: the dense ``eigh`` of the same
-    tridiagonals decides.
+    window needs nothing more.  Counts that differ return None: the dense
+    ``eigh`` of the same tridiagonals decides.
     """
     sigma = -1.0 - _SHIFT
     top = max(below + _MERGE_GAP, sigma + (below - sigma) / _RATE)
@@ -313,8 +316,7 @@ def _sector_windows(diag: np.ndarray, coupling: np.ndarray, below: float):
     counts = [_count_below(d, c, below) for d, c in rows]
     if not any(counts):
         return [np.empty(0)] * 2, [np.empty((diag.shape[1], 0))] * 2
-    if max(counts) > _ITERATED or any(_count_below(d, c, top) != k
-                                      for (d, c), k in zip(rows, counts)):
+    if any(_count_below(d, c, top) != k for (d, c), k in zip(rows, counts)):
         return None
     return _lowest_eigenpairs(diag, coupling, counts)
 
@@ -323,7 +325,8 @@ def _ring_spectrum(profile: CoinProfile, sectors, below: float = np.inf) -> Spec
     """The eigenpairs of the ring operator U with Re mu = Re lambda^2 in the bottom window.
 
     ``sectors`` holds the frames and, per sector, Re mu and its eigenvectors
-    (all of them, as from ``_chiral_sectors``, or a bottom window of them).
+    (all of them, as from ``_chiral_sectors``, or a certified bottom window
+    of them, which the default ``below`` keeps whole).
     The window holds every Re mu < ``below`` and grows past it until the
     next gap in Re mu is at least _MERGE_GAP, so _invariant_groups never
     merges across its edge.  Columns are ordered as in ``full_spectrum``;
@@ -387,10 +390,11 @@ def midgap_spectrum(profile: CoinProfile, tol: float | None = None) -> SpectrumR
     _GROUP_GAP more covers the rounding of Re mu.  Only that bottom window of
     the spectrum is lifted (see _ring_spectrum), in O(N): inertia counts
     certify the window in each tridiagonal sector, and shift-invert
-    iteration gives its eigenvectors (see _sector_windows).  Where the
-    counts cannot certify it, the dense ``eigh`` of the same tridiagonals
-    decides, as in ``full_spectrum``, so the window is always the full
-    solve's, up to rounding.
+    iteration gives its eigenvectors (see _sector_windows); the counts, not
+    the iterated Re mu, fix its width.  Where the counts cannot certify it,
+    the dense ``eigh`` of the same tridiagonals decides, as in
+    ``full_spectrum``, so the window is always the full solve's, up to
+    rounding.
     With the default tolerance on a closed gap nothing is solved: the
     result has no eigenpairs.  The result's arrays are read-only.
     """
@@ -403,8 +407,8 @@ def midgap_spectrum(profile: CoinProfile, tol: float | None = None) -> SpectrumR
     frames, diag, coupling = _sector_tridiagonals(profile)
     window = _sector_windows(diag, coupling, below)
     if window is None:
-        window = np.linalg.eigh(_sector_blocks(diag, coupling))
-    return _ring_spectrum(profile, (frames, *window), below)
+        return _ring_spectrum(profile, (frames, *_dense_sectors(diag, coupling)), below)
+    return _ring_spectrum(profile, (frames, *window))
 
 
 @dataclass(frozen=True, eq=False)

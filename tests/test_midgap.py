@@ -138,12 +138,13 @@ def test_midgap_spectrum_runs_no_sector_sized_eigh(monkeypatch, n, phi1, phi2):
     assert calls and all(np.shape(args[0])[-1] < n // 2 for args in calls)
 
 
-def test_midgap_window_too_wide_to_iterate_takes_the_dense_eigh(monkeypatch):
-    """A window of more Re mu per sector than the iteration takes is the dense solve's.
+def test_midgap_window_the_counts_cannot_certify_takes_the_dense_eigh(monkeypatch):
+    """A window whose edge the inertia counts cannot certify is the dense solve's.
 
     Without angles there is no band bound on the tolerance: tol = 0.5 keeps
-    every Re mu below about 0, most of the spectrum, so the certified
-    counts send the sectors to one ``eigh`` of their dense blocks.
+    every Re mu below about 0, most of the spectrum, and more Re mu lie
+    within the iteration's contraction bound above that, so the counts
+    differ and send the sectors to one ``eigh`` of their dense blocks.
     """
     ring = ring_with_interfaces(40, 1.29, 0.17)
     explicit = make_coin_profile("explicit", ring.lattice, angles=ring.angles)
@@ -158,14 +159,32 @@ def test_midgap_window_too_wide_to_iterate_takes_the_dense_eigh(monkeypatch):
                             full.eigenvalues[cols], full.eigenvectors[:, cols])
 
 
+def test_certified_counts_fix_the_window_width(monkeypatch):
+    """The inertia counts, not the iterated Re mu, decide which columns the window keeps.
+
+    A Ritz value that rounds to just above the window bound must not drop a
+    certified column: moved well above it here, all four states stay.
+    """
+    lowest = midgap._lowest_eigenpairs
+
+    def raised(*args):
+        values, vectors = lowest(*args)
+        return [v + 1 for v in values], vectors
+
+    monkeypatch.setattr(midgap, "_lowest_eigenpairs", raised)
+    window = midgap_spectrum(ring_with_interfaces(40, 1.25, 0.2))
+    assert window.eigenvalues.size == 4
+    assert len(find_midgap(window)) == 4
+
+
 @pytest.mark.parametrize("n_sites", [2, 4, 6, 8, 16])
 def test_whole_spectrum_window_iterates_on_small_rings(monkeypatch, n_sites):
-    """Up to 8 odd sites a window of the whole spectrum still iterates; at one or
-    two odd sites both neighbours of a site coincide."""
+    """A window of the whole spectrum is certified and iterates; at one or two
+    odd sites both neighbours of a site coincide."""
     angles = np.random.default_rng(n_sites).uniform(-np.pi, np.pi, n_sites)
     profile = make_coin_profile("explicit", Lattice(n_sites, Topology.RING), angles=angles)
     full = full_spectrum(profile)
-    dense = record_calls(monkeypatch, midgap, "_sector_blocks")
+    dense = record_calls(monkeypatch, midgap, "_dense_sectors")
     window = midgap_spectrum(profile, 1.9)  # Re mu < -1 + 3.8: all of them
     assert window.eigenvalues.size == 2 * n_sites and not dense
     assert_same_eigenspaces(window.eigenvalues, window.eigenvectors,
