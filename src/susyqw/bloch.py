@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PhaseTransitionError, SymmetryViolationError
-from .walk import Frame, coin_matrix
+from .walk import Frame, coin_matrix, _read_only
 
 # sigma_y on the polarization of each sublattice; Sigma_z = +1 on sublattice 1
 COIN_Y = np.kron(np.eye(2), [[0, -1j], [1j, 0]])
@@ -210,7 +210,8 @@ class _BandEnergies:
     Column b holds the b-th smallest quasi-energy at every k.  With both
     protected gaps open that is band b in the quadrant [b pi/2, (b+1) pi/2);
     where a gap closes, touching bands keep this order instead of following
-    the crossing.
+    the crossing.  ``band_structure`` and ``_band_energies`` hand out
+    read-only arrays.
     """
 
     k_grid: np.ndarray          # (nk,)
@@ -278,7 +279,7 @@ def _band_energies(phi1: float, phi2: float,
     ks = _k_points(k_grid, resolution)
     u12, u21 = _bloch_blocks(ks, phi1, phi2, frame)
     _, lams, eps = _by_quasienergy(_lift_values(np.linalg.eigvals(u12 @ u21)))
-    return _BandEnergies(ks, lams, eps)
+    return _BandEnergies(*map(_read_only, (ks, lams, eps)))
 
 
 def band_structure(phi1: float, phi2: float,
@@ -323,7 +324,7 @@ def band_structure(phi1: float, phi2: float,
     vecs /= top / np.abs(top)
     overlaps = np.einsum("kab,kab->kb", vecs[:-1].conj(), vecs[1:])
     vecs[1:] *= np.exp(-1j * np.cumsum(np.angle(overlaps), axis=0))[:, None, :]
-    return BandStructure(ks, lams, eps, vecs)
+    return BandStructure(*map(_read_only, (ks, lams, eps, vecs)))
 
 
 def quadruple_closure_distance(lams: np.ndarray) -> float:

@@ -128,13 +128,12 @@ def _invariant_groups(q: np.ndarray, mq: np.ndarray, re_mu: np.ndarray):
         yield slice(s, e), block
 
 
-def _parity_block_size(profile: CoinProfile) -> int:
-    """Dimension N of the odd parity block of a ring small enough to solve densely."""
+def _check_ring_size(profile: CoinProfile) -> None:
+    """Refuse a profile that is not a ring small enough to solve densely."""
     if profile.lattice.topology is not Topology.RING:
         raise ProfileError("full spectrum needs a ring profile")
     if 2 * profile.lattice.size > 4096:
         raise ProfileError("dense solve limited to 2N <= 4096")
-    return profile.lattice.size  # N/2 sites x 2 coins
 
 
 def _sector_tridiagonals(profile: CoinProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,16 +192,6 @@ def _dense_sectors(diag: np.ndarray, coupling: np.ndarray) -> tuple[np.ndarray, 
     blocks[:, sites, nxt] += coupling
     blocks[:, nxt, sites] += coupling
     return np.linalg.eigh(blocks)
-
-
-def _chiral_sectors(profile: CoinProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``eigh`` of the symmetric part of M in its two chiral sectors.
-
-    Returns the frames of ``_sector_tridiagonals`` and the Re mu and
-    eigenvectors of ``_dense_sectors``.
-    """
-    frames, diag, coupling = _sector_tridiagonals(profile)
-    return (frames, *_dense_sectors(diag, coupling))
 
 
 def _cyclic_ldl(diag: list, coupling: list, t: float) -> tuple[list, list, list]:
@@ -321,25 +310,29 @@ def _sector_windows(diag: np.ndarray, coupling: np.ndarray, below: float):
     return _lowest_eigenpairs(diag, coupling, counts)
 
 
-def _ring_spectrum(profile: CoinProfile, sectors, below: float = np.inf) -> SpectrumResult:
+def _ring_spectrum(profile: CoinProfile, below: float) -> SpectrumResult:
     """The eigenpairs of the ring operator U with Re mu = Re lambda^2 in the bottom window.
 
-    ``sectors`` holds the frames and, per sector, Re mu and its eigenvectors
-    (all of them, as from ``_chiral_sectors``, or a certified bottom window
-    of them, which the default ``below`` keeps whole).
-    The window holds every Re mu < ``below`` and grows past it until the
-    next gap in Re mu is at least _MERGE_GAP, so _invariant_groups never
-    merges across its edge.  Columns are ordered as in ``full_spectrum``;
-    the result's arrays are read-only.
+    The one spectral routine of a ring.  It builds both chiral sectors as
+    tridiagonals (see _sector_tridiagonals); for a finite ``below`` the
+    inertia counts try to certify the window and iterate its eigenvectors
+    (see _sector_windows), and where they cannot, or for ``below`` = inf,
+    one dense ``eigh`` solves both sectors (see _dense_sectors).  A certified
+    window keeps every column.  A dense one keeps every Re mu < ``below``
+    and grows past it until the next gap in Re mu is at least _MERGE_GAP, so
+    _invariant_groups never merges across its edge.  Columns are ordered as
+    in ``full_spectrum``; the result's arrays are read-only.
     """
     n = profile.lattice.size
     odd, even = profile.angles[1::2], profile.angles[0::2]
-    frames, values, vectors = sectors
+    frames, diag, coupling = _sector_tridiagonals(profile)
+    window = _sector_windows(diag, coupling, below) if below < np.inf else None
+    values, vectors = window or _dense_sectors(diag, coupling)
     sector = np.repeat([0, 1], [len(v) for v in values])
     re_mu, vecs = np.concatenate(values), np.concatenate(vectors, axis=1)
     order = np.argsort(re_mu, kind="stable")
     re_mu = re_mu[order]
-    w = int(np.searchsorted(re_mu, below))
+    w = re_mu.size if window else int(np.searchsorted(re_mu, below))
     if 0 < w < re_mu.size:
         wide = np.flatnonzero(np.diff(re_mu[w - 1:]) >= _MERGE_GAP)
         w += int(wide[0]) if wide.size else re_mu.size - w
@@ -371,15 +364,16 @@ def full_spectrum(profile: CoinProfile) -> SpectrumResult:
     orthogonal matrix in the real gauge (see _parity_hop).  The symmetric
     part of M, seen in the primed frame, splits into two N/2 x N/2 chiral
     sectors, each a cyclic tridiagonal matrix (see _sector_tridiagonals);
-    this dense reference scatters them into blocks for one ``eigh``
-    (``_chiral_sectors``).  A conjugate pair mu, conj(mu) puts one Re mu in
-    each sector.  Each group of equal Re mu is resolved by a small ``eig``
-    of M restricted to it.  An eigenpair (mu, v) of M gives the two
-    eigenpairs lambda = +-sqrt(mu), psi = (v, A v / lambda) / sqrt(2) of U
-    (``bloch._lift``).  The result's arrays are read-only.
+    this dense reference is ``_ring_spectrum`` with no window bound, one
+    ``eigh`` of both sectors scattered into blocks.  A conjugate pair
+    mu, conj(mu) puts one Re mu in each sector.  Each group of equal Re mu
+    is resolved by a small ``eig`` of M restricted to it.  An eigenpair
+    (mu, v) of M gives the two eigenpairs lambda = +-sqrt(mu),
+    psi = (v, A v / lambda) / sqrt(2) of U (``bloch._lift``).  The result's
+    arrays are read-only.
     """
-    _parity_block_size(profile)
-    return _ring_spectrum(profile, _chiral_sectors(profile))
+    _check_ring_size(profile)
+    return _ring_spectrum(profile, np.inf)
 
 
 def midgap_spectrum(profile: CoinProfile, tol: float | None = None) -> SpectrumResult:
@@ -392,23 +386,15 @@ def midgap_spectrum(profile: CoinProfile, tol: float | None = None) -> SpectrumR
     certify the window in each tridiagonal sector, and shift-invert
     iteration gives its eigenvectors (see _sector_windows); the counts, not
     the iterated Re mu, fix its width.  Where the counts cannot certify it,
-    the dense ``eigh`` of the same tridiagonals decides, as in
-    ``full_spectrum``, so the window is always the full solve's, up to
-    rounding.
-    With the default tolerance on a closed gap nothing is solved: the
-    result has no eigenpairs.  The result's arrays are read-only.
+    ``_ring_spectrum`` falls back to the dense ``eigh`` of the same
+    tridiagonals, as in ``full_spectrum``, so the window is always the full
+    solve's, up to rounding.  With the default tolerance on a closed gap the
+    window bound is -inf: the counts there are zero, nothing is solved and
+    the result has no eigenpairs.  The result's arrays are read-only.
     """
-    n = _parity_block_size(profile)
+    _check_ring_size(profile)
     tol = _midgap_tol(profile, tol)
-    if tol is None:
-        return SpectrumResult(_read_only(np.empty(0, dtype=complex)),
-                              _read_only(np.empty((2 * n, 0), dtype=complex)), profile)
-    below = -1 + 2 * tol + _GROUP_GAP
-    frames, diag, coupling = _sector_tridiagonals(profile)
-    window = _sector_windows(diag, coupling, below)
-    if window is None:
-        return _ring_spectrum(profile, (frames, *_dense_sectors(diag, coupling)), below)
-    return _ring_spectrum(profile, (frames, *window))
+    return _ring_spectrum(profile, -np.inf if tol is None else -1 + 2 * tol + _GROUP_GAP)
 
 
 @dataclass(frozen=True, eq=False)

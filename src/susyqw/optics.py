@@ -116,14 +116,15 @@ def tomography(intens: BasisIntensities) -> DensityMatrix:
 
     Negative eigenvalues beyond -1e-10 (possible with noisy intensities) are
     clipped to zero and the trace restored, with the ``clipped`` flag set.
-    A zero or NaN total intensity I_H + I_V raises UnoccupiedSiteError; any
-    other non-finite intensity raises ValueError.
+    A non-finite intensity, NaN included, raises ValueError; a finite
+    total intensity I_H + I_V that is not positive raises
+    UnoccupiedSiteError.
     """
+    if not np.isfinite(astuple(intens)).all():
+        raise ValueError("basis intensities must be finite")
     s0 = intens.i_h + intens.i_v
     if not s0 > 0:
         raise UnoccupiedSiteError("zero total intensity")
-    if not np.isfinite(astuple(intens)).all():
-        raise ValueError("basis intensities must be finite")
     s1 = intens.i_h - intens.i_v
     s2 = intens.i_d - intens.i_a
     s3 = intens.i_r - intens.i_l

@@ -313,6 +313,17 @@ def test_band_structure_keeps_a_copy_of_its_k_grid():
     assert bands.k_grid is not ks and bands.k_grid[0] == 0.0
 
 
+@pytest.mark.parametrize("solve, fields", [
+    (band_structure, ("k_grid", "eigenvalues", "quasienergies", "eigenvectors")),
+    (bloch._band_energies, ("k_grid", "eigenvalues", "quasienergies")),
+], ids=["band_structure", "band_energies"])
+def test_band_results_are_read_only(solve, fields):
+    bands = solve(1.29, 0.17, resolution=8)
+    for field in fields:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(bands, field)[0] = 0
+
+
 @pytest.mark.parametrize("call, exc, fragment", [
     (lambda: band_structure(1.29, 0.17, k_grid=[]), ValueError, "k grid is empty"),
     (lambda: bloch._band_energies(1.29, 0.17, k_grid=np.empty(0)), ValueError,

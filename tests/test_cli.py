@@ -724,6 +724,14 @@ def test_tomo_noise_is_seeded(capsys):
     assert other != first
 
 
+def test_tomo_blames_a_nan_reading_not_the_occupation(capsys):
+    """Noise that overflows a reading to NaN is a numerical failure of an occupied site
+    (seed 0 of the same command reports site_probability = 0.0768 there)."""
+    code, out, err = run_cli(["tomo", "--steps", "1", "--site", "2", "--noise", "1e308",
+                              "--seed", "3"], capsys)
+    assert (code, out, err) == (3, "", "susyqw: basis intensities must be finite\n")
+
+
 def test_cli_outputs_are_byte_identical(tmp_path, capsys):
     pairs = []
     for name in ("a", "b"):

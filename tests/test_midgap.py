@@ -12,7 +12,7 @@ from susyqw import (Frame, Lattice, ProfileError, SpectrumResult, Topology,
                     site_polarizations, to_frame)
 
 from susyqw import midgap
-from susyqw.midgap import _chiral_sectors
+from susyqw.midgap import _dense_sectors, _sector_tridiagonals
 
 from helpers import (SX, assert_same_eigenspaces, assert_same_states, dense_ring_oracle,
                      primed_frame_rotation, record_calls, ring_bloch_state)
@@ -101,7 +101,7 @@ def test_chiral_sectors_split_the_primed_parity_block(n_sites, seed):
     assert np.abs(gamma @ m_primed @ gamma - m_primed.T).max() <= 1e-13
 
     profile = make_coin_profile("explicit", Lattice(n_sites, Topology.RING), angles=angles)
-    _, values, _ = _chiral_sectors(profile)
+    values, _ = _dense_sectors(*_sector_tridiagonals(profile)[1:])
     np.testing.assert_allclose(np.sort(values.ravel()), np.linalg.eigvalsh((m + m.T) / 2),
                                rtol=0, atol=1e-12)
 
@@ -157,6 +157,27 @@ def test_midgap_window_the_counts_cannot_certify_takes_the_dense_eigh(monkeypatc
     cols = np.r_[0:w, 40:40 + w]
     assert_same_eigenspaces(window.eigenvalues, window.eigenvectors,
                             full.eigenvalues[cols], full.eigenvectors[:, cols])
+
+
+@pytest.mark.parametrize("n", [40, 400])
+def test_full_spectrum_is_one_dense_eigh(monkeypatch, n):
+    """The whole spectrum is the dense reference: one ``eigh`` of both sector blocks."""
+    calls = record_calls(monkeypatch, np.linalg, "eigh")
+    windows = record_calls(monkeypatch, midgap, "_sector_windows")
+    assert full_spectrum(ring_with_interfaces(n, 1.29, 0.17)).eigenvalues.size == 2 * n
+    assert [np.shape(args[0]) for args in calls] == [(2, n // 2, n // 2)]
+    assert not windows
+
+
+def test_closed_gap_window_is_empty_and_solves_nothing(monkeypatch):
+    """On a closed gap the default window is empty: zero counts, no ``eigh``."""
+    calls = record_calls(monkeypatch, np.linalg, "eigh")
+    spectrum = midgap_spectrum(ring_with_interfaces(40, 1.0, 1.0))
+    assert not calls
+    assert spectrum.eigenvalues.shape == (0,) and spectrum.eigenvectors.shape == (80, 0)
+    for array in (spectrum.eigenvalues, spectrum.eigenvectors):
+        assert not array.flags.writeable
+    assert find_midgap(spectrum) == []
 
 
 def test_certified_counts_fix_the_window_width(monkeypatch):

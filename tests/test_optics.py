@@ -278,8 +278,8 @@ def test_jitter_is_seeded_and_clamped():
                                     make_coin_profile("uniform", segment_for(1, 3), phi=0.3),
                                     Frame.PRIMED), 1, Frame.LAB), ValueError,
      "lab-frame measurement needs the coin profile (the state is in the primed frame)"),
-    (lambda: tomography(BasisIntensities(np.nan, 0.0, 0.0, 0.0, 0.0, 0.0)), UnoccupiedSiteError,
-     "zero total intensity"),
+    (lambda: tomography(BasisIntensities(np.nan, 0.0, 0.0, 0.0, 0.0, 0.0)), ValueError,
+     "basis intensities must be finite"),
     (lambda: waveplate("lwp", 0.0), ValueError, "unknown waveplate kind 'lwp'"),
     (lambda: qwp_scan(make_coin_profile("bulk", 9, phi1=1.29, phi2=0.17), 3, 0, []), ValueError,
      "angle grid is empty"),

@@ -500,7 +500,7 @@ def test_sector_inertia_counts_are_the_dense_counts(case):
     profile, _, in_force = interface_window_case(*case)
     assume(in_force is not None)
     _, diag, coupling = midgap._sector_tridiagonals(profile)
-    _, values, _ = midgap._chiral_sectors(profile)
+    values, _ = midgap._dense_sectors(diag, coupling)
     merged = np.sort(values.ravel())
     below = -1 + 2 * in_force + 1e-9
     w = window_width(merged, below)
