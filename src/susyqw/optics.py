@@ -7,6 +7,7 @@ midgap circular state on even sites carries S3 = +1.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import astuple, dataclass
 from typing import Sequence
 
@@ -116,18 +117,23 @@ def tomography(intens: BasisIntensities) -> DensityMatrix:
 
     Negative eigenvalues beyond -1e-10 (possible with noisy intensities) are
     clipped to zero and the trace restored, with the ``clipped`` flag set.
-    A non-finite intensity, NaN included, raises ValueError; a finite
-    total intensity I_H + I_V that is not positive raises
+    A non-finite intensity, NaN included, raises ValueError, and so do
+    Stokes parameters S0-S3 that are not finite or too large for rho in
+    float64: |S0| + |S1| + |S2| + |S3| must stay below half the largest
+    float64, which keeps rho, its eigenvalues and every sum that forms them
+    finite.  A total intensity S0 = I_H + I_V that is not positive raises
     UnoccupiedSiteError.
     """
-    if not np.isfinite(astuple(intens)).all():
+    values = astuple(intens)
+    if not np.isfinite(values).all():
         raise ValueError("basis intensities must be finite")
-    s0 = intens.i_h + intens.i_v
+    i_h, i_v, i_d, i_a, i_r, i_l = map(float, values)  # Python floats overflow silently
+    s0, s1, s2, s3 = i_h + i_v, i_h - i_v, i_d - i_a, i_r - i_l
+    if not abs(s0) + abs(s1) + abs(s2) + abs(s3) < sys.float_info.max / 2:
+        raise ValueError("Stokes parameters out of range: |S0| + |S1| + |S2| + |S3| "
+                         "must stay below half the largest float64")
     if not s0 > 0:
         raise UnoccupiedSiteError("zero total intensity")
-    s1 = intens.i_h - intens.i_v
-    s2 = intens.i_d - intens.i_a
-    s3 = intens.i_r - intens.i_l
     rho = (s0 * np.eye(2) + s1 * SZ + s2 * SX + s3 * SY) / 2
     clipped = False
     evals, evecs = np.linalg.eigh(rho)

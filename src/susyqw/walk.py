@@ -97,7 +97,11 @@ def _swap_flags(coords: np.ndarray, cuts: tuple[int, ...], topology: Topology) -
 
 @dataclass(frozen=True, eq=False)
 class CoinProfile:
-    """Per-site coin angles plus the descriptor they were built from."""
+    """Per-site coin angles plus the descriptor they were built from.
+
+    The profile keeps a read-only float copy of the angles it is given, so
+    writing the given array later leaves the profile as it was.
+    """
 
     lattice: Lattice
     angles: np.ndarray
@@ -105,6 +109,9 @@ class CoinProfile:
     phi1: float | None = None
     phi2: float | None = None
     cuts: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "angles", _read_only(np.array(self.angles, dtype=float)))
 
     def angle_at(self, x: int) -> float:
         return float(self.angles[self.lattice.index(x)])
@@ -132,7 +139,7 @@ def make_coin_profile(kind: str,
       * ``"uniform"``   -- phi everywhere, recorded as phi1 = phi2 = phi
       * ``"explicit"``  -- angles, one per site (copied)
     One finiteness check covers the angles (and phi1, phi2) of every kind.
-    The profile's angle array is read-only.
+    The profile's angle array is read-only (``CoinProfile`` freezes it).
     """
     if isinstance(lattice, int):
         lattice = Lattice(lattice, Topology.SEGMENT, origin=0)
@@ -173,7 +180,6 @@ def make_coin_profile(kind: str,
 
     if not np.isfinite(np.append(arr, pair)).all():
         raise ProfileError("coin angles must be finite")
-    arr.flags.writeable = False
     return CoinProfile(lattice, arr, kind, *pair, cuts=cut_list)
 
 

@@ -157,10 +157,10 @@ def test_evolve_cells_outside_the_light_cone_are_exact_zeros(kind, capsys):
     assert edges == 2 * steps
 
 
-def _evolve_table():
-    lattice = segment_for(1, 9)
+def _evolve_table(steps):
+    lattice = segment_for(1, steps)
     profile = make_coin_profile("interface", lattice, phi1=1.29, phi2=0.17)
-    trajectory = evolve(prepare_input(1, [("qwp", 30.0)], lattice), profile, 9, record=True)
+    trajectory = evolve(prepare_input(1, [("qwp", 30.0)], lattice), profile, steps, record=True)
     return {f"p_{frame.value}_{c}": np.concatenate(
                 [to_frame(st, profile, frame).probabilities()[:, i] for st in trajectory])
             for frame in (Frame.LAB, Frame.PRIMED) for i, c in enumerate("hv")}
@@ -190,7 +190,10 @@ def _midgap_table(cols):
 # (flags, library columns by name: from nothing, or from the table's own columns)
 EXACT_TABLES = [
     pytest.param(["evolve", "--steps", "9", "--frame", "both", "--plate", "qwp:30"],
-                 lambda cols: _evolve_table(), id="evolve"),
+                 lambda cols: _evolve_table(9), id="evolve"),
+    # 85 sites, 41 steps: table blocks of 12, 12, 12 and 5 steps
+    pytest.param(["evolve", "--steps", "40", "--frame", "both", "--plate", "qwp:30"],
+                 lambda cols: _evolve_table(40), id="evolve-blocks"),
     pytest.param(["bands", "--phi1", "1", "--phi2", "0.2", "--resolution", "64"],
                  lambda cols: _bands_table(), id="bands"),
     pytest.param(["scan", "--steps", "13", "--angles", "0:180:5"],
@@ -384,6 +387,30 @@ def test_evolve_small_lattice_hits_boundary(tmp_path, capsys):
     assert lines[0] == "step,x,p_lab_h,p_lab_v,p_primed_h,p_primed_v"
     assert [int(row["step"]) for row in read_rows(out)] == [t for t in range(3) for _ in range(5)]
     assert not any(line.startswith("# ") for line in lines)
+
+
+def test_evolve_boundary_after_full_blocks_keeps_every_step_before_it(tmp_path, capsys):
+    """61 sites hold 16 steps per table block; the walk leaves them at step 31."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"steps": 40, "size": 61}))
+    code, out, err = run_cli(["evolve", "--config", str(cfg)], capsys)
+    assert code == 3
+    assert err == "susyqw: walk reached boundary\n"
+    lines = out.splitlines()
+    assert lines[0] == "step,x,p_lab_h,p_lab_v,p_primed_h,p_primed_v"
+    rows = read_rows(out)
+    assert [int(row["step"]) for row in rows] == [t for t in range(31) for _ in range(61)]
+    assert [int(row["x"]) for row in rows] == list(range(-29, 32)) * 31
+    assert not any(line.startswith("# ") for line in lines)
+
+
+def test_evolve_formats_each_column_once_per_block(monkeypatch, capsys):
+    """14 steps of 31 sites fit one table block: one ``_cells`` call per column."""
+    calls = record_calls(monkeypatch, cli, "_cells")
+    code, out, _ = run_cli(["evolve", "--steps", "13", "--frame", "both"], capsys)
+    assert code == 0
+    assert len(read_rows(out)) == 14 * 31
+    assert [col.size for col, _ in calls] == [14 * 31] * 6
 
 
 @pytest.mark.parametrize("argv, out_name", [

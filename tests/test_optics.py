@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,19 @@ def test_tomography_refuses_non_finite_intensities(bad):
     # an occupied site with one non-finite reading would give an all-NaN rho
     with pytest.raises(ValueError, match="basis intensities must be finite"):
         tomography(BasisIntensities(1.0, 0.0, bad, 0.5, 0.5, 0.5))
+
+
+@pytest.mark.parametrize("intensities", [
+    (1e308, 1e308, 1e308, 0.0, 0.0, 0.0),  # S0 = I_H + I_V overflows
+    (1e308, 0.0, 0.0, 0.0, 0.0, 0.0),      # S0 + S1, the entry rho_HH, overflows
+    (8e307, 8e307, 1.7e308, 0.0, 1.7e308, 0.0),  # finite S0-S3, an eigenvalue of rho overflows
+], ids=["s0-overflows", "rho-overflows", "eigenvalue-overflows"])
+def test_tomography_refuses_stokes_parameters_it_cannot_hold(intensities):
+    """Finite readings too large for rho raise one ValueError, with no NumPy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Stokes parameters out of range"):
+            tomography(BasisIntensities(*intensities))
 
 
 def test_frame_consistency_of_tomography():

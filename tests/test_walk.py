@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,6 +314,16 @@ def test_profile_angles_are_a_read_only_copy(kind):
     prof = make_coin_profile(kind, 8, phi1=0.3, phi2=0.3, phi=0.3, angles=given)
     given[0] = np.nan
     np.testing.assert_array_equal(prof.angles, np.full(8, 0.3))
+    with pytest.raises(ValueError, match="read-only"):
+        prof.angles[0] = 1.0
+
+
+def test_replaced_profile_angles_are_a_read_only_copy():
+    """A profile made by ``dataclasses.replace``, not by make_coin_profile, owns its angles."""
+    given = np.linspace(0.1, 0.8, 8)
+    prof = replace(make_coin_profile("bulk", 8, phi1=0.3, phi2=0.2), angles=given)
+    given[0] = np.nan
+    np.testing.assert_array_equal(prof.angles, np.linspace(0.1, 0.8, 8))
     with pytest.raises(ValueError, match="read-only"):
         prof.angles[0] = 1.0
 
