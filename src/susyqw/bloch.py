@@ -96,11 +96,16 @@ def _circle_distance(eps, target):
 
 @dataclass(frozen=True, eq=False)
 class BlochOperator:
-    matrix: np.ndarray  # 4x4 complex
+    """The 4x4 one-step unitary at wave number k; ``matrix`` is a read-only complex copy."""
+
+    matrix: np.ndarray
     k: float
     phi1: float
     phi2: float
     frame: Frame
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _read_only(np.array(self.matrix, dtype=complex)))
 
 
 def _bloch_blocks(ks, phi1: float, phi2: float,

@@ -96,10 +96,16 @@ def jitter_intensities(intens: BasisIntensities, rel: float,
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """2x2 Hermitian polarization state of one site; trace S0 > 0, above 1 if noisy."""
+    """2x2 Hermitian polarization state of one site; trace S0 > 0, above 1 if noisy.
+
+    The matrix is a read-only complex copy of the one given.
+    """
 
     matrix: np.ndarray
     clipped: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _read_only(np.array(self.matrix, dtype=complex)))
 
     def decomposition(self) -> tuple[float, float, float]:
         """(|H| amplitude, |V| amplitude, relative phase) of the normalized state.

@@ -37,6 +37,16 @@ def test_unitarity_and_block_structure(frame):
         assert np.all(u[:2, :2] == 0) and np.all(u[2:, 2:] == 0)
 
 
+def test_bloch_operator_matrix_is_a_read_only_copy():
+    given = bloch_operator(0.8, 1.29, 0.17).matrix.copy()
+    op = bloch.BlochOperator(given, 0.8, 1.29, 0.17, Frame.LAB)
+    given[0, 2] = np.nan
+    np.testing.assert_array_equal(op.matrix, bloch_operator(0.8, 1.29, 0.17).matrix)
+    for made in (op, bloch_operator(0.8, 1.29, 0.17, Frame.PRIMED)):
+        with pytest.raises(ValueError, match="read-only"):
+            made.matrix[0, 2] = 1.0
+
+
 def test_band_condition_at_k_zero_reduces_to_angle_sum():
     bands = band_structure(1.0, 0.2, k_grid=np.array([0.0]))
     eps = np.sort(bands.quasienergies[0])

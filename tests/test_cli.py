@@ -488,6 +488,57 @@ def test_failed_run_keeps_a_symlink_out(tmp_path, capsys):
     assert link.is_symlink() and target.is_file()
 
 
+# one small run of each command: evolve's body is lazy, the others' made
+SMALL_RUNS = {"bands": ["bands", "--resolution", "8"],
+              "winding": ["winding", "--resolution", "256"],
+              "midgap": ["midgap", "--n", "12"],
+              "scan": ["scan", "--steps", "3"],
+              "tomo": ["tomo"],
+              "evolve": ["evolve", "--steps", "3"]}
+
+
+@pytest.mark.parametrize("earlier", [b"#" * 65536, b"x"], ids=["longer", "shorter"])
+@pytest.mark.parametrize("argv", SMALL_RUNS.values(), ids=SMALL_RUNS)
+def test_existing_out_ends_holding_exactly_the_new_text(argv, earlier, tmp_path, capsys):
+    """An earlier --out file is rewritten to the bytes a stdout run prints, then cut there."""
+    code, text, _ = run_cli(argv, capsys)
+    assert code == 0
+    out_file = tmp_path / "result.csv"
+    out_file.write_bytes(earlier)
+    code, _, _ = run_cli([*argv, "--out", str(out_file)], capsys)
+    assert code == 0
+    assert out_file.read_bytes() == text.encode()
+
+
+def test_symlink_out_rewrites_and_cuts_its_target(tmp_path, capsys):
+    code, text, _ = run_cli(["tomo"], capsys)
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"#" * 65536)
+    link.symlink_to(target)
+    code, _, _ = run_cli(["tomo", "--out", str(link)], capsys)
+    assert code == 0
+    assert link.is_symlink() and target.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("argv", SMALL_RUNS.values(), ids=SMALL_RUNS)
+def test_device_out_is_written_through_and_never_cut(argv, capsys):
+    """Only a regular file is truncated after the write: ftruncate fails on a device."""
+    code, out, err = run_cli([*argv, "--out", os.devnull], capsys)
+    assert code == 0 and err == ""
+    assert out and all(line.startswith("# ") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("argv", SMALL_RUNS.values(), ids=SMALL_RUNS)
+def test_only_evolve_truncates_out_when_opening_it(argv, monkeypatch, tmp_path, capsys):
+    """A made body is written over --out in place; evolve's lazy body truncates first."""
+    out_path = str(tmp_path / "result.csv")
+    calls = record_calls(monkeypatch, os, "open")
+    code, _, _ = run_cli([*argv, "--out", out_path], capsys)
+    assert code == 0
+    [flags] = [flags for path, flags, *_ in calls if path == out_path]
+    assert bool(flags & os.O_TRUNC) == (argv[0] == "evolve")
+
+
 def test_evolve_memory_is_flat_in_the_step_count(tmp_path):
     """Each step is written before the next is made: no trajectory is held."""
     stdout = io.StringIO()

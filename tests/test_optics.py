@@ -8,7 +8,7 @@ from susyqw import (Frame, Lattice, LatticeMismatchError, Topology, UnoccupiedSi
                     evolve, jitter_intensities, localized_state, long_time_extrapolation,
                     make_coin_profile, measure_bases, prepare_input, pure_state_fidelity,
                     qwp_scan, scan, segment_for, to_frame, tomography, waveplate)
-from susyqw.optics import BasisIntensities
+from susyqw.optics import BasisIntensities, DensityMatrix
 
 from helpers import coin_2x2
 
@@ -110,6 +110,17 @@ def test_tomography_clips_unphysical_inputs():
     evals = np.linalg.eigvalsh(rho.matrix)
     assert evals.min() >= -1e-12
     assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_density_matrix_is_a_read_only_copy():
+    given = np.array([[0.5, -0.5j], [0.5j, 0.5]])
+    rho = DensityMatrix(given)
+    given[0, 0] = np.nan
+    np.testing.assert_array_equal(rho.matrix, [[0.5, -0.5j], [0.5j, 0.5]])
+    made = tomography(BasisIntensities(1.0, 0.0, 0.5, 0.5, 0.5, 0.5))
+    for matrix in (rho.matrix, made.matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1.0
 
 
 def test_tomography_zero_intensity_rejected():
