@@ -6,10 +6,11 @@ command computes and formats its result, then hands it to the one writer,
 ``_emit``: data go to ``--out`` (or stdout), followed by a summary block of
 ``# key = value`` lines.  ``--out`` is opened only once the result is made,
 and an existing regular file is rewritten in place and cut to the new
-length.  ``evolve`` instead truncates ``--out`` first and writes each block
-of steps as the walk makes it.  Exit codes: 0 success, 2 configuration
-error, 3 numerical failure (including an array size the host cannot
-allocate, or a site past the int64 range).
+length (``_emit`` says what a run killed meanwhile leaves).  ``evolve``
+instead truncates ``--out`` first and writes each block of steps as the
+walk makes it.  Exit codes: 0 success, 2 configuration error, 3 numerical
+failure (including an array size the host cannot allocate, or a site past
+the int64 range).
 
 Angle units: coin angles are radians, waveplate angles degrees; both accept
 an explicit ``rad``/``deg`` suffix in config files (e.g. ``"137deg"``).
@@ -176,13 +177,19 @@ def _emit(out_path: str | None, parts, notes) -> None:
     is written.  The other commands pass text already made: ``--out`` is
     opened after the work, and a failed computation leaves an existing
     ``--out`` untouched.  A made body is written over an existing file in
-    place, without the truncate-to-zero, and a regular file is then cut where
-    the new text ends; a pipe or device is written through.  On ext4 the
-    truncating open of an existing file frees its blocks and makes the close
-    write them back, about 0.2 ms of a 1 ms ``tomo`` (one pinned CPU).  A
-    lazy body truncates first: its write lasts as long as the walk, and a
-    walk stopped midway must not leave its rows followed by the tail of an
-    earlier, complete-looking file.
+    place, without the truncate-to-zero, and a regular file that was longer
+    than the new text is then cut where the new text ends; a pipe or device
+    is written through.  On ext4 a truncating open of an existing file frees
+    its blocks and makes the close write them back, and an ``ftruncate``
+    costs even where it keeps the length, so a file that was new or no
+    longer than the new text is not cut at all (figures in ``BENCH_29.json``).
+
+    The price is crash safety.  A process killed before the write and the
+    cut are done (SIGKILL, SIGTERM, out of memory, power loss) can leave
+    all, part or none of the new text followed by an existing file's tail
+    and summary, which reads as complete; a truncating open leaves a short
+    file without a summary.  A made body runs that risk while text already in memory is
+    written, a lazy body for the whole walk, so a lazy body truncates first.
     """
     if not out_path:
         sys.stdout.writelines(parts)
@@ -199,9 +206,10 @@ def _emit(out_path: str | None, parts, notes) -> None:
         raise ConfigError(f"out: cannot write: {exc}") from None
     try:
         with fh:
+            earlier = os.fstat(fh.fileno()) if made else None
             fh.writelines(parts)
             fh.write(tail := _summary(notes))
-            if made and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            if made and stat.S_ISREG(earlier.st_mode) and earlier.st_size > fh.tell():
                 fh.truncate()  # cut the rest of an earlier, longer file
     except BaseException:
         with contextlib.suppress(OSError):

@@ -62,7 +62,10 @@ class Lattice:
             raise ProfileError("ring lattice uses origin 0")
 
     def coords(self) -> np.ndarray:
-        return self.origin + np.arange(self.size)
+        coords = self.origin + np.arange(self.size)
+        if coords.size != self.size:  # np.arange comes back empty near 2**63 sites
+            raise OverflowError(f"lattice of {self.size} sites is too large to lay out")
+        return coords
 
     def index(self, x: int) -> int:
         """Array row of site coordinate x."""

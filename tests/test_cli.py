@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -537,6 +538,49 @@ def test_only_evolve_truncates_out_when_opening_it(argv, monkeypatch, tmp_path, 
     assert code == 0
     [flags] = [flags for path, flags, *_ in calls if path == out_path]
     assert bool(flags & os.O_TRUNC) == (argv[0] == "evolve")
+
+
+# bodies of 34 KB and 16 KB over a 64 KB earlier file
+@pytest.mark.parametrize("argv", [["bands", "--resolution", "256"], ["evolve", "--steps", "13"]],
+                         ids=["made", "lazy"])
+def test_killed_write_over_an_existing_out(argv, tmp_path, capsys):
+    """SIGKILL after the body, before the summary: what the in-place write risks.
+
+    A made body leaves the earlier file's tail and summary after whatever of
+    the new text reached the file; evolve's truncating open leaves a prefix
+    of its own text only.
+    """
+    code, text, _ = run_cli(argv, capsys)
+    assert code == 0
+    new = text.encode()
+    out_file = tmp_path / "result.csv"
+    earlier = b"#" * 65536 + b"\n# earlier = summary\n"
+    out_file.write_bytes(earlier)
+    script = ("import os, signal\nfrom susyqw import cli\n"
+              "cli._summary = lambda notes: os.kill(os.getpid(), signal.SIGKILL)\n"
+              f"cli.main({[*argv, '--out', str(out_file)]!r})\n")
+    src = str(Path(susyqw.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], env=env, timeout=120)
+    assert result.returncode == -signal.SIGKILL
+    data = out_file.read_bytes()
+    if argv[0] == "evolve":
+        assert new.startswith(data)
+    else:
+        written = len(os.path.commonprefix([data, new]))
+        assert data == new[:written] + earlier[written:]
+        assert data.endswith(b"\n# earlier = summary\n")
+
+
+@pytest.mark.parametrize("size", [2**63 - 2, 2**63])
+def test_evolve_lattice_too_large_to_lay_out_exits_three(size, tmp_path, capsys):
+    """np.arange of about 2**63 is empty, so such a lattice once met a ZeroDivisionError."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"size": size}))
+    code, out, err = run_cli(["evolve", "--config", str(cfg)], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"susyqw: lattice of {size} sites is too large to lay out\n"
 
 
 def test_evolve_memory_is_flat_in_the_step_count(tmp_path):

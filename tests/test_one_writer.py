@@ -2,8 +2,13 @@
 
 An ``ast`` scan of ``src/susyqw/*.py`` for the calls that can create or
 write a file: ``open`` with a mode that writes, appends, creates or
-updates (or a mode the scan cannot read), and any ``os.open``.  Opening
-for reading, as ``--config`` is read, stays allowed everywhere.
+updates (or a mode the scan cannot read), ``os.open``, NumPy's savers, the
+copying and temporary-file calls of ``shutil`` and ``tempfile``, and the
+``write_text``/``write_bytes``/``tofile`` methods.  Opening for reading, as
+``--config`` is read, stays allowed everywhere.  The scan knows these calls
+by the names the package imports them under (``os``, ``np``, ``shutil``,
+``tempfile``); a renamed import, ``Path.open``, a subprocess or a handle
+passed in from outside would pass it unseen.
 """
 
 import ast
@@ -14,6 +19,13 @@ import pytest
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "susyqw"
 # the functions, by module, whose body may write a file
 WRITERS = {"cli.py": {"_emit"}}
+OPENS = {"open", "io.open", "builtins.open"}
+# calls that write a file whatever their arguments, by dotted name or method name
+WRITE_CALLS = {"os.open", "np.save", "np.savez", "np.savez_compressed", "np.savetxt",
+               "shutil.copy", "shutil.copy2", "shutil.copyfile", "shutil.copytree",
+               "shutil.move", "tempfile.mkstemp", "tempfile.NamedTemporaryFile",
+               "tempfile.TemporaryFile", "tempfile.SpooledTemporaryFile"}
+WRITE_METHODS = {"write_text", "write_bytes", "tofile"}
 
 
 def _mode(call):
@@ -24,17 +36,19 @@ def _mode(call):
 
 
 def _writes(call):
-    """What ``call`` opens for writing: "open(mode)", "os.open", or None."""
+    """What ``call`` writes a file with: "open(mode)", a dotted name, ".method", or None."""
     func = call.func
     if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
         name = f"{func.value.id}.{func.attr}"
     elif isinstance(func, ast.Name):
         name = func.id
     else:
-        return None
-    if name == "os.open":
+        name = None
+    if name in WRITE_CALLS:
         return name
-    if name in ("open", "io.open", "builtins.open"):
+    if isinstance(func, ast.Attribute) and func.attr in WRITE_METHODS:
+        return f".{func.attr}"
+    if name in OPENS:
         mode = _mode(call)
         if mode is None or set(mode) & set("wax+"):
             return f"{name}({mode!r})"
@@ -65,10 +79,14 @@ def writers(source, allowed=()):
     ("fh = open(path, 'xb')\nfh = open(path, kind)", [(1, "open('xb')"), (2, "open(None)")]),
     ("def helper(path):\n    def inner():\n        return open(path, 'w')\n",
      [(3, "open('w')")]),
+    ("np.savetxt(path, a)\nPath(path).write_text(text)\nself.rows().tofile(fh)\n"
+     "shutil.move(a, b)\nfd, name = tempfile.mkstemp()",
+     [(1, "np.savetxt"), (2, ".write_text"), (3, ".tofile"), (4, "shutil.move"),
+      (5, "tempfile.mkstemp")]),
     ("with open(cfg, encoding='utf-8') as fh:\n    pass\nb = open(cfg, 'rb')\n"
-     "c = open(cfg, mode='rt')", []),
+     "c = open(cfg, mode='rt')\nd = a.copy()\ne = np.load(path)", []),
 ], ids=["write", "append-keyword", "update-and-os-open", "create-and-unread-mode",
-        "nested-function", "reads-only"])
+        "nested-function", "savers-methods-shutil-tempfile", "reads-only"])
 def test_scan_flags_writes(source, expected):
     assert writers(source) == expected
 
