@@ -10,7 +10,8 @@ length (``_emit`` says what a run killed meanwhile leaves).  ``evolve``
 instead truncates ``--out`` first and writes each block of steps as the
 walk makes it.  Exit codes: 0 success, 2 configuration error, 3 numerical
 failure (including an array size the host cannot allocate, or a site past
-the int64 range).
+the int64 range) or a body or summary that cannot be written to ``--out``
+or stdout (a full disk, a closed pipe).
 
 Angle units: coin angles are radians, waveplate angles degrees; both accept
 an explicit ``rad``/``deg`` suffix in config files (e.g. ``"137deg"``).
@@ -517,16 +518,36 @@ def _resolve(command: str, args: argparse.Namespace) -> argparse.Namespace:
     return argparse.Namespace(**settings)
 
 
+def _drop_stdout() -> None:
+    """Close a stdout that cannot take its pending text, dropping that text.
+
+    The interpreter flushes an open stdout once more as it exits; after
+    EPIPE or ENOSPC that flush would fail again and print past the one error
+    line.  A closed stdout is skipped there, and closing it writes no file
+    (the Python docs' SIGPIPE note points it at ``os.devnull`` instead).
+    """
+    try:
+        sys.stdout.flush()
+    except OSError:
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _COMMANDS[args.command][0](_resolve(args.command, args))
+        sys.stdout.flush()  # a stdout that fails now fails here, not at exit
         return 0
     except (ConfigError, ProfileError) as exc:  # a bad ring, segment or site is user input
         print(f"susyqw: configuration error: {exc}", file=sys.stderr)
         return 2
     except (SusyqwError, np.linalg.LinAlgError, ValueError, MemoryError, OverflowError) as exc:
         print(f"susyqw: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:  # the body or summary could not be written
+        print(f"susyqw: cannot write output: {exc}", file=sys.stderr)
+        _drop_stdout()
         return 3
 
 

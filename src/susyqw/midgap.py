@@ -150,32 +150,35 @@ def _sector_tridiagonals(profile: CoinProfile) -> tuple[np.ndarray, np.ndarray, 
     (j, j) and coupling[s, j] at (j, j + 1 mod N/2) and (j + 1 mod N/2, j).
 
     M moves odd site j to j - 1, j and j + 1 only, so S_s is tridiagonal
-    with one corner.  Comb probes, each the sum of the basis vectors of sites
-    at least three apart around the ring (3 to 5 of them per sector), go
-    through one pair of parity hops and give every entry in O(N).  With two
-    odd sites both neighbours coincide, and coupling[:, 0] alone holds the
-    coupling; with one there is none.
+    with one corner, and its entries are written from the coins.  With f0,
+    f1 the rows of the frames, (hp, vp) = C(odd) (f0, f1) (hp goes to even
+    site j + 1, vp to even site j), (ce, ae, be) the even coins' factors and
+    nxt = j + 1 mod N/2:
+
+        diag     = f0 * -(ae * vp) + f1 * (be[nxt] * hp)
+        coupling = (f0[nxt] * (ce[nxt] * hp) + f1 * (ce[nxt] * vp[nxt])) / 2
+
+    Each term is the one product of the even coin whose other input is an
+    exact zero, summed as f0 x + f1 y, so the entries are bit for bit those
+    of basis vectors pushed through the two parity hops and contracted with
+    the frames.  With two odd sites both couplings join one pair and every
+    consumer adds them; with one, both fold into the diagonal.
     """
     odd, even = profile.angles[1::2], profile.angles[0::2]
-    half = odd.size
     c, s = np.cos(odd / 2), np.sin(odd / 2)
-    frames = np.empty((half, 2, 2))
+    frames = np.empty((odd.size, 2, 2))
     frames[:, 0, 0], frames[:, 1, 0] = c - s, s + c
     frames[:, 0, 1], frames[:, 1, 1] = c + s, s - c
     frames *= np.sqrt(0.5)
-    sites = np.arange(half)
-    whole = half - half % 3  # sites 0 .. whole - 1 share three combs; the rest probe alone
-    comb = np.where(sites < whole, sites % 3, sites - whole + 3)
-    probes = np.zeros((half, 2, 2, comb[-1] + 1))
-    probes[sites, :, :, comb] = frames
-    out = _parity_hop(_parity_hop(probes.reshape(2 * half, -1), odd, 1, 0), even, 0, -1)
-    seen = np.einsum("jcs,jcsp->sjp", frames, out.reshape(probes.shape))
-    nxt = (sites + 1) % half
-    diag = seen[:, sites, comb]
-    coupling = (seen[:, nxt, comb] + seen[:, sites, comb[nxt]]) / 2
-    if half <= 2:
-        coupling[:, -1] = 0
-    return frames, diag, coupling
+    f0, f1 = frames[:, 0], frames[:, 1]
+    hp, vp = _coin(f0, f1, _coin_factors(odd[:, None], real=True))
+    ce, ae, be = _coin_factors(even[:, None], real=True)
+    nxt = (np.arange(odd.size) + 1) % odd.size
+    diag = f0 * -(ae * vp) + f1 * (be[nxt] * hp)
+    coupling = (f0[nxt] * (ce[nxt] * hp) + f1 * (ce[nxt] * vp[nxt])) / 2
+    if odd.size == 1:
+        diag, coupling = diag + 2 * coupling, np.zeros_like(coupling)
+    return frames, diag.T, coupling.T
 
 
 def _dense_sectors(diag: np.ndarray, coupling: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,9 +7,12 @@ statement: the walk step, the frame changes, ``coin_matrix`` (read by the
 Bloch blocks in ``bloch``) and the dense ring matrix ``one_step_matrix`` all
 take their entries from it.
 
-``advance`` is the one coin-and-shift loop, and the shift S lives only
-there.  It steps a buffer of shape (2, ..., N): the two coin components
-first, the N sites last, and any number of walks on one lattice in between.
+``advance`` is the one coin-and-shift loop over a whole lattice, and the
+shift S lives there and in one sublattice hop outside it:
+``midgap._parity_hop`` coins one sublattice of a ring and shifts it onto
+the other, the two factors of the parity blocks of U^2.  ``advance``
+steps a buffer of shape (2, ..., N): the two coin components first, the N
+sites last, and any number of walks on one lattice in between.
 ``evolve`` passes the transpose of its (N, 2) amplitudes; a QWP scan
 (``optics``) passes one real array holding the |H> and |V> walks of each of
 its profiles.  ``apply_shift`` (identity coin) and ``one_step_matrix`` (two

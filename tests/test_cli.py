@@ -288,13 +288,21 @@ CONTRACT_VALUES = [math.nan, math.inf, 1e300, 10**400, 2**63, 2**63 - 2, -1, 0, 
                    [1, 2]]
 
 
+# a device that refuses every write with ENOSPC
+DEV_FULL = "/dev/full"
+needs_dev_full = pytest.mark.skipif(not os.path.exists(DEV_FULL), reason="no /dev/full")
+
+
 @st.composite
 def contract_draws(draw):
-    """A command and values for up to three of its settings (``--out`` aside)."""
+    """A command, values for up to three of its settings and, at times, ``--out`` /dev/full."""
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
     keys = sorted(set(cli._COMMANDS[command][2]) - {"out"})
     chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=3))
-    return command, {key: draw(st.sampled_from(CONTRACT_VALUES)) for key in chosen}
+    values = {key: draw(st.sampled_from(CONTRACT_VALUES)) for key in chosen}
+    if os.path.exists(DEV_FULL) and draw(st.booleans()):
+        values["out"] = DEV_FULL
+    return command, values
 
 
 def flag_form(command, values):
@@ -527,6 +535,43 @@ def test_device_out_is_written_through_and_never_cut(argv, capsys):
     code, out, err = run_cli([*argv, "--out", os.devnull], capsys)
     assert code == 0 and err == ""
     assert out and all(line.startswith("# ") for line in out.splitlines())
+
+
+def cli_process(argv, **kwargs):
+    """``python -m susyqw.cli argv`` as a child process, with this checkout's package."""
+    src = str(Path(susyqw.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "susyqw.cli", *argv],
+                            env={**os.environ, "PYTHONPATH": path}, text=True, **kwargs)
+
+
+def assert_one_write_error(code, err):
+    assert code == 3
+    assert err.startswith("susyqw: cannot write output: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@needs_dev_full
+def test_evolve_out_on_a_full_device_exits_three():
+    with cli_process(["evolve", "--steps", "3", "--out", DEV_FULL],
+                     stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        out, err = proc.communicate(timeout=120)
+    assert_one_write_error(proc.returncode, err)
+    assert "No space left" in err and out == ""
+
+
+def test_stdout_closed_by_its_reader_exits_three():
+    """``bands --resolution 20000 | head -1``: EPIPE in the body, then no second
+    error at the interpreter's last flush of stdout."""
+    with cli_process(["bands", "--resolution", "20000"],
+                     stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=120)
+    assert first.startswith("k,eps1,")
+    assert_one_write_error(proc.returncode, err)
+    assert "Broken pipe" in err
 
 
 @pytest.mark.parametrize("argv", SMALL_RUNS.values(), ids=SMALL_RUNS)

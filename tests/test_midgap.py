@@ -85,12 +85,14 @@ def real_gauge_odd_block(matrix, n_sites):
     return real.real[np.ix_(odd, odd)]
 
 
-@pytest.mark.parametrize("n_sites, seed", [(4, 0), (12, 1), (30, 2), (64, 3)])
+@pytest.mark.parametrize("n_sites, seed", [(2, 4), (4, 0), (6, 5), (12, 1), (30, 2), (64, 3)])
 def test_chiral_sectors_split_the_primed_parity_block(n_sites, seed):
     """sigma_x M' sigma_x = M'^T for M' = T M T^T, so two sector eigh give Re mu.
 
     M is the odd block of U^2 and T the primed-frame half coin on the odd
-    sites, both built from the dense oracles in the real gauge.
+    sites, both built from the dense oracles in the real gauge.  N = 2 folds
+    both couplings into the diagonal; N = 6 is the smallest ring whose odd
+    sites each have two distinct odd neighbours.
     """
     angles = np.random.default_rng(seed).uniform(-np.pi, np.pi, n_sites)
     u = dense_ring_oracle(angles)
@@ -104,6 +106,39 @@ def test_chiral_sectors_split_the_primed_parity_block(n_sites, seed):
     values, _ = _dense_sectors(*_sector_tridiagonals(profile)[1:])
     np.testing.assert_allclose(np.sort(values.ravel()), np.linalg.eigvalsh((m + m.T) / 2),
                                rtol=0, atol=1e-12)
+
+
+def hopped_sector_entries(profile):
+    """Each sector's diagonal and coupling read by pushing every single basis
+    vector through the two parity hops and contracting with the frames."""
+    frames = _sector_tridiagonals(profile)[0]
+    odd, even = profile.angles[1::2], profile.angles[0::2]
+    half = odd.size
+    sites = np.arange(half)
+    nxt = (sites + 1) % half
+    probes = np.zeros((half, 2, 2, half))
+    probes[sites, :, :, sites] = frames
+    out = midgap._parity_hop(midgap._parity_hop(probes.reshape(2 * half, -1), odd, 1, 0),
+                             even, 0, -1)
+    seen = np.einsum("jcs,jcsp->sjp", frames, out.reshape(probes.shape))
+    return seen[:, sites, sites], (seen[:, nxt, sites] + seen[:, sites, nxt]) / 2
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sector_entries_are_those_of_the_parity_hops(seed, monkeypatch):
+    """Written from the coins, the entries equal the hopped ones exactly, and no hop runs."""
+    rng = np.random.default_rng(seed)
+    profiles = []
+    for n in (2 * rng.integers(3, 120, 10)).tolist():
+        profiles.append(make_coin_profile("explicit", Lattice(n, Topology.RING),
+                                          angles=rng.uniform(-7, 7, n)))
+        profiles.append(ring_with_interfaces(max(n, 12), *rng.uniform(-3.2, 3.2, 2)))
+    expected = [hopped_sector_entries(profile) for profile in profiles]
+    hops = record_calls(monkeypatch, midgap, "_parity_hop")
+    for profile, hopped in zip(profiles, expected):
+        _, diag, coupling = _sector_tridiagonals(profile)
+        assert np.array_equal(diag, hopped[0]) and np.array_equal(coupling, hopped[1])
+    assert not hops
 
 
 def test_midgap_window_keeps_merged_groups_whole():
