@@ -34,13 +34,13 @@ import numpy as np
 
 from . import __version__
 from .bloch import _band_energies, band_condition_value, winding_numbers
-from .errors import BoundaryReachedError, ConfigError, ProfileError, SusyqwError
+from .errors import ConfigError, ProfileError, SusyqwError
 from .midgap import (anomaly_expectation, find_midgap, midgap_spectrum,
                      ring_with_interfaces, site_polarizations)
 from .optics import (jitter_intensities, measure_bases, prepare_input,
                      pure_state_fidelity, scan, tomography)
-from .walk import (Frame, Lattice, Topology, _coin, _coin_factors, advance, evolve,
-                   make_coin_profile, segment_for, to_frame)
+from .walk import (Frame, _coin, _coin_factors, advance, evolve, make_coin_profile,
+                   segment_for, to_frame)
 
 
 def _integer(value) -> int:
@@ -70,6 +70,12 @@ def _at_least(parse, low, strict=False):
             raise ConfigError(f"must be {'>' if strict else '>='} {low}, got {value!r}")
         return out
     return bounded
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"must be a string, got {value!r}")
+    return value
 
 
 def _boolean(value) -> bool:
@@ -121,10 +127,6 @@ def _parse_grid(spec) -> np.ndarray:
     return np.arange(start, stop, step)
 
 
-def _size(value):
-    return value if value == "auto" else _integer(value)
-
-
 _count = _at_least(_integer, 0)
 _FRAMES = _Choice(lab=(Frame.LAB,), primed=(Frame.PRIMED,), both=(Frame.LAB, Frame.PRIMED))
 _PLATE_KINDS = _Choice(qwp="qwp", hwp="hwp")
@@ -134,7 +136,7 @@ _PLATES = ("--plate", _parse_plates, (),
 
 def _common(phi1: float, phi2: float) -> dict:
     """The rows every command has: output file and the two coin angles."""
-    return {"out": ("--out", str, None, "output file (default: stdout)"),
+    return {"out": ("--out", _string, None, "output file (default: stdout)"),
             "phi1": ("--phi1", _parse_angle, phi1,
                      "first coin angle (radians; rad/deg suffix allowed)"),
             "phi2": ("--phi2", _parse_angle, phi2, "second coin angle (radians)")}
@@ -259,15 +261,11 @@ def cmd_evolve(opts) -> None:
     Each step is advanced and copied into a block of at most ``_BLOCK_ROWS``
     rows (one step where a step alone has more); a full block is changed to
     the requested frames and written before the walk goes on, so memory
-    holds one block whatever the step count.  A walk that reaches the edge of
-    its segment writes the steps it made before the error.  After t steps
-    from the input site x0 only |x - x0| <= t with x - x0 + t even can be
-    occupied; every other cell is an exact zero, written "0.0".
+    holds one block whatever the step count.  After t steps from the input
+    site x0 only |x - x0| <= t with x - x0 + t even can be occupied; every
+    other cell is an exact zero, written "0.0".
     """
-    if opts.size == "auto":
-        lattice = segment_for(opts.input_site, opts.steps)
-    else:
-        lattice = Lattice(opts.size, Topology.SEGMENT, origin=opts.input_site - opts.size // 2)
+    lattice = segment_for(opts.input_site, opts.steps)
     first, last = lattice.origin, lattice.origin + lattice.size - 1
     if opts.kind == "interface" and not first <= 0 < last:
         raise ConfigError(f"input_site: the segment [{first}, {last}] around input site "
@@ -298,17 +296,12 @@ def cmd_evolve(opts) -> None:
     def blocks():
         chunk = np.empty((per_block, *lab.shape), complex)
         t0 = k = 0  # the step in chunk[0], the steps held
-        try:
-            for live in walk:
-                chunk[k] = live
-                k += 1
-                if k == len(chunk):
-                    yield block(t0, chunk)
-                    t0, k = t0 + k, 0
-        except BoundaryReachedError:
-            if k:  # the steps made before the edge are written, then the error
-                yield block(t0, chunk[:k])
-            raise
+        for live in walk:
+            chunk[k] = live
+            k += 1
+            if k == len(chunk):
+                yield block(t0, chunk)
+                t0, k = t0 + k, 0
         if k:
             yield block(t0, chunk[:k])
 
@@ -399,6 +392,10 @@ def cmd_scan(opts) -> None:
 def cmd_tomo(opts) -> None:
     lattice = segment_for(1, opts.steps)
     profile = make_coin_profile("interface", lattice, phi1=opts.phi1, phi2=opts.phi2)
+    if abs(opts.site - 1) > opts.steps or (opts.site - 1 + opts.steps) % 2:
+        raise ConfigError(f"site: the walk from site 1 never occupies site {opts.site} after "
+                          f"{opts.steps} steps; it reaches x only where |x - 1| <= steps "
+                          f"and x - 1 + steps is even")
     final = evolve(prepare_input(1, opts.plates, lattice), profile, opts.steps)
     rng = np.random.default_rng(opts.seed)
     lines, notes = [], []
@@ -423,8 +420,8 @@ def cmd_tomo(opts) -> None:
 
 
 # name -> (run, help, settings).  Each setting is declared once, as key ->
-# (flag or None for config-only, parser, default, help): the flag beats the
-# config file, which beats the default, and all three go through the parser.
+# (flag, parser, default, help): the flag beats the config file, which beats
+# the default, and all three go through the parser.
 _COMMANDS = {
     "evolve": (cmd_evolve, "record a walk trajectory", {
         **_common(1.29, 0.17),
@@ -434,7 +431,6 @@ _COMMANDS = {
         "input_site": ("--input-site", _integer, 1, None),
         "plates": _PLATES,
         "frame": ("--frame", _FRAMES, "both", "probability basis to emit (default both)"),
-        "size": (None, _size, "auto", None),
     }),
     "bands": (cmd_bands, "band structure over the Brillouin zone", {
         **_common(1.0, 0.2),
@@ -484,10 +480,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON run configuration")
         for key, (flag, parse, _default, flag_help) in table.items():
-            if flag is not None:
-                metavar = "{%s}" % ",".join(parse) if isinstance(parse, _Choice) else None
-                p.add_argument(flag, dest=key, help=flag_help, metavar=metavar,
-                               **_ACTIONS.get(key, {}))
+            metavar = "{%s}" % ",".join(parse) if isinstance(parse, _Choice) else None
+            p.add_argument(flag, dest=key, help=flag_help, metavar=metavar,
+                           **_ACTIONS.get(key, {}))
     return parser
 
 
@@ -539,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
         _COMMANDS[args.command][0](_resolve(args.command, args))
         sys.stdout.flush()  # a stdout that fails now fails here, not at exit
         return 0
-    except (ConfigError, ProfileError) as exc:  # a bad ring, segment or site is user input
+    except (ConfigError, ProfileError) as exc:  # a bad ring or site is user input
         print(f"susyqw: configuration error: {exc}", file=sys.stderr)
         return 2
     except (SusyqwError, np.linalg.LinAlgError, ValueError, MemoryError, OverflowError) as exc:

@@ -45,7 +45,10 @@ def _plate_axis(theta) -> np.ndarray:
 
 
 def prepare_input(x0: int, plates: Sequence, lattice: Lattice) -> WalkerState:
-    """|x0> tensor ((kind, angle_deg) plates applied to |H>), first listed plate acts first."""
+    """|x0> tensor ((kind, angle_deg) plates applied to |H>), first listed plate acts first.
+
+    The amplitudes are read-only, as every ``localized_state``'s are.
+    """
     coin = np.array([1.0, 0.0], dtype=complex)
     for plate in plates:
         coin = waveplate(*plate) @ coin

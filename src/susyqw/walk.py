@@ -51,7 +51,8 @@ class Lattice:
     """1-d site lattice: a ring of ``size`` sites or a bounded segment.
 
     Segment sites carry integer coordinates ``origin .. origin + size - 1``;
-    ring coordinates are ``0 .. size - 1`` with periodic wrapping.
+    ring coordinates are ``0 .. size - 1`` with periodic wrapping.  A
+    coordinate outside the int64 range raises OverflowError.
     """
 
     size: int
@@ -63,6 +64,9 @@ class Lattice:
             raise ProfileError(f"lattice needs at least 2 sites, got {self.size}")
         if self.topology is Topology.RING and self.origin != 0:
             raise ProfileError("ring lattice uses origin 0")
+        last = self.origin + self.size - 1
+        if self.origin < -2**63 or last >= 2**63:  # np.arange would wrap them silently
+            raise OverflowError(f"sites [{self.origin}, {last}] leave the int64 range")
 
     def coords(self) -> np.ndarray:
         coords = self.origin + np.arange(self.size)
@@ -218,13 +222,13 @@ class WalkerState:
 
 
 def localized_state(lattice: Lattice, x: int, coin: Sequence[complex] = (1.0, 0.0)) -> WalkerState:
-    """Normalized walker localized at site x with the given coin spinor."""
+    """Normalized walker localized at site x with the given coin spinor; read-only."""
     c = np.asarray(coin, dtype=complex)
     if c.shape != (2,) or not np.linalg.norm(c) > 0:
         raise ValueError("coin spinor must be a nonzero 2-vector")
     amps = np.zeros((lattice.size, 2), dtype=complex)
     amps[lattice.index(x)] = c / np.linalg.norm(c)
-    return WalkerState(amps, lattice)
+    return WalkerState(_read_only(amps), lattice)
 
 
 def _check_shared_lattice(state: WalkerState, profile: CoinProfile) -> None:

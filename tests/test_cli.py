@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -18,9 +19,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import susyqw
 from susyqw import bloch, cli, midgap
-from susyqw import (Frame, band_condition_value, band_structure, evolve, find_midgap,
-                    long_time_extrapolation, make_coin_profile, midgap_spectrum, prepare_input,
-                    qwp_scan, ring_with_interfaces, segment_for, site_polarization, to_frame)
+from susyqw import (BoundaryReachedError, Frame, band_condition_value, band_structure, evolve,
+                    find_midgap, long_time_extrapolation, make_coin_profile, midgap_spectrum,
+                    prepare_input, qwp_scan, ring_with_interfaces, segment_for, site_polarization,
+                    to_frame)
 from susyqw.cli import _summary, _table, main
 
 from helpers import record_calls
@@ -240,7 +242,20 @@ MISREAD_INPUTS = [
     pytest.param("midgap", None, ["--n", "13"], "even N", id="midgap-odd-ring"),
     pytest.param("tomo", None, ["--steps", "3", "--site", "1000"], "site 1000",
                  id="tomo-site-outside"),
-    pytest.param("evolve", {"size": 1}, [], "at least 2 sites", id="evolve-size-one"),
+    pytest.param("evolve", {"size": 5}, [], "unknown config keys for evolve: ['size']",
+                 id="evolve-size-unknown"),
+    pytest.param("bands", {"out": 5}, [], "out: must be a string, got 5", id="bands-out-int"),
+    pytest.param("bands", {"out": ["x"]}, [], "out: must be a string, got ['x']",
+                 id="bands-out-list"),
+    pytest.param("evolve", {"out": True}, [], "out: must be a string, got True",
+                 id="evolve-out-bool"),
+    pytest.param("tomo", None, ["--steps", "1", "--site", "1"], "site: the walk from site 1 "
+                 "never occupies site 1 after 1 steps", id="tomo-site-wrong-parity"),
+    pytest.param("tomo", None, ["--steps", "0"], "never occupies site 0 after 0 steps",
+                 id="tomo-site-zero-steps"),
+    pytest.param("tomo", None, ["--steps", "4", "--site", "7"],
+                 "never occupies site 7 after 4 steps; it reaches x only where "
+                 "|x - 1| <= steps and x - 1 + steps is even", id="tomo-site-past-the-cone"),
     pytest.param("scan", None, ["--angles", "nan:180:1"], "angles:", id="scan-grid-nan"),
     pytest.param("evolve", {"plates": [["qwp", 10, 3]]}, [], "plates:",
                  id="evolve-plate-triple"),
@@ -267,15 +282,21 @@ MISREAD_INPUTS = [
 
 
 @pytest.mark.parametrize("command, config, flags, expected", MISREAD_INPUTS)
-def test_config_type_errors_exit_two(command, config, flags, expected, tmp_path, capsys):
+def test_config_type_errors_exit_two(command, config, flags, expected, tmp_path, capsys,
+                                     monkeypatch):
+    """Exit 2 with the setting named, and no file written (a relative --out included)."""
     argv = [command, *flags]
     if config is not None:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(config))
         argv += ["--config", str(cfg)]
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
     code, out, err = run_cli(argv, capsys)
     assert code == 2, out
     assert err.startswith("susyqw: configuration error: ") and expected in err
+    assert list(workdir.iterdir()) == []
 
 
 # values a setting may be given: non-finite and overflowing numbers, int64
@@ -315,7 +336,7 @@ def flag_form(command, values):
             argv += [flag] * value
         elif key == "plates" and isinstance(value, list) and all(isinstance(v, str) for v in value):
             argv += [f"{flag}={v}" for v in value]
-        elif key not in ("cell", "plates") and flag and isinstance(value, (int, float, str)):
+        elif key not in ("cell", "plates") and isinstance(value, (int, float, str)):
             argv.append(f"{flag}={value}")
         else:
             config[key] = value
@@ -384,32 +405,28 @@ def test_cached_parser_survives_early_exits(capsys):
     assert run_cli(argv, capsys) == first
 
 
-def test_evolve_small_lattice_hits_boundary(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"steps": 10, "size": 5}))
-    code, out, err = run_cli(["evolve", "--config", str(cfg)], capsys)
-    assert code == 3
-    assert "boundary" in err
-    # the five sites around input site 1 hold steps 0 to 2; those rows stay
-    # on stdout, and no summary follows them
-    lines = out.splitlines()
-    assert lines[0] == "step,x,p_lab_h,p_lab_v,p_primed_h,p_primed_v"
-    assert [int(row["step"]) for row in read_rows(out)] == [t for t in range(3) for _ in range(5)]
-    assert not any(line.startswith("# ") for line in lines)
+def fail_walk_after(monkeypatch, steps):
+    """Make the walk of ``cli.cmd_evolve`` raise after ``steps`` steps, as one that met an edge."""
+    made = cli.advance
+
+    def advance(*args):
+        yield from itertools.islice(made(*args), steps)
+        raise BoundaryReachedError("walk reached boundary")
+
+    monkeypatch.setattr(cli, "advance", advance)
 
 
-def test_evolve_boundary_after_full_blocks_keeps_every_step_before_it(tmp_path, capsys):
-    """61 sites hold 16 steps per table block; the walk leaves them at step 31."""
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"steps": 40, "size": 61}))
-    code, out, err = run_cli(["evolve", "--config", str(cfg)], capsys)
+def test_evolve_failure_mid_walk_keeps_the_rows_written_before_it(monkeypatch, capsys):
+    """85 sites hold 12 steps per table block; a walk that fails at step 31 wrote two blocks."""
+    fail_walk_after(monkeypatch, 30)
+    code, out, err = run_cli(["evolve", "--steps", "40"], capsys)
     assert code == 3
     assert err == "susyqw: walk reached boundary\n"
     lines = out.splitlines()
     assert lines[0] == "step,x,p_lab_h,p_lab_v,p_primed_h,p_primed_v"
     rows = read_rows(out)
-    assert [int(row["step"]) for row in rows] == [t for t in range(31) for _ in range(61)]
-    assert [int(row["x"]) for row in rows] == list(range(-29, 32)) * 31
+    assert [int(row["step"]) for row in rows] == [t for t in range(24) for _ in range(85)]
+    assert [int(row["x"]) for row in rows] == list(range(-41, 44)) * 24
     assert not any(line.startswith("# ") for line in lines)
 
 
@@ -433,17 +450,16 @@ def test_unwritable_out_exits_two(argv, out_name, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv, config, expected_code", [
-    (["evolve"], {"steps": 10, "size": 5}, 3),
-    (["tomo", "--steps", "3", "--site", "1000"], None, 2),
+@pytest.mark.parametrize("argv, failing_walk, expected_code", [
+    (["evolve", "--steps", "10"], True, 3),
+    (["tomo", "--steps", "3", "--site", "1000"], False, 2),
 ], ids=["evolve-boundary", "tomo-site-outside"])
-def test_failed_run_leaves_no_partial_out(argv, config, expected_code, tmp_path, capsys):
+def test_failed_run_leaves_no_partial_out(argv, failing_walk, expected_code, tmp_path, capsys,
+                                          monkeypatch):
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    if config is not None:
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps(config))
-        argv = [*argv, "--config", str(cfg)]
+    if failing_walk:
+        fail_walk_after(monkeypatch, 2)
     code, _, _ = run_cli([*argv, "--out", str(out_dir / "result.csv")], capsys)
     assert code == expected_code
     assert list(out_dir.iterdir()) == []
@@ -485,14 +501,13 @@ def test_unallocatable_size_exits_three(argv, capsys):
     assert "allocate" in err and "Traceback" not in err
 
 
-def test_failed_run_keeps_a_symlink_out(tmp_path, capsys):
+def test_failed_run_keeps_a_symlink_out(tmp_path, capsys, monkeypatch):
     """A partial --out is removed only where the path itself is a regular file."""
     target, link = tmp_path / "target.csv", tmp_path / "link.csv"
     target.write_text("")
     link.symlink_to(target)
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"steps": 10, "size": 5}))
-    code, _, _ = run_cli(["evolve", "--config", str(cfg), "--out", str(link)], capsys)
+    fail_walk_after(monkeypatch, 2)
+    code, _, _ = run_cli(["evolve", "--steps", "10", "--out", str(link)], capsys)
     assert code == 3
     assert link.is_symlink() and target.is_file()
 
@@ -618,14 +633,32 @@ def test_killed_write_over_an_existing_out(argv, tmp_path, capsys):
         assert data.endswith(b"\n# earlier = summary\n")
 
 
-@pytest.mark.parametrize("size", [2**63 - 2, 2**63])
-def test_evolve_lattice_too_large_to_lay_out_exits_three(size, tmp_path, capsys):
-    """np.arange of about 2**63 is empty, so such a lattice once met a ZeroDivisionError."""
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"size": size}))
-    code, out, err = run_cli(["evolve", "--config", str(cfg)], capsys)
+def test_evolve_lattice_too_large_to_lay_out_exits_three(capsys):
+    """2 * steps + 5 = 2**63 - 1 sites: np.arange of about 2**63 is empty, so such a
+    lattice once met a ZeroDivisionError."""
+    code, out, err = run_cli(["evolve", "--steps", "4611686018427387901"], capsys)
     assert (code, out) == (3, "")
-    assert err == f"susyqw: lattice of {size} sites is too large to lay out\n"
+    assert err == f"susyqw: lattice of {2**63 - 1} sites is too large to lay out\n"
+
+
+@pytest.mark.parametrize("input_site", ["9223372036854775808", "9223372036854775806",
+                                        "-9223372036854775807"])
+def test_evolve_segment_past_int64_exits_three(input_site, capsys):
+    """A segment coordinate past the int64 range once wrapped to the other sign, with exit 0."""
+    argv = ["evolve", "--kind", "bulk", "--steps", "2", "--input-site", input_site]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("susyqw: sites [") and err.endswith("leave the int64 range\n")
+    assert err.count("\n") == 1
+
+
+def test_tomo_at_an_empty_site_inside_the_light_cone_exits_three(capsys):
+    """With the identity coin the walk from site 1 moves H up: site 0 lies in the light
+    cone but is not occupied."""
+    code, out, err = run_cli(["tomo", "--steps", "1", "--site", "0", "--phi1", "0",
+                              "--phi2", "0"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "susyqw: zero total intensity\n"
 
 
 def test_evolve_memory_is_flat_in_the_step_count(tmp_path):

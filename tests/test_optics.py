@@ -50,6 +50,9 @@ def test_prepare_input_plain_and_plated():
     np.testing.assert_allclose(st2.amplitudes[lat.index(1)],
                                waveplate("qwp", 137.0) @ H, atol=1e-14)
     assert abs(st2.norm() - 1.0) < 1e-14
+    for state in (st, st2):
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[0, 0] = 1.0
 
 
 def test_measure_bases_pure_h():

@@ -206,11 +206,12 @@ def test_evolve_results_are_read_only():
     lat = segment_for(1, 3)
     prof = make_coin_profile("bulk", lat, phi1=0.5, phi2=0.2)
     start = localized_state(lat, 1)
+    before = start.amplitudes.copy()
     made = [evolve(start, prof, 3), step(start, prof), *evolve(start, prof, 3, record=True)[1:]]
-    for state in made:
+    for state in [start, *made]:
         with pytest.raises(ValueError, match="read-only"):
             state.amplitudes[0, 0] = 1.0
-    assert start.amplitudes.flags.writeable  # the given state is left as it was
+    np.testing.assert_array_equal(start.amplitudes, before)  # the given state is left as it was
 
 
 @pytest.mark.parametrize("make", [
@@ -223,9 +224,11 @@ def test_single_operations_return_read_only_amplitudes(make):
     lat = seg()
     prof = make_coin_profile("bulk", lat, phi1=0.5, phi2=0.2)
     start = localized_state(lat, 1)
-    with pytest.raises(ValueError, match="read-only"):
-        make(start, prof).amplitudes[0, 0] = 1.0
-    assert start.amplitudes.flags.writeable
+    before = start.amplitudes.copy()
+    for state in (make(start, prof), start):
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[0, 0] = 1.0
+    np.testing.assert_array_equal(start.amplitudes, before)
 
 
 @pytest.mark.parametrize("n_sites", [4, 6, 8])
@@ -395,6 +398,20 @@ def test_resize_keeps_a_uniform_angle():
     resized = resize_profile(make_coin_profile("uniform", seg(), phi=0.3), wider)
     assert resized.lattice == wider and resized.kind == "uniform"
     np.testing.assert_array_equal(resized.angles, np.full(12, 0.3))
+
+
+@pytest.mark.parametrize("size, origin", [(9, 2**63 - 4), (5, 2**63 - 4), (2, -2**63 - 1),
+                                          (2**64 + 1, -2**63)])
+def test_lattice_coordinates_past_int64_raise(size, origin):
+    with pytest.raises(OverflowError, match="leave the int64 range"):
+        Lattice(size, Topology.SEGMENT, origin=origin)
+
+
+def test_lattice_coordinates_reach_both_int64_ends():
+    assert Lattice(4, Topology.SEGMENT, origin=2**63 - 4).coords()[-1] == 2**63 - 1
+    assert Lattice(2, Topology.SEGMENT, origin=-2**63).coords()[0] == -2**63
+    with pytest.raises(OverflowError):
+        segment_for(2**63, 2)  # np.arange once wrapped its sites to -2**63 and below
 
 
 def test_lattice_mismatch_is_rejected():
