@@ -633,9 +633,21 @@ def test_killed_write_over_an_existing_out(argv, tmp_path, capsys):
         assert data.endswith(b"\n# earlier = summary\n")
 
 
-def test_evolve_lattice_too_large_to_lay_out_exits_three(capsys):
-    """2 * steps + 5 = 2**63 - 1 sites: np.arange of about 2**63 is empty, so such a
-    lattice once met a ZeroDivisionError."""
+@pytest.mark.parametrize("size", [2**63 - 2, 2**63])
+def test_evolve_lattice_too_large_to_lay_out_exits_three(size, monkeypatch, capsys):
+    """np.arange of about 2**63 is empty, so such a lattice once met a ZeroDivisionError.
+
+    ``--steps`` lays out only odd site counts, so these even counts are laid out
+    by patching the CLI's ``segment_for``, centred on the input site."""
+    monkeypatch.setattr(cli, "segment_for", lambda x0, steps: susyqw.Lattice(
+        size, susyqw.Topology.SEGMENT, origin=x0 - size // 2))
+    code, out, err = run_cli(["evolve"], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"susyqw: lattice of {size} sites is too large to lay out\n"
+
+
+def test_evolve_steps_too_many_to_lay_out_exits_three(capsys):
+    """2 * steps + 5 = 2**63 - 1 sites: the same exit and message through ``--steps``."""
     code, out, err = run_cli(["evolve", "--steps", "4611686018427387901"], capsys)
     assert (code, out) == (3, "")
     assert err == f"susyqw: lattice of {2**63 - 1} sites is too large to lay out\n"
