@@ -278,16 +278,6 @@ def cmd_evolve(opts) -> None:
     per_block = max(1, _BLOCK_ROWS // coords.size)  # whole steps in a table block
     t_col, x_col = np.repeat(np.arange(per_block), coords.size), np.tile(coords, per_block)
 
-    def block(t0, chunk):
-        """The columns of steps t0, t0 + 1, ... held in the (k, 2, N) ``chunk``."""
-        hv = chunk[:, 0], chunk[:, 1]
-        rows = hv[0].size
-        cols = [t_col[:rows] + t0, x_col[:rows]]
-        for frame in opts.frame:
-            cols += [(np.abs(c) ** 2).ravel() for c in (hv if frame is Frame.LAB
-                                                         else _coin(*hv, primed))]
-        return cols
-
     amps = prepare_input(opts.input_site, opts.plates, lattice).amplitudes.astype(complex)
     lab = amps.T  # the (h, v) rows of the walk buffer
     walk = itertools.chain([lab], advance(lab, profile.angles, lattice.topology, opts.steps))
@@ -295,15 +285,16 @@ def cmd_evolve(opts) -> None:
 
     def blocks():
         chunk = np.empty((per_block, *lab.shape), complex)
-        t0 = k = 0  # the step in chunk[0], the steps held
-        for live in walk:
-            chunk[k] = live
-            k += 1
-            if k == len(chunk):
-                yield block(t0, chunk)
-                t0, k = t0 + k, 0
-        if k:
-            yield block(t0, chunk[:k])
+        for t0 in range(0, opts.steps + 1, per_block):
+            held = chunk[:opts.steps + 1 - t0]  # steps t0, t0 + 1, ... of this block
+            for k, live in zip(range(len(held)), walk):
+                held[k] = live
+            hv = held[:, 0], held[:, 1]
+            cols = [t_col[:hv[0].size] + t0, x_col[:hv[0].size]]
+            for frame in opts.frame:
+                cols += [(np.abs(c) ** 2).ravel() for c in (hv if frame is Frame.LAB
+                                                             else _coin(*hv, primed))]
+            yield cols
 
     def body():
         yield from _table(["step", "x"] + [f"p_{f.value}_{c}" for f in opts.frame for c in "hv"],
@@ -372,12 +363,22 @@ def cmd_midgap(opts) -> None:
     _emit(opts.out, table, notes)
 
 
+def _require_reached(key: str, sites: tuple[int, ...], steps: int) -> None:
+    """A ConfigError naming ``key`` unless the walk from site 1 can occupy one of ``sites``."""
+    if not any(abs(x - 1) <= steps and (x - 1 + steps) % 2 == 0 for x in sites):
+        raise ConfigError(f"{key}: the walk from site 1 never occupies site "
+                          f"{' or '.join(map(str, sites))} after {steps} steps; it reaches x "
+                          f"only where |x - 1| <= steps and x - 1 + steps is even")
+
+
 def cmd_scan(opts) -> None:
     lattice = segment_for(1, opts.steps)
     kinds = ("interface", "bulk")
     profiles = [make_coin_profile(kind, lattice, phi1=opts.phi1, phi2=opts.phi2) for kind in kinds]
+    _require_reached("probe_site", (opts.probe_site, opts.probe_site + 1)[:1 + opts.cell],
+                     opts.steps)
     curves = dict(zip(kinds, scan(profiles, opts.steps, opts.probe_site, opts.angles,
-                                  cell_probe=opts.cell, x0=1)))
+                                  cell_probe=opts.cell)))
 
     table = [*_table(["angle_deg", "interface", "bulk"],
                      [[opts.angles, curves["interface"].intensities, curves["bulk"].intensities]])]
@@ -392,10 +393,7 @@ def cmd_scan(opts) -> None:
 def cmd_tomo(opts) -> None:
     lattice = segment_for(1, opts.steps)
     profile = make_coin_profile("interface", lattice, phi1=opts.phi1, phi2=opts.phi2)
-    if abs(opts.site - 1) > opts.steps or (opts.site - 1 + opts.steps) % 2:
-        raise ConfigError(f"site: the walk from site 1 never occupies site {opts.site} after "
-                          f"{opts.steps} steps; it reaches x only where |x - 1| <= steps "
-                          f"and x - 1 + steps is even")
+    _require_reached("site", (opts.site,), opts.steps)
     final = evolve(prepare_input(1, opts.plates, lattice), profile, opts.steps)
     rng = np.random.default_rng(opts.seed)
     lines, notes = [], []

@@ -174,31 +174,32 @@ class ScanCurve:
     cell_probe: bool = False  # True when the probe sums the bond pair (x, x+1)
 
 
-def _scan_lattice(profile: CoinProfile, x0: int, steps: int) -> CoinProfile:
+def _scan_lattice(profile: CoinProfile, steps: int) -> CoinProfile:
+    """``profile`` where the walk from site 1 stays on it, else re-laid on its segment."""
     lat = profile.lattice
-    if (lat.topology is Topology.SEGMENT
-            and lat.origin <= x0 - steps - 1
-            and lat.origin + lat.size - 1 >= x0 + steps + 1):
+    if (lat.topology is Topology.RING
+            or lat.origin <= -steps and lat.origin + lat.size - 1 >= steps + 2):
         return profile
-    return resize_profile(profile, segment_for(x0, steps))
+    return resize_profile(profile, segment_for(1, steps))
 
 
 def scan(profiles: Sequence[CoinProfile], steps: int, x_probe: int,
-         angles_deg: Sequence[float], cell_probe: bool = False,
-         x0: int = 1) -> list[ScanCurve]:
-    """Probe intensities of QWP(theta)|H> inputs, one curve per profile, by linearity.
+         angles_deg: Sequence[float], cell_probe: bool = False) -> list[ScanCurve]:
+    """Probe intensities of QWP(theta)|H> inputs at site 1, one curve per profile, by linearity.
 
     The final state of a|H> + b|V> is a psi_H + b psi_V, so with the probe
     amplitudes of the two basis evolutions as the columns of Psi, the probe
     intensity of the input spinor c is c^dag G c with G = Psi^dag Psi.  The
     largest eigenvalue of G is the maximum over the whole polarization sphere.
 
-    A profile whose lattice does not cover the walk is first resized to
-    ``segment_for(x0, steps)``; the profiles must then share one lattice
-    (LatticeMismatchError otherwise).  All their basis walks advance as one
-    real array in the real gauge (h, -i v) of ``advance``: |H> starts as
-    (1, 0) and |V> as -i times the walk from (0, 1).  Lab amplitudes are
-    formed only at the probe: psi_H = (h, i v) and psi_V = (-i h, v).
+    Every walk starts at the injection site x = 1.  A ring profile is walked
+    on its ring, where the walk wraps; a segment that does not cover the walk
+    is first re-laid on ``segment_for(1, steps)``.  The profiles must then
+    share one lattice (LatticeMismatchError otherwise).  All their basis
+    walks advance as one real array in the real gauge (h, -i v) of
+    ``advance``: |H> starts as (1, 0) and |V> as -i times the walk from
+    (0, 1).  Lab amplitudes are formed only at the probe: psi_H = (h, i v)
+    and psi_V = (-i h, v).
     Negative ``steps`` and an empty or non-finite grid raise ValueError.
     """
     if steps < 0:
@@ -210,13 +211,13 @@ def scan(profiles: Sequence[CoinProfile], steps: int, x_probe: int,
         raise ValueError("angle grid must be finite")
     if not profiles:
         raise ValueError("no profile to scan")
-    profs = [_scan_lattice(p, x0, steps) for p in profiles]
+    profs = [_scan_lattice(p, steps) for p in profiles]
     lattice = profs[0].lattice
     if any(p.lattice != lattice for p in profs):
         raise LatticeMismatchError("scanned profiles live on different lattices")
     rows = [lattice.index(x) for x in (x_probe, x_probe + 1)[:1 + cell_probe]]
     walks = np.zeros((2, len(profs), 2, lattice.size))  # component, profile, input, site
-    start = lattice.index(x0)
+    start = lattice.index(1)
     walks[0, :, 0, start] = walks[1, :, 1, start] = 1.0
     for _ in advance(walks, np.array([[p.angles] * 2 for p in profs]), lattice.topology, steps):
         pass
@@ -235,20 +236,19 @@ def scan(profiles: Sequence[CoinProfile], steps: int, x_probe: int,
 
 
 def qwp_scan(profile: CoinProfile, steps: int, x_probe: int,
-             angles_deg: Sequence[float], x0: int = 1) -> ScanCurve:
+             angles_deg: Sequence[float]) -> ScanCurve:
     """Evolve QWP(theta)|H> inputs and record the probability at the probe site."""
-    return scan([profile], steps, x_probe, angles_deg, cell_probe=False, x0=x0)[0]
+    return scan([profile], steps, x_probe, angles_deg)[0]
 
 
 def long_time_extrapolation(profile: CoinProfile, steps: int = 100, x_probe: int = 0,
-                            angles_deg: Sequence[float] | None = None,
-                            x0: int = 1) -> ScanCurve:
+                            angles_deg: Sequence[float] | None = None) -> ScanCurve:
     """Long-run scan of the intensity trapped on the interface bond.
 
     The walker alternates between the two site parities, so a single site is
     empty at every other step count; the probe therefore sums the bond pair
-    (x_probe, x_probe + 1).  The lattice is auto-sized for the step count.
+    (x_probe, x_probe + 1).  The walk starts at site 1, as every ``scan`` does.
     """
     if angles_deg is None:
         angles_deg = np.arange(0.0, 180.0, 1.0)
-    return scan([profile], steps, x_probe, angles_deg, cell_probe=True, x0=x0)[0]
+    return scan([profile], steps, x_probe, angles_deg, cell_probe=True)[0]

@@ -345,15 +345,12 @@ def advance(amps: np.ndarray, angles: np.ndarray, topology: Topology,
         yield amps
 
 
-def evolve(state: WalkerState, profile: CoinProfile, steps: int,
-           record: bool = False) -> WalkerState | list[WalkerState]:
-    """Apply ``steps`` protocol steps; with record=True return the whole trajectory.
+def evolve(state: WalkerState, profile: CoinProfile, steps: int) -> WalkerState:
+    """The state after ``steps`` protocol steps.
 
-    The amplitudes advance in one buffer (``advance``); a recorded step is a
-    copy of it, an unrecorded walk makes no per-step object.  Every state
-    that the walk makes owns a read-only array.  The given state is never
-    written; it is the first entry of a trajectory and the result of zero
-    steps.
+    The amplitudes advance in one buffer (``advance``), and the walk makes
+    no per-step object.  The result owns a read-only array; the given state
+    is never written, and it is the result of zero steps.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -361,16 +358,11 @@ def evolve(state: WalkerState, profile: CoinProfile, steps: int,
         raise ValueError("evolution acts on lab-frame amplitudes")
     _check_shared_lattice(state, profile)
     if steps == 0:
-        return [state] if record else state
-    lattice = state.lattice
+        return state
     amps = state.amplitudes.astype(complex)
-    walk = advance(amps.T, profile.angles, lattice.topology, steps)
-    if record:
-        return [state, *(WalkerState(_read_only(amps.copy()), lattice, t)
-                         for t, _ in enumerate(walk, state.t + 1))]
-    for _ in walk:
+    for _ in advance(amps.T, profile.angles, state.lattice.topology, steps):
         pass
-    return WalkerState(_read_only(amps), lattice, state.t + steps)
+    return WalkerState(_read_only(amps), state.lattice, state.t + steps)
 
 
 def to_frame(state: WalkerState, profile: CoinProfile, frame: Frame | str) -> WalkerState:

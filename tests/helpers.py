@@ -5,8 +5,12 @@ sums, explicit kets) rather than from the package's vectorized code paths,
 so agreement is a genuine cross-check.
 """
 
+import ast
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from susyqw import evolve
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -113,6 +117,26 @@ def record_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, recorded)
     return calls
+
+
+def trajectory(start, profile, steps):
+    """``start`` and the state after each of ``steps`` steps, each from its own ``evolve``.
+
+    Every walk runs the same step sequence from ``start``, so entry t has
+    the bits that step t of one longer walk has.
+    """
+    return [start, *(evolve(start, profile, t) for t in range(1, steps + 1))]
+
+
+def dotted_name(node):
+    """``a.b.c`` of a chain of attribute accesses on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        return ".".join([node.id, *reversed(parts)])
+    return None
 
 
 def ring_bloch_state(v, n_cells, m_momentum):

@@ -19,13 +19,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import susyqw
 from susyqw import bloch, cli, midgap
-from susyqw import (BoundaryReachedError, Frame, band_condition_value, band_structure, evolve,
+from susyqw import (BoundaryReachedError, Frame, band_condition_value, band_structure,
                     find_midgap, long_time_extrapolation, make_coin_profile, midgap_spectrum,
                     prepare_input, qwp_scan, ring_with_interfaces, segment_for, site_polarization,
                     to_frame)
 from susyqw.cli import _summary, _table, main
 
-from helpers import record_calls
+from helpers import record_calls, trajectory
 
 
 def run_cli(args, capsys):
@@ -163,9 +163,9 @@ def test_evolve_cells_outside_the_light_cone_are_exact_zeros(kind, capsys):
 def _evolve_table(steps):
     lattice = segment_for(1, steps)
     profile = make_coin_profile("interface", lattice, phi1=1.29, phi2=0.17)
-    trajectory = evolve(prepare_input(1, [("qwp", 30.0)], lattice), profile, steps, record=True)
+    walk = trajectory(prepare_input(1, [("qwp", 30.0)], lattice), profile, steps)
     return {f"p_{frame.value}_{c}": np.concatenate(
-                [to_frame(st, profile, frame).probabilities()[:, i] for st in trajectory])
+                [to_frame(st, profile, frame).probabilities()[:, i] for st in walk])
             for frame in (Frame.LAB, Frame.PRIMED) for i, c in enumerate("hv")}
 
 
@@ -197,6 +197,9 @@ EXACT_TABLES = [
     # 85 sites, 41 steps: table blocks of 12, 12, 12 and 5 steps
     pytest.param(["evolve", "--steps", "40", "--frame", "both", "--plate", "qwp:30"],
                  lambda cols: _evolve_table(40), id="evolve-blocks"),
+    # 91 sites, 44 steps: exactly 4 table blocks of 11 steps, no partial block
+    pytest.param(["evolve", "--steps", "43", "--frame", "both", "--plate", "qwp:30"],
+                 lambda cols: _evolve_table(43), id="evolve-full-blocks"),
     pytest.param(["bands", "--phi1", "1", "--phi2", "0.2", "--resolution", "64"],
                  lambda cols: _bands_table(), id="bands"),
     pytest.param(["scan", "--steps", "13", "--angles", "0:180:5"],
@@ -257,6 +260,18 @@ MISREAD_INPUTS = [
                  "never occupies site 7 after 4 steps; it reaches x only where "
                  "|x - 1| <= steps and x - 1 + steps is even", id="tomo-site-past-the-cone"),
     pytest.param("scan", None, ["--angles", "nan:180:1"], "angles:", id="scan-grid-nan"),
+    pytest.param("scan", None, ["--steps", "13", "--probe-site", "1"],
+                 "probe_site: the walk from site 1 never occupies site 1 after 13 steps; it "
+                 "reaches x only where |x - 1| <= steps and x - 1 + steps is even",
+                 id="scan-probe-wrong-parity"),
+    pytest.param("scan", None, ["--steps", "0"], "probe_site: the walk from site 1 never "
+                 "occupies site 0 after 0 steps", id="scan-probe-zero-steps"),
+    pytest.param("scan", None, ["--steps", "13", "--probe-site", "15", "--cell"],
+                 "probe_site: the walk from site 1 never occupies site 15 or 16 after 13 steps",
+                 id="scan-cell-past-the-cone"),
+    pytest.param("scan", None, ["--steps", "13", "--probe-site", "-14", "--cell"],
+                 "probe_site: the walk from site 1 never occupies site -14 or -13 after 13 steps",
+                 id="scan-cell-below-the-cone"),
     pytest.param("evolve", {"plates": [["qwp", 10, 3]]}, [], "plates:",
                  id="evolve-plate-triple"),
     pytest.param("evolve", {"kind": "ring"}, [], "kind:", id="evolve-kind-unknown"),
@@ -914,6 +929,16 @@ def test_scan_rejects_empty_grid(capsys):
     code, _, err = run_cli(["scan", "--angles", "90:90:1"], capsys)
     assert code == 2
     assert "grid" in err
+
+
+def test_scan_cell_probe_needs_one_reachable_site_of_the_bond(capsys):
+    """At 0 steps the walker is on site 1, so the bond (0, 1) holds all of it
+    (``scan --steps 0`` without ``--cell`` probes the empty site 0 and exits 2)."""
+    code, out, err = run_cli(["scan", "--steps", "0", "--cell"], capsys)
+    assert code == 0 and err == ""
+    for key, value in summary_dict(out).items():
+        if key.endswith(("_max", "_min")):
+            assert float(value) == pytest.approx(1.0, abs=1e-12), key
 
 
 def test_tomo_matches_trapped_state(capsys):

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import dotted_name
+
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "susyqw"
 
 # array attributes added in NumPy 2.0
@@ -26,23 +28,12 @@ NUMPY2_FUNCTIONS = {
 }
 
 
-def _dotted(node):
-    """``a.b.c`` of a chain of attribute accesses on a name, else None."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        return ".".join([node.id, *reversed(parts)])
-    return None
-
-
 def numpy2_only(source):
     """(line, what) for each NumPy-2-only spelling in ``source``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute):
-            name = _dotted(node) or ""
+            name = dotted_name(node) or ""
             head, _, rest = name.partition(".")
             if head in ("np", "numpy") and rest in NUMPY2_FUNCTIONS:
                 found.append((node.lineno, name))

@@ -7,7 +7,8 @@ import pytest
 from susyqw import (Frame, Lattice, LatticeMismatchError, Topology, UnoccupiedSiteError,
                     evolve, jitter_intensities, localized_state, long_time_extrapolation,
                     make_coin_profile, measure_bases, prepare_input, pure_state_fidelity,
-                    qwp_scan, scan, segment_for, to_frame, tomography, waveplate)
+                    qwp_scan, ring_with_interfaces, scan, segment_for, to_frame, tomography,
+                    waveplate)
 from susyqw.optics import BasisIntensities, DensityMatrix
 
 from helpers import coin_2x2
@@ -338,6 +339,31 @@ def test_scan_needs_its_profiles_on_one_lattice(other):
         assert curve.sphere_max == alone.sphere_max
     with pytest.raises(ValueError, match="no profile to scan"):
         scan([], 3, 0, grid)
+
+
+def per_angle_probe(profile, steps, sites, grid):
+    """The probe intensity of each QWP angle from its own ``evolve`` on the profile's lattice."""
+    finals = [evolve(prepare_input(1, [("qwp", theta)], profile.lattice), profile, steps)
+              for theta in grid]
+    return [sum(final.site_probability(x) for x in sites) for final in finals]
+
+
+@pytest.mark.parametrize("profile", [
+    make_coin_profile("bulk", Lattice(8, Topology.RING), phi1=1.29, phi2=0.17),
+    ring_with_interfaces(40, 1.29, 0.17),
+], ids=["bulk-ring-8", "interface-ring-40"])
+def test_a_ring_profile_is_scanned_on_its_ring(profile):
+    # 13 steps wrap around the 8-site ring; on the 40-site ring the second
+    # interface (bond (20, 21)) lies outside segment_for(1, 13)
+    grid = np.arange(0.0, 180.0, 15.0)
+    curve = qwp_scan(profile, 13, 0, grid)
+    np.testing.assert_allclose(curve.intensities, per_angle_probe(profile, 13, [0], grid),
+                               rtol=0, atol=1e-12)
+    cell = long_time_extrapolation(profile, 13, 0, grid)
+    np.testing.assert_allclose(cell.intensities, per_angle_probe(profile, 13, [0, 1], grid),
+                               rtol=0, atol=1e-12)
+    if profile.lattice.size == 8:  # the re-laid segment read 0.061043 here
+        assert curve.intensities[0] == pytest.approx(0.092690, abs=1e-6)
 
 
 @pytest.mark.parametrize("call, fragment", [

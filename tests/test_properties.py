@@ -28,7 +28,8 @@ from susyqw import (Frame, Lattice, Topology, UnoccupiedSiteError, WalkerState,
                     waveplate, winding_numbers)
 
 from helpers import (SY, assert_same_eigenspaces, assert_same_states, bloch_oracle,
-                     multiset_distance, primed_frame_rotation, stokes_oracle, torus_oracle)
+                     multiset_distance, primed_frame_rotation, stokes_oracle, torus_oracle,
+                     trajectory)
 
 PHI1 = st.floats(min_value=1.1, max_value=1.4)
 PHI2 = st.floats(min_value=0.1, max_value=0.3)
@@ -38,24 +39,23 @@ ANGLE = st.floats(min_value=-np.pi, max_value=np.pi)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), kind=st.sampled_from(["interface", "bulk", "uniform"]),
        phi1=PHI1, phi2=PHI2, steps=st.integers(min_value=0, max_value=30),
-       x0=st.integers(min_value=-3, max_value=3), cell=st.booleans(),
+       cell=st.booleans(),
        angles=st.lists(st.floats(min_value=0.0, max_value=180.0), min_size=1, max_size=5))
-def test_linear_scan_matches_per_angle_evolution(data, kind, phi1, phi2, steps, x0,
-                                                 cell, angles):
+def test_linear_scan_matches_per_angle_evolution(data, kind, phi1, phi2, steps, cell, angles):
     """Two basis evolutions and a 2x2 form give every per-angle probe intensity."""
-    # wide enough for the walk from x0 and, for the interface, the bond (0, 1)
+    # wide enough for the walk from site 1 and, for the interface, the bond (0, 1)
     lattice = Lattice(2 * steps + 12, Topology.SEGMENT, origin=-steps - 5)
     if kind == "uniform":
         profile = make_coin_profile("uniform", lattice, phi=phi1)
     else:
         profile = make_coin_profile(kind, lattice, phi1=phi1, phi2=phi2)
-    probe = data.draw(st.integers(min_value=x0 - steps - 1, max_value=x0 + steps))
+    probe = data.draw(st.integers(min_value=-steps, max_value=1 + steps))
     scan = long_time_extrapolation if cell else qwp_scan
-    curve = scan(profile, steps, probe, angles_deg=angles, x0=x0)
+    curve = scan(profile, steps, probe, angles_deg=angles)
 
     expected = []
     for theta in angles:
-        final = evolve(prepare_input(x0, [("qwp", theta)], lattice), profile, steps)
+        final = evolve(prepare_input(1, [("qwp", theta)], lattice), profile, steps)
         expected.append(sum(final.site_probability(x) for x in (probe, probe + 1)[:1 + cell]))
     np.testing.assert_allclose(curve.intensities, expected, rtol=0, atol=1e-12)
     assert curve.intensities.max() <= curve.sphere_max + 1e-12
@@ -80,16 +80,16 @@ def assert_recorded_steps_are_single_step_copies(trajectory, profile):
        steps=st.integers(min_value=0, max_value=30),
        plate=st.floats(min_value=0.0, max_value=180.0))
 def test_segment_trajectory_is_a_chain_of_single_steps(kind, phi1, phi2, steps, plate):
-    """A recorded segment walk copies every step; no state aliases the live buffer."""
+    """Each step count of a segment walk is that many single steps; no two share an array."""
     lattice = segment_for(1, steps)
     if kind == "uniform":
         profile = make_coin_profile("uniform", lattice, phi=phi1)
     else:
         profile = make_coin_profile(kind, lattice, phi1=phi1, phi2=phi2)
     start = prepare_input(1, [("qwp", plate)], lattice)
-    trajectory = evolve(start, profile, steps, record=True)
-    assert trajectory[0] is start and len(trajectory) == steps + 1
-    assert_recorded_steps_are_single_step_copies(trajectory, profile)
+    walk = trajectory(start, profile, steps)
+    assert walk[0] is start and len(walk) == steps + 1
+    assert_recorded_steps_are_single_step_copies(walk, profile)
 
 
 @settings(max_examples=30, deadline=None)
@@ -106,15 +106,15 @@ def test_ring_evolution_matches_matrix_power(kind, phi1, phi2, cells, steps, see
     amps = rng.standard_normal((ring.size, 2)) + 1j * rng.standard_normal((ring.size, 2))
     amps /= np.linalg.norm(amps)
 
-    trajectory = evolve(WalkerState(amps, ring), profile, steps, record=True)
-    final = trajectory[-1]
+    walk = trajectory(WalkerState(amps, ring), profile, steps)
+    final = walk[-1]
     expected = np.linalg.matrix_power(one_step_matrix(profile), steps) @ amps.ravel()
     np.testing.assert_allclose(final.amplitudes.ravel(), expected, rtol=0, atol=1e-12)
     assert abs(final.norm() - 1.0) <= 1e-12
-    assert [s.t for s in trajectory] == list(range(steps + 1))
+    assert [s.t for s in walk] == list(range(steps + 1))
     np.testing.assert_array_equal(evolve(WalkerState(amps, ring), profile, steps).amplitudes,
                                   final.amplitudes)
-    assert_recorded_steps_are_single_step_copies(trajectory, profile)
+    assert_recorded_steps_are_single_step_copies(walk, profile)
 
 
 @settings(max_examples=50, deadline=None)
@@ -256,7 +256,7 @@ def test_batched_real_gauge_scan_is_the_gram_of_separate_walks(data, angles, ste
                                   max_value=lattice.origin + lattice.size - 1 - cell))
     grid = np.arange(0.0, 180.0, 7.5)
     scan = long_time_extrapolation if cell else qwp_scan
-    batch = optics.scan(profiles, steps, probe, grid, cell_probe=cell, x0=1)
+    batch = optics.scan(profiles, steps, probe, grid, cell_probe=cell)
     for profile, batched in zip(profiles, batch):
         values, top = gram_scan(profile, steps, probe, grid, cell)
         for curve in (scan(profile, steps, probe, grid), batched):

@@ -11,7 +11,7 @@ from susyqw import (BoundaryReachedError, Frame, Lattice, LatticeMismatchError,
                     resize_profile, segment_for, step, to_frame)
 from susyqw.walk import advance
 
-from helpers import dense_ring_oracle
+from helpers import dense_ring_oracle, trajectory
 
 
 def seg(n=9, origin=-4):
@@ -97,13 +97,6 @@ def test_evolve_zero_steps_is_identity():
     np.testing.assert_array_equal(out.amplitudes, st.amplitudes)
 
 
-def test_evolve_record_returns_trajectory():
-    lat = segment_for(1, 4)
-    prof = make_coin_profile("bulk", lat, phi1=0.5, phi2=0.2)
-    traj = evolve(localized_state(lat, 1), prof, 4, record=True)
-    assert [s.t for s in traj] == [0, 1, 2, 3, 4]
-
-
 def test_unitarity_over_thousand_steps():
     rng = np.random.default_rng(7)
     lat = segment_for(1, 1000)
@@ -146,8 +139,6 @@ def test_boundary_error_fires_when_the_walk_leaves_the_segment(edge, i0):
         _full_update(st, prof, last_ok + 1)
     with pytest.raises(BoundaryReachedError):
         evolve(st, prof, last_ok + 1)
-    with pytest.raises(BoundaryReachedError):
-        evolve(st, prof, last_ok + 1, record=True)
 
 
 def steps_made(walk) -> int:
@@ -207,7 +198,7 @@ def test_evolve_results_are_read_only():
     prof = make_coin_profile("bulk", lat, phi1=0.5, phi2=0.2)
     start = localized_state(lat, 1)
     before = start.amplitudes.copy()
-    made = [evolve(start, prof, 3), step(start, prof), *evolve(start, prof, 3, record=True)[1:]]
+    made = [evolve(start, prof, 3), step(start, prof), *trajectory(start, prof, 3)[1:]]
     for state in [start, *made]:
         with pytest.raises(ValueError, match="read-only"):
             state.amplitudes[0, 0] = 1.0
