@@ -7,11 +7,12 @@ command computes and formats its result, then hands it to the one writer,
 ``# key = value`` lines.  ``--out`` is opened only once the result is made,
 and an existing regular file is rewritten in place and cut to the new
 length (``_emit`` says what a run killed meanwhile leaves).  ``evolve``
-instead truncates ``--out`` first and writes each block of steps as the
-walk makes it.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure (including an array size the host cannot allocate, or a site past
-the int64 range) or a body or summary that cannot be written to ``--out``
-or stdout (a full disk, a closed pipe).
+instead cuts an existing ``--out`` to one byte first and writes each block
+of steps as the walk makes it; no ``--out`` is truncated to zero.  Exit
+codes: 0 success, 2 configuration error, 3 numerical failure (including an
+array size the host cannot allocate, or a site past the int64 range) or a
+body or summary that cannot be written to ``--out`` or stdout (a full disk,
+a closed pipe).
 
 Angle units: coin angles are radians, waveplate angles degrees; both accept
 an explicit ``rad``/``deg`` suffix in config files (e.g. ``"137deg"``).
@@ -176,43 +177,51 @@ def _emit(out_path: str | None, parts, notes) -> None:
     and removed where it is a regular file (a symlink, pipe or device written
     through stays); text already written to stdout stays there.
 
-    Only ``evolve`` passes a lazy body (an iterator), so its walk runs as it
-    is written.  The other commands pass text already made: ``--out`` is
-    opened after the work, and a failed computation leaves an existing
-    ``--out`` untouched.  A made body is written over an existing file in
-    place, without the truncate-to-zero, and a regular file that was longer
-    than the new text is then cut where the new text ends; a pipe or device
-    is written through.  On ext4 a truncating open of an existing file frees
-    its blocks and makes the close write them back, and an ``ftruncate``
-    costs even where it keeps the length, so a file that was new or no
-    longer than the new text is not cut at all (figures in ``BENCH_29.json``).
+    ``--out`` is never opened with ``O_TRUNC`` and never cut to zero bytes.
+    On ext4 a file cut to size 0 is written back when it is closed (the
+    ``auto_da_alloc`` replace-via-truncate rule), and the next run's
+    truncating open waits for that write: a median 34-40 ms for a 30 KB
+    file, against 0.003 ms for a cut to one byte, which starts no write
+    back.  An ``ftruncate`` costs even where it keeps the length, so a pipe
+    or device, a new file and a file no longer than the text to come are not
+    cut at all (figures in ``BENCH_29.json`` and ``BENCH_33.json``).
 
-    The price is crash safety.  A process killed before the write and the
-    cut are done (SIGKILL, SIGTERM, out of memory, power loss) can leave
+    Only ``evolve`` passes a lazy body (an iterator), so its walk runs as it
+    is written.  An existing regular file longer than one byte is first cut
+    to its first byte, then the blocks are written over it.  A run killed
+    meanwhile leaves that byte or a prefix of the new text, never an
+    earlier file's summary; every ``evolve`` text starts with ``step,``, so
+    over an earlier ``evolve`` file even that byte is a prefix.
+
+    The other commands pass text already made: ``--out`` is opened after the
+    work, and a failed computation leaves an existing ``--out`` untouched.
+    A made body is written over an existing file in place, and a regular
+    file that was longer than the new text is then cut where the new text
+    ends.  The price is crash safety: a process killed before the write and
+    the cut are done (SIGKILL, SIGTERM, out of memory, power loss) can leave
     all, part or none of the new text followed by an existing file's tail
-    and summary, which reads as complete; a truncating open leaves a short
-    file without a summary.  A made body runs that risk while text already in memory is
-    written, a lazy body for the whole walk, so a lazy body truncates first.
+    and summary, which reads as complete.  A cut first, as a lazy body
+    makes, would add an ``ftruncate`` to every run over an existing file.
     """
     if not out_path:
         sys.stdout.writelines(parts)
         sys.stdout.write(_summary(notes))
         return
-    made = not isinstance(parts, Iterator)
-
-    def opener(path, flags):
-        return os.open(path, flags & ~os.O_TRUNC if made else flags, 0o666)
-
     try:
-        fh = open(out_path, "w", encoding="utf-8", opener=opener)
+        fh = open(out_path, "w", encoding="utf-8",
+                  opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666))
     except OSError as exc:
         raise ConfigError(f"out: cannot write: {exc}") from None
     try:
         with fh:
-            earlier = os.fstat(fh.fileno()) if made else None
+            earlier = os.fstat(fh.fileno())
+            size = earlier.st_size if stat.S_ISREG(earlier.st_mode) else 0  # a pipe: never cut
+            if isinstance(parts, Iterator) and size > 1:
+                os.ftruncate(fh.fileno(), 1)  # one byte, not 0: no flush on close
+                size = 1
             fh.writelines(parts)
             fh.write(tail := _summary(notes))
-            if made and stat.S_ISREG(earlier.st_mode) and earlier.st_size > fh.tell():
+            if size > fh.tell():
                 fh.truncate()  # cut the rest of an earlier, longer file
     except BaseException:
         with contextlib.suppress(OSError):

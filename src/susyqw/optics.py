@@ -164,7 +164,10 @@ def pure_state_fidelity(rho: DensityMatrix, coin: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ScanCurve:
-    """Trapped intensity versus input QWP angle at a fixed probe."""
+    """Trapped intensity versus input QWP angle at a fixed probe.
+
+    ``angles_deg`` and ``intensities`` are read-only float copies of the arrays given.
+    """
 
     angles_deg: np.ndarray
     intensities: np.ndarray
@@ -172,6 +175,10 @@ class ScanCurve:
     x_probe: int
     sphere_max: float        # probe maximum over every input polarization
     cell_probe: bool = False  # True when the probe sums the bond pair (x, x+1)
+
+    def __post_init__(self):
+        for name in ("angles_deg", "intensities"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
 
 
 def _scan_lattice(profile: CoinProfile, steps: int) -> CoinProfile:
@@ -204,7 +211,7 @@ def scan(profiles: Sequence[CoinProfile], steps: int, x_probe: int,
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    grid = _read_only(np.array(angles_deg, dtype=float))
+    grid = np.asarray(angles_deg, dtype=float)
     if grid.size == 0:
         raise ValueError("angle grid is empty")
     if not np.isfinite(grid).all():
@@ -228,7 +235,7 @@ def scan(profiles: Sequence[CoinProfile], steps: int, x_probe: int,
     for amps in probe.transpose(1, 3, 0, 2):  # per profile: [row, component, input]
         psi = amps.reshape(-1, 2)
         gram = psi.conj().T @ psi
-        vals = _read_only(np.einsum("ka,ab,kb->k", coins.conj(), gram, coins).real.copy())
+        vals = np.einsum("ka,ab,kb->k", coins.conj(), gram, coins).real
         curves.append(ScanCurve(grid, vals, steps, x_probe,
                                 sphere_max=float(np.linalg.eigvalsh(gram)[-1]),
                                 cell_probe=cell_probe))

@@ -536,7 +536,8 @@ SMALL_RUNS = {"bands": ["bands", "--resolution", "8"],
               "evolve": ["evolve", "--steps", "3"]}
 
 
-@pytest.mark.parametrize("earlier", [b"#" * 65536, b"x"], ids=["longer", "shorter"])
+@pytest.mark.parametrize("earlier", [b"#" * 65536, b"x", b"", b"xy"],
+                         ids=["longer", "shorter", "empty", "two-bytes"])
 @pytest.mark.parametrize("argv", SMALL_RUNS.values(), ids=SMALL_RUNS)
 def test_existing_out_ends_holding_exactly_the_new_text(argv, earlier, tmp_path, capsys):
     """An earlier --out file is rewritten to the bytes a stdout run prints, then cut there."""
@@ -550,13 +551,16 @@ def test_existing_out_ends_holding_exactly_the_new_text(argv, earlier, tmp_path,
 
 
 def test_symlink_out_rewrites_and_cuts_its_target(tmp_path, capsys):
-    code, text, _ = run_cli(["tomo"], capsys)
-    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
-    target.write_bytes(b"#" * 65536)
-    link.symlink_to(target)
-    code, _, _ = run_cli(["tomo", "--out", str(link)], capsys)
-    assert code == 0
-    assert link.is_symlink() and target.read_bytes() == text.encode()
+    """A made body (tomo) and a lazy one (evolve) each write through the link."""
+    for argv in (SMALL_RUNS["tomo"], SMALL_RUNS["evolve"]):
+        code, text, _ = run_cli(argv, capsys)
+        assert code == 0
+        target, link = tmp_path / f"{argv[0]}.csv", tmp_path / f"{argv[0]}-link.csv"
+        target.write_bytes(b"#" * 65536)
+        link.symlink_to(target)
+        code, _, _ = run_cli([*argv, "--out", str(link)], capsys)
+        assert code == 0
+        assert link.is_symlink() and target.read_bytes() == text.encode()
 
 
 @pytest.mark.parametrize("argv", SMALL_RUNS.values(), ids=SMALL_RUNS)
@@ -567,12 +571,17 @@ def test_device_out_is_written_through_and_never_cut(argv, capsys):
     assert out and all(line.startswith("# ") for line in out.splitlines())
 
 
+def child_env():
+    """The environment of a child Python process that imports this checkout's package."""
+    src = str(Path(susyqw.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def cli_process(argv, **kwargs):
     """``python -m susyqw.cli argv`` as a child process, with this checkout's package."""
-    src = str(Path(susyqw.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.Popen([sys.executable, "-m", "susyqw.cli", *argv],
-                            env={**os.environ, "PYTHONPATH": path}, text=True, **kwargs)
+                            env=child_env(), text=True, **kwargs)
 
 
 def assert_one_write_error(code, err):
@@ -604,15 +613,60 @@ def test_stdout_closed_by_its_reader_exits_three():
     assert "Broken pipe" in err
 
 
+class LoggedFile:
+    """An open file that logs each write and each cut, with the length a cut leaves."""
+
+    def __init__(self, fh, log):
+        self.fh, self.log = fh, log
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def write(self, text):
+        self.log.append("write")
+        return self.fh.write(text)
+
+    def writelines(self, parts):
+        self.log.append("write")
+        return self.fh.writelines(parts)
+
+    def truncate(self):
+        self.log.append(("cut", self.fh.tell()))
+        return self.fh.truncate()
+
+
 @pytest.mark.parametrize("argv", SMALL_RUNS.values(), ids=SMALL_RUNS)
-def test_only_evolve_truncates_out_when_opening_it(argv, monkeypatch, tmp_path, capsys):
-    """A made body is written over --out in place; evolve's lazy body truncates first."""
-    out_path = str(tmp_path / "result.csv")
-    calls = record_calls(monkeypatch, os, "open")
-    code, _, _ = run_cli([*argv, "--out", out_path], capsys)
+def test_no_out_is_opened_truncating_or_cut_to_zero(argv, monkeypatch, tmp_path, capsys):
+    """Over a 64 KB earlier --out: evolve's lazy body cuts it to one byte before it
+    writes; a made body cuts it where the new text ends, after its summary."""
+    code, text, _ = run_cli(argv, capsys)
     assert code == 0
-    [flags] = [flags for path, flags, *_ in calls if path == out_path]
-    assert bool(flags & os.O_TRUNC) == (argv[0] == "evolve")
+    out_file = tmp_path / "result.csv"
+    out_file.write_bytes(b"#" * 65536)
+    log, ftruncate = [], os.ftruncate
+
+    def logged_ftruncate(fd, length):
+        log.append(("cut", length))
+        return ftruncate(fd, length)
+
+    opens = record_calls(monkeypatch, os, "open")
+    monkeypatch.setattr(os, "ftruncate", logged_ftruncate)
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: LoggedFile(open(*args, **kwargs), log),
+                        raising=False)
+    code, _, _ = run_cli([*argv, "--out", str(out_file)], capsys)
+    assert code == 0 and out_file.read_bytes() == text.encode()
+    [flags] = [flags for path, flags, *_ in opens if path == str(out_file)]
+    assert not flags & os.O_TRUNC
+    if argv[0] == "evolve":
+        assert log == [("cut", 1), "write", "write"]
+    else:  # the body, the summary, then the cut
+        assert log == ["write", "write", ("cut", len(text.encode()))]
 
 
 # bodies of 34 KB and 16 KB over a 64 KB earlier file
@@ -622,8 +676,8 @@ def test_killed_write_over_an_existing_out(argv, tmp_path, capsys):
     """SIGKILL after the body, before the summary: what the in-place write risks.
 
     A made body leaves the earlier file's tail and summary after whatever of
-    the new text reached the file; evolve's truncating open leaves a prefix
-    of its own text only.
+    the new text reached the file; evolve's one-byte cut before its body
+    leaves a prefix of its own text only.
     """
     code, text, _ = run_cli(argv, capsys)
     assert code == 0
@@ -634,10 +688,7 @@ def test_killed_write_over_an_existing_out(argv, tmp_path, capsys):
     script = ("import os, signal\nfrom susyqw import cli\n"
               "cli._summary = lambda notes: os.kill(os.getpid(), signal.SIGKILL)\n"
               f"cli.main({[*argv, '--out', str(out_file)]!r})\n")
-    src = str(Path(susyqw.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", script], env=env, timeout=120)
+    result = subprocess.run([sys.executable, "-c", script], env=child_env(), timeout=120)
     assert result.returncode == -signal.SIGKILL
     data = out_file.read_bytes()
     if argv[0] == "evolve":
@@ -646,6 +697,37 @@ def test_killed_write_over_an_existing_out(argv, tmp_path, capsys):
         written = len(os.path.commonprefix([data, new]))
         assert data == new[:written] + earlier[written:]
         assert data.endswith(b"\n# earlier = summary\n")
+
+
+# 85 sites hold 12 steps per table block: the 40-step walk writes its header, then
+# 4 blocks of 23-49 KB, so 0 and 1 blocks stop short of the 64 KB earlier file's end
+@pytest.mark.parametrize("blocks", [0, 1, 3])
+def test_evolve_killed_mid_walk_leaves_no_earlier_summary(blocks, tmp_path, capsys):
+    """SIGKILL after the header and ``blocks`` table blocks of evolve over an earlier file.
+
+    What is left is the earlier file's first byte, kept by the one-byte cut
+    until the first buffer reaches the file, or a prefix of the new text.
+    """
+    argv = ["evolve", "--steps", "40", "--frame", "both"]
+    code, text, _ = run_cli(argv, capsys)
+    assert code == 0
+    new = text.encode()
+    out_file = tmp_path / "result.csv"
+    earlier = b"#" * 65536 + b"\n# earlier = summary\n"
+    out_file.write_bytes(earlier)
+    script = ("import os, signal\nfrom susyqw import cli\ntable = cli._table\n"
+              "def killing(header, blocks):\n"
+              "    for i, part in enumerate(table(header, blocks)):\n"
+              f"        if i > {blocks}:\n"
+              "            os.kill(os.getpid(), signal.SIGKILL)\n"
+              "        yield part\n"
+              "cli._table = killing\n"
+              f"cli.main({[*argv, '--out', str(out_file)]!r})\n")
+    result = subprocess.run([sys.executable, "-c", script], env=child_env(), timeout=120)
+    assert result.returncode == -signal.SIGKILL
+    data = out_file.read_bytes()
+    assert data == earlier[:1] or new.startswith(data)
+    assert b"earlier = summary" not in data
 
 
 @pytest.mark.parametrize("size", [2**63 - 2, 2**63])

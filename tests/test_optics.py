@@ -9,7 +9,7 @@ from susyqw import (Frame, Lattice, LatticeMismatchError, Topology, UnoccupiedSi
                     make_coin_profile, measure_bases, prepare_input, pure_state_fidelity,
                     qwp_scan, ring_with_interfaces, scan, segment_for, to_frame, tomography,
                     waveplate)
-from susyqw.optics import BasisIntensities, DensityMatrix
+from susyqw.optics import BasisIntensities, DensityMatrix, ScanCurve
 
 from helpers import coin_2x2
 
@@ -249,6 +249,17 @@ def test_scan_curve_arrays_are_read_only(scan):
     prof = make_coin_profile("interface", segment_for(1, 5), phi1=1.29, phi2=0.17)
     curve = scan(prof, 5, 0, np.arange(0.0, 180.0, 30.0))
     for values in (curve.intensities, curve.angles_deg):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+
+
+def test_scan_curve_built_by_a_caller_is_a_read_only_copy():
+    angles, intensities = np.arange(0.0, 180.0, 60.0), np.array([0.1, 0.2, 0.3])
+    curve = ScanCurve(angles, intensities, steps=5, x_probe=0, sphere_max=0.3)
+    angles[0], intensities[0] = 90.0, np.nan
+    np.testing.assert_array_equal(curve.angles_deg, [0.0, 60.0, 120.0])
+    np.testing.assert_array_equal(curve.intensities, [0.1, 0.2, 0.3])
+    for values in (curve.angles_deg, curve.intensities):
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 1.0
 
