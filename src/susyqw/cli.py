@@ -177,14 +177,11 @@ def _emit(out_path: str | None, parts, notes) -> None:
     and removed where it is a regular file (a symlink, pipe or device written
     through stays); text already written to stdout stays there.
 
-    ``--out`` is never opened with ``O_TRUNC`` and never cut to zero bytes.
-    On ext4 a file cut to size 0 is written back when it is closed (the
-    ``auto_da_alloc`` replace-via-truncate rule), and the next run's
-    truncating open waits for that write: a median 34-40 ms for a 30 KB
-    file, against 0.003 ms for a cut to one byte, which starts no write
-    back.  An ``ftruncate`` costs even where it keeps the length, so a pipe
-    or device, a new file and a file no longer than the text to come are not
-    cut at all (figures in ``BENCH_29.json`` and ``BENCH_33.json``).
+    ``--out`` is never opened with ``O_TRUNC`` and never cut to zero bytes:
+    on ext4 a file cut to size 0 is written back when it is closed (the
+    ``auto_da_alloc`` replace-via-truncate rule), and a cut to a non-zero
+    length is not (figures in ``BENCH_33.json``).  Only a regular file is
+    cut: a pipe or device is written through.
 
     Only ``evolve`` passes a lazy body (an iterator), so its walk runs as it
     is written.  An existing regular file longer than one byte is first cut
@@ -200,8 +197,7 @@ def _emit(out_path: str | None, parts, notes) -> None:
     ends.  The price is crash safety: a process killed before the write and
     the cut are done (SIGKILL, SIGTERM, out of memory, power loss) can leave
     all, part or none of the new text followed by an existing file's tail
-    and summary, which reads as complete.  A cut first, as a lazy body
-    makes, would add an ``ftruncate`` to every run over an existing file.
+    and summary, which reads as complete.
     """
     if not out_path:
         sys.stdout.writelines(parts)
@@ -218,10 +214,10 @@ def _emit(out_path: str | None, parts, notes) -> None:
             size = earlier.st_size if stat.S_ISREG(earlier.st_mode) else 0  # a pipe: never cut
             if isinstance(parts, Iterator) and size > 1:
                 os.ftruncate(fh.fileno(), 1)  # one byte, not 0: no flush on close
-                size = 1
+                size = 0  # evolve's text is longer than that byte
             fh.writelines(parts)
             fh.write(tail := _summary(notes))
-            if size > fh.tell():
+            if size and size > fh.tell():  # no tell() on a pipe or a new file
                 fh.truncate()  # cut the rest of an earlier, longer file
     except BaseException:
         with contextlib.suppress(OSError):

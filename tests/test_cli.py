@@ -584,6 +584,20 @@ def cli_process(argv, **kwargs):
                             env=child_env(), text=True, **kwargs)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("name", ["tomo", "evolve"])
+def test_pipe_out_is_written_through(name, capsys):
+    """``--out /dev/stdout`` on a pipe: a stream that cannot seek, so it is never told or cut."""
+    code, text, _ = run_cli(SMALL_RUNS[name], capsys)
+    assert code == 0
+    with cli_process([*SMALL_RUNS[name], "--out", "/dev/stdout"],
+                     stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, "")
+    summary = text[text.index("\n# ") + 1:]  # from the first "# " line on
+    assert out == text + summary
+
+
 def assert_one_write_error(code, err):
     assert code == 3
     assert err.startswith("susyqw: cannot write output: ") and err.count("\n") == 1
