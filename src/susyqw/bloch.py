@@ -17,13 +17,17 @@ by pi (see ``torus_angles``), so ``winding_numbers`` evaluates bands 0 and 1.
 
 The one-step unitary is off-diagonal in the sublattice, u = [[0, u12],
 [u21, 0]], so u^2 is the direct sum of the 2x2 SUSY partner walks u12 u21
-and u21 u12.  Bands come from a batched 2x2 eigensolve of u12 u21 over all
-k points at once, lifted to the eigenvalues lambda = +-sqrt(mu / |mu|) of u
-(``_lift_values``).  The ``bands`` command reads eigenvalues only, from one
-``eigvals`` (``_band_energies``); ``winding`` reads eigenpairs, from one
-``eig`` lifted to the eigenvectors as well (``band_structure`` and
-``_lift``, which the ring spectrum in ``midgap`` shares).  Both solves give
-the same eigenvalues bit for bit, so both paths print the same bands.
+and u21 u12.  The partner m = u12 u21 is unitary with determinant 1, so
+its eigenvalues are the roots of a quadratic in its trace, and its
+eigenvectors are a null vector of m - mu and that vector's orthogonal
+complement: bands come from this closed form over all k points at once
+(``_partner_eigvals`` and ``_partner_eigvecs``), with no LAPACK call, lifted
+to the eigenvalues lambda = +-sqrt(mu / |mu|) of u (``_lift_values``).  The
+``bands`` command reads eigenvalues only (``_band_energies``); ``winding``
+reads eigenpairs, lifted to the eigenvectors as well (``band_structure``
+and ``_lift``, which the ring spectrum in ``midgap`` shares).  Both take
+their eigenvalues from the same ``_partner_eigvals``, so both paths print
+the same bands bit for bit.
 
 Swapping the angles moves the unit cell by one site.  In the primed frame
 the shift phases obey d12 = e^{-ik} d21, so the swapped walk is
@@ -47,9 +51,6 @@ COIN_Y = np.kron(np.eye(2), [[0, -1j], [1j, 0]])
 CELL_Z = np.diag([1.0, 1.0, -1.0, -1.0])
 
 _UNIT_CIRCLE_TOL = 1e-10
-# overlap above which two partner eigenvectors count as skewed; eig's own
-# overlaps stay below 1e-15 over the benchmark box, below 1e-13 at random angles
-_SKEW_TOL = 1e-13
 
 
 def band_condition_value(k, phi1: float, phi2: float):
@@ -114,15 +115,34 @@ def _bloch_blocks(ks, phi1: float, phi2: float,
 
     u(k) = [[0, u12], [u21, 0]]; each block has shape ``k.shape + (2, 2)``.
     Within a unit cell the shift only multiplies one polarization by a phase:
-    u12 = diag(e^{-ik}, 1) C(phi2) and u21 = diag(1, e^{ik}) C(phi1).
+    u12 = diag(e^{-ik}, 1) C(phi2) and u21 = diag(1, e^{ik}) C(phi1) in the
+    lab frame, with the half-angle coins C(phi1 / 2) and C(phi2 / 2) around
+    each diagonal in the primed frame.  Split by polarization, the blocks are
+    u12 = e^{-ik} P + Q and u21 = R + e^{ik} S with constant coin products
+    P, Q, R and S, broadcast over the k points.
     """
-    phase = np.exp(1j * np.asarray(ks, dtype=float))
-    one = np.ones_like(phase)
-    d12, d21 = np.stack([phase.conj(), one], -1), np.stack([one, phase], -1)
+    phase = np.exp(1j * np.asarray(ks, dtype=float))[..., None, None]
     if frame is Frame.LAB:
-        return d12[..., None] * coin_matrix(phi2), d21[..., None] * coin_matrix(phi1)
-    h1, h2 = coin_matrix(phi1 / 2), coin_matrix(phi2 / 2)
-    return (h1 * d12[..., None, :]) @ h2, (h2 * d21[..., None, :]) @ h1
+        (l12, r12), (l21, r21) = (np.eye(2), coin_matrix(phi2)), (np.eye(2), coin_matrix(phi1))
+    else:
+        h1, h2 = coin_matrix(phi1 / 2), coin_matrix(phi2 / 2)
+        (l12, r12), (l21, r21) = (h1, h2), (h2, h1)
+    p, q = np.outer(l12[:, 0], r12[0]), np.outer(l12[:, 1], r12[1])
+    r, s = np.outer(l21[:, 0], r21[0]), np.outer(l21[:, 1], r21[1])
+    return phase.conj() * p + q, r + phase * s
+
+
+def _matmul2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for stacks of 2x2 matrices, written out entry by entry.
+
+    Eight broadcast products cost less than a batched ``@``, which loops
+    over the stack one 2x2 product at a time.
+    """
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            out[..., i, j] = x[..., i, 0] * y[..., 0, j] + x[..., i, 1] * y[..., 1, j]
+    return out
 
 
 def bloch_operator(k: float, phi1: float, phi2: float,
@@ -166,7 +186,46 @@ def susy_partners(k: float, phi1: float, phi2: float,
                   frame: Frame = Frame.LAB) -> tuple[np.ndarray, np.ndarray]:
     """The two 2x2 partner walks whose direct sum is u(k)^2."""
     u12, u21 = _bloch_blocks(float(k), phi1, phi2, frame)
-    return u12 @ u21, u21 @ u12
+    return _matmul2(u12, u21), _matmul2(u21, u12)
+
+
+def _partner_eigvals(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues (..., 2) of the partners m (..., 2, 2) in closed form.
+
+    m = [[a, b], [c, d]] has mu = (a + d) / 2 +- sqrt(((a - d) / 2)^2 + bc),
+    the + root first.  On a normal m the entries of m - (a + d) / 2 are as
+    small as the eigenvalue split, so the root is accurate to rounding in
+    absolute terms even where the two eigenvalues meet.
+    """
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    half, root = (a + d) / 2, np.sqrt(((a - d) / 2) ** 2 + b * c)
+    return np.stack([half + root, half - root], axis=-1)
+
+
+def _partner_eigvecs(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvectors (..., 2, 2) of the unitary partners m, as columns.
+
+    Column 0 belongs to mu[..., 0]: the null vector of whichever row of
+    m - mu0 has the larger norm, normalized, or e1 where both rows are zero
+    (m = mu0, any vector will do).  m is normal, so the eigenvector of mu1 is
+    the orthogonal complement (-conj v[1], conj v[0]) of v, column 1.
+    """
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    mu0 = mu[..., 0]
+    # (m - mu0) v = 0: (b, mu0 - a) solves its row 0, (mu0 - d, c) its row 1
+    rows = ((b, mu0 - a), (mu0 - d, c))
+    n0, n1 = (np.hypot(np.abs(x), np.abs(y)) for x, y in rows)
+    x, y = (np.where(n0 >= n1, *pair) for pair in zip(*rows))
+    norm = np.maximum(n0, n1)
+    parts = np.stack([np.where(norm == 0, 1.0, x), y], axis=-1).view(float)
+    # scaled by a power of two first, which is exact: the norm of a subnormal
+    # row is inexact, and a complex division by it overflows
+    parts = np.ldexp(parts, -np.frexp(norm)[1][..., None])
+    parts /= np.sqrt(np.square(parts).sum(axis=-1, keepdims=True))
+    vec = np.empty(m.shape, dtype=complex)
+    vec[..., 0] = parts.view(complex)
+    vec[..., 0, 1], vec[..., 1, 1] = -vec[..., 1, 0].conj(), vec[..., 0, 0].conj()
+    return vec
 
 
 def _lift_values(mu: np.ndarray) -> np.ndarray:
@@ -276,14 +335,13 @@ def _band_energies(phi1: float, phi2: float,
                    frame: Frame = Frame.PRIMED) -> _BandEnergies:
     """The eigenvalues of ``band_structure`` without its eigenvectors.
 
-    One batched ``eigvals`` of the partner u12(k) u21(k), lifted and sorted
-    as in ``band_structure``.  On these 2x2 partners LAPACK's eigenvalue-only
-    solve gives the same bits as the full ``eig`` (a property test holds it
-    to that) and computes no eigenvectors.
+    The closed-form eigenvalues of the partner u12(k) u21(k)
+    (``_partner_eigvals``), lifted and sorted as in ``band_structure``: the
+    same bits, with no eigenvector work.
     """
     ks = _k_points(k_grid, resolution)
-    u12, u21 = _bloch_blocks(ks, phi1, phi2, frame)
-    _, lams, eps = _by_quasienergy(_lift_values(np.linalg.eigvals(u12 @ u21)))
+    mu = _partner_eigvals(_matmul2(*_bloch_blocks(ks, phi1, phi2, frame)))
+    _, lams, eps = _by_quasienergy(_lift_values(mu))
     return _BandEnergies(*map(_read_only, (ks, lams, eps)))
 
 
@@ -293,36 +351,32 @@ def band_structure(phi1: float, phi2: float,
                    frame: Frame = Frame.PRIMED) -> BandStructure:
     """Diagonalize the Bloch operator over a k grid through its SUSY partner walk.
 
-    One batched ``eig`` of the 2x2 partner u12(k) u21(k) gives (mu, v) at
-    every k; each pair lifts to lambda = +-sqrt(mu / |mu|) and
+    The 2x2 partner m = u12(k) u21(k) is solved in closed form at every k
+    (``_partner_eigvals`` and ``_partner_eigvecs``), with no LAPACK call;
+    each pair (mu, v) lifts to lambda = +-sqrt(mu / |mu|) and
     psi = (v, u21 v / lambda) / sqrt(2), with |mu| - 1 asserted below 1e-10
-    (see ``_lift``).  Where u12 u21 has a double eigenvalue (a gap closing)
-    and ``eig`` returns two skewed vectors for it, the second is
-    orthogonalized against the first, so the eigenvectors stay orthonormal.
-    The eigenvalues come from the assembled matrices, not from
-    ``band_condition_value``, which stays an independent check.  The four
-    eigenpairs are sorted by ascending quasi-energy at every k, which
-    keeps each band in its own quadrant while the protected gaps are open;
-    where a gap closes, touching bands keep that order rather than following
-    the crossing.  Each eigenvector has its largest component made real
-    positive, then a phase carried along k that makes the overlaps of
-    neighbouring k points real positive.  ``winding`` reads these
-    eigenpairs; ``bands`` reads the same eigenvalues from ``_band_energies``,
-    which skips the eigenvectors.  The k grid must be sorted and finite.
+    (see ``_lift``).  The two eigenvectors of m are orthogonal by
+    construction, so the eigenvectors stay orthonormal where u12 u21 has a
+    double eigenvalue (a gap closing).  The eigenvalues come from the
+    assembled matrices, not from ``band_condition_value``, which stays an
+    independent check.  The four eigenpairs are sorted by ascending
+    quasi-energy at every k, which keeps each band in its own quadrant while
+    the protected gaps are open; where a gap closes, touching bands keep that
+    order rather than following the crossing.  Each eigenvector has its
+    largest component made real positive, then a phase carried along k that
+    makes the overlaps of neighbouring k points real positive.  ``winding``
+    reads these eigenpairs; ``bands`` reads the same eigenvalues from
+    ``_band_energies``, which skips the eigenvectors.  The k grid must be
+    sorted and finite.
     """
     ks = _k_points(k_grid, resolution)
     u12, u21 = _bloch_blocks(ks, phi1, phi2, frame)
-    mu, v = np.linalg.eig(u12 @ u21)
-    # at a gap closing the partner has a double eigenvalue, and eig may
-    # return two skewed vectors for it: orthogonalize the second
-    overlap = np.einsum("ki,ki->k", v[..., 0].conj(), v[..., 1])
-    skew = np.abs(overlap) > _SKEW_TOL
-    if skew.any():
-        w = v[skew, :, 1] - overlap[skew, None] * v[skew, :, 0]
-        v[skew, :, 1] = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    m = _matmul2(u12, u21)
+    mu = _partner_eigvals(m)
+    v = _partner_eigvecs(m, mu)
     # axes (k, sublattice, coin, branch, eigenpair of u12 u21)
     vecs = np.empty((ks.size, 2, 2, 2, 2), dtype=complex)
-    order, lams, eps = _by_quasienergy(_lift(mu, v, u21 @ v, vecs[:, 0], vecs[:, 1]))
+    order, lams, eps = _by_quasienergy(_lift(mu, v, _matmul2(u21, v), vecs[:, 0], vecs[:, 1]))
     vecs = np.take_along_axis(vecs.reshape(ks.size, 4, 4), order[:, None, :], 2)
 
     top = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=1)[:, None, :], 1)

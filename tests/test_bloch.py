@@ -1,4 +1,7 @@
+import ast
+import inspect
 import re
+import textwrap
 
 import numpy as np
 import pytest
@@ -314,6 +317,19 @@ def test_winding_loop_is_the_bands_grid_closed_at_2pi(monkeypatch):
         winding_numbers(1.29, 0.17, r)
         assert grids[-1].tobytes() == np.linspace(0.0, 2 * np.pi, r + 1).tobytes()
     assert len(grids) == 5
+
+
+# what ``bands`` and ``winding`` run from the k grid to the sorted eigenpairs
+BAND_PATH = (bloch._bloch_blocks, bloch._matmul2, bloch._partner_eigvals,
+             bloch._partner_eigvecs, bloch._lift_values, bloch._lift, bloch._by_quasienergy,
+             bloch._band_energies, bloch.band_structure, bloch.winding_numbers)
+
+
+@pytest.mark.parametrize("func", BAND_PATH, ids=lambda func: func.__name__)
+def test_band_path_has_no_batched_matmul(func):
+    """The 2x2 products of the band path are written out entry by entry, never a batched ``@``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
 
 
 def test_band_structure_keeps_a_copy_of_its_k_grid():

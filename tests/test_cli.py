@@ -848,23 +848,26 @@ def test_winding_near_transition_fails_cleanly(capsys):
 
 
 def test_winding_solves_the_bands_once(monkeypatch, capsys):
-    """The swapped report is derived from the forward solve, not solved again."""
+    """The swapped report is derived from the forward solve, not solved again.
+
+    The partner walks are solved in closed form: no LAPACK eigensolve runs.
+    """
     calls = record_calls(monkeypatch, bloch, "band_structure")
     eig = record_calls(monkeypatch, np.linalg, "eig")
     eigvals = record_calls(monkeypatch, np.linalg, "eigvals")
     code, out, _ = run_cli(["winding", "--resolution", "256"], capsys)
     assert code == 0 and "[swapped] band3" in out
-    assert (len(calls), len(eig), len(eigvals)) == (1, 1, 0)
+    assert (len(calls), len(eig), len(eigvals)) == (1, 0, 0)
 
 
 def test_bands_solves_eigenvalues_only(monkeypatch, capsys):
-    """``bands`` prints no eigenvector: one ``eigvals``, no ``eig``, no ``band_structure``."""
+    """``bands`` prints no eigenvector: no ``band_structure``, and no LAPACK eigensolve."""
     eig = record_calls(monkeypatch, np.linalg, "eig")
     eigvals = record_calls(monkeypatch, np.linalg, "eigvals")
     full = record_calls(monkeypatch, bloch, "band_structure")
     code, out, _ = run_cli(["bands", "--resolution", "2048"], capsys)
     assert code == 0 and "gap_at_imag" in summary_dict(out)
-    assert (len(eig), len(full), len(eigvals)) == (0, 0, 1)
+    assert (len(eig), len(full), len(eigvals)) == (0, 0, 0)
 
 
 def test_winding_reads_the_torus_angles_of_two_bands(monkeypatch, capsys):

@@ -267,13 +267,29 @@ def test_batched_real_gauge_scan_is_the_gram_of_separate_walks(data, angles, ste
 @settings(max_examples=60, deadline=None)
 @example(angles=(0.7, 0.7), ks=[], frame=Frame.PRIMED)
 @example(angles=(0.7, 0.7), ks=[0.0, 2 * np.pi], frame=Frame.LAB)
+@example(angles=(np.pi / 2, np.pi / 2), ks=[j * np.pi / 32 for j in range(64)], frame=Frame.LAB)
+@example(angles=(np.pi / 2, np.pi / 2), ks=[j * np.pi / 32 for j in range(64)],
+         frame=Frame.PRIMED)
+@example(angles=(0.0, 0.0), ks=[0.0], frame=Frame.LAB)
+@example(angles=(2.0, -2.0), ks=[0.0], frame=Frame.LAB)
+@example(angles=(0.0, 0.0), ks=[2.2250738585e-313], frame=Frame.LAB)
+@example(angles=(2.5, -2.5), ks=[5e-324], frame=Frame.LAB)
 @given(angles=CLOSING_PRONE, frame=st.sampled_from(list(Frame)),
        ks=st.lists(st.floats(min_value=0.0, max_value=2 * np.pi), max_size=12))
 def test_partner_solve_matches_the_bloch_eig(angles, frame, ks):
-    """The lifted 2x2 partner solve is an eigendecomposition of u(k), at closings too.
+    """The closed-form partner solve is an orthonormal eigenbasis of u(k), at closings too.
 
-    Every k grid holds k = pi, where phi1 = phi2 closes the gap at lambda = +-i
-    (the partner walk is -1 there); phi1 = -phi2 closes the gap at +-1 at k = 0.
+    Against a 4x4 ``eig`` of ``bloch_operator``: the same eigenvalues, and
+    eigenvectors that solve u(k) psi = lambda psi (u from ``bloch_oracle``)
+    with a Gram matrix of 1, all within 1e-12.  Angles come from the whole
+    torus and from the closings.  Every k grid holds k = pi, where
+    phi1 = phi2 closes the gap at lambda = +-i (the partner walk is -1
+    there); phi1 = -phi2 closes the gap at +-1 at k = 0.  The examples are
+    degenerate partners: at (pi/2, pi/2) u12 u21 is -1 up to rounding at
+    every k, and at (0, 0) and (2, -2) in the lab frame it is exactly 1 at
+    k = 0 (the grids of resolution 1 and 2 hold k = 0 and pi), where both
+    rows of u12 u21 - mu are zero; at a subnormal k the rows are subnormal
+    or zero.
     """
     phi1, phi2 = angles
     k_grid = np.sort([np.pi, *ks])
@@ -282,7 +298,7 @@ def test_partner_solve_matches_the_bloch_eig(angles, frame, ks):
     for k, lam, psi in zip(k_grid, lams, vecs):
         ref = np.linalg.eig(bloch_operator(k, phi1, phi2, frame).matrix).eigenvalues
         assert multiset_distance(lam, ref) <= 1e-12
-        assert np.linalg.matrix_rank(psi) == 4
+        assert np.linalg.norm(psi.conj().T @ psi - np.eye(4), 2) <= 1e-12
     u = bloch_oracle(k_grid, phi1, phi2, primed=frame is Frame.PRIMED)
     residual = u @ vecs - vecs * lams[:, None, :]
     assert np.linalg.norm(residual, axis=1).max() <= 1e-12
@@ -298,10 +314,11 @@ def test_partner_solve_matches_the_bloch_eig(angles, frame, ks):
 @given(angles=CLOSING_PRONE, frame=st.sampled_from(list(Frame)),
        resolution=st.sampled_from([1, 2, 3, 255, 2048]))
 def test_eigenvalue_path_is_the_band_structure_bit_for_bit(angles, frame, resolution):
-    """``bands`` prints the eigenvalues of one ``eigvals``; they are ``eig``'s exactly.
+    """``bands`` prints the eigenvalues that ``winding``'s eigenpair solve reads, exactly.
 
-    Equality, not closeness: a NumPy or LAPACK build whose eigenvalue-only
-    solve rounds apart from the full one would change the ``bands`` output.
+    Both take them from the same closed-form partner eigenvalues.  Equality,
+    not closeness: an eigenvalue path that rounded apart from the eigenpair
+    path would print bands that ``winding`` does not see.
     """
     phi1, phi2 = angles
     full = band_structure(phi1, phi2, resolution=resolution, frame=frame)
