@@ -1,18 +1,17 @@
 """Command-line front end: evolve, bands, winding, midgap, scan, tomo.
 
 All commands are deterministic given their configuration (including the
-noise seed): identical invocations produce byte-identical output.  Each
+noise seed): on one host, that is one NumPy SIMD target and one BLAS kernel
+set, identical invocations produce byte-identical output.  Across SIMD
+targets and BLAS kernel sets the text, integers and line count stay equal
+and floats stay within 6.1e-15 (``tests/test_expected_output.py``).  Each
 command computes and formats its result, then hands it to the one writer,
 ``_emit``: data go to ``--out`` (or stdout), followed by a summary block of
-``# key = value`` lines.  ``--out`` is opened only once the result is made,
-and an existing regular file is rewritten in place and cut to the new
-length (``_emit`` says what a run killed meanwhile leaves).  ``evolve``
-instead cuts an existing ``--out`` to one byte first and writes each block
-of steps as the walk makes it; no ``--out`` is truncated to zero.  Exit
-codes: 0 success, 2 configuration error, 3 numerical failure (including an
-array size the host cannot allocate, or a site past the int64 range) or a
-body or summary that cannot be written to ``--out`` or stdout (a full disk,
-a closed pipe).
+``# key = value`` lines.  An existing regular ``--out`` is cut to its
+first byte, never to zero, before it is written.  Exit codes: 0 success, 2
+configuration error, 3 numerical failure (including an array size the host
+cannot allocate, or a site past the int64 range) or a body or summary that
+cannot be written to ``--out`` or stdout (a full disk, a closed pipe).
 
 Angle units: coin angles are radians, waveplate angles degrees; both accept
 an explicit ``rad``/``deg`` suffix in config files (e.g. ``"137deg"``).
@@ -29,7 +28,6 @@ import math
 import os
 import stat
 import sys
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -171,35 +169,25 @@ def _emit(out_path: str | None, parts, notes) -> None:
     """Write ``parts``, then the summary of ``notes``, to ``--out`` or stdout.
 
     The one writer of every command.  The summary is made once ``parts`` is
-    exhausted, so a lazy body may add to ``notes`` as it ends; after an
-    ``--out`` file it is echoed to stdout.  An ``--out`` that cannot be opened
-    is a configuration error.  On any exception the ``--out`` file is closed
-    and removed where it is a regular file (a symlink, pipe or device written
-    through stays); text already written to stdout stays there.
+    exhausted, so a lazy body (``evolve``'s, whose walk runs as it is
+    written) may add to ``notes`` as it ends; after an ``--out`` file it is
+    echoed to stdout.  Every other command passes a body already made, so
+    its failed computation leaves an existing ``--out`` untouched.  An
+    ``--out`` that cannot be opened is a configuration error.  On any
+    exception the ``--out`` file is closed and removed where it is a regular
+    file (a symlink, pipe or device written through stays); text already
+    written to stdout stays there.
 
     ``--out`` is never opened with ``O_TRUNC`` and never cut to zero bytes:
     on ext4 a file cut to size 0 is written back when it is closed (the
     ``auto_da_alloc`` replace-via-truncate rule), and a cut to a non-zero
-    length is not (figures in ``BENCH_33.json``).  Only a regular file is
-    cut: a pipe or device is written through.
-
-    Only ``evolve`` passes a lazy body (an iterator), so its walk runs as it
-    is written.  An existing regular file longer than one byte is first cut
-    to its first byte, then the blocks are written over it.  A run killed
-    meanwhile leaves that byte or a prefix of the new text, never an
-    earlier file's summary; every ``evolve`` text starts with ``step,``, so
-    over an earlier ``evolve`` file even that byte is a prefix.
-
-    The other commands pass text already made: ``--out`` is opened after the
-    work, and a failed computation leaves an existing ``--out`` untouched.
-    A made body is written over an existing file in place, and a regular
-    file that was longer than the new text is then cut where the new text
-    ends.  The price is crash safety: a process killed before the write and
-    the cut are done (SIGKILL, SIGTERM, out of memory, power loss) can leave
-    all, part or none of the new text followed by an existing file's tail
-    and summary, which reads as complete.
+    length is not (figures in ``BENCH_33.json``).  An existing regular file
+    longer than one byte is cut to its first byte, then written over (every
+    command writes at least a summary line); a pipe or device is written
+    through.  A run killed meanwhile leaves that byte or a prefix of the new
+    text, never an earlier file's summary.
     """
-    if not out_path:
+    if out_path is None:
         sys.stdout.writelines(parts)
         sys.stdout.write(_summary(notes))
         return
@@ -211,14 +199,10 @@ def _emit(out_path: str | None, parts, notes) -> None:
     try:
         with fh:
             earlier = os.fstat(fh.fileno())
-            size = earlier.st_size if stat.S_ISREG(earlier.st_mode) else 0  # a pipe: never cut
-            if isinstance(parts, Iterator) and size > 1:
+            if stat.S_ISREG(earlier.st_mode) and earlier.st_size > 1:  # a pipe: never cut
                 os.ftruncate(fh.fileno(), 1)  # one byte, not 0: no flush on close
-                size = 0  # evolve's text is longer than that byte
             fh.writelines(parts)
             fh.write(tail := _summary(notes))
-            if size and size > fh.tell():  # no tell() on a pipe or a new file
-                fh.truncate()  # cut the rest of an earlier, longer file
     except BaseException:
         with contextlib.suppress(OSError):
             if stat.S_ISREG(os.lstat(out_path).st_mode):

@@ -1,7 +1,8 @@
-"""Committed expected outputs of ``bands`` and ``winding``, checked to a cross-host bound.
+"""Committed expected outputs of the commands, checked to a cross-host bound.
 
-``tests/data`` holds the stdout of ``bands --resolution 64`` and
-``winding --resolution 256`` at the default angles.  Each run is compared
+``tests/data`` holds the stdout of ``bands --resolution 64``, ``winding
+--resolution 256``, ``evolve --steps 13``, ``scan --steps 13``, ``midgap
+--n 40`` and ``tomo`` at the default angles.  Each run is compared
 line by line: the line count, the text and the integers exactly, and every
 float within FLOAT_TOL absolute.
 
@@ -41,7 +42,11 @@ def test_float_pattern_leaves_text_and_integers():
 @pytest.mark.parametrize("argv, name", [
     (["bands", "--resolution", "64"], "bands_resolution_64.txt"),
     (["winding", "--resolution", "256"], "winding_resolution_256.txt"),
-], ids=["bands", "winding"])
+    (["evolve", "--steps", "13"], "evolve_steps_13.txt"),
+    (["scan", "--steps", "13"], "scan_steps_13.txt"),
+    (["midgap", "--n", "40"], "midgap_n_40.txt"),
+    (["tomo"], "tomo.txt"),
+], ids=["bands", "winding", "evolve", "scan", "midgap", "tomo"])
 def test_output_matches_the_committed_expectation(argv, name, capsys):
     assert main(argv) == 0
     got = capsys.readouterr().out.splitlines(keepends=True)

@@ -1,13 +1,15 @@
 """``cli._emit`` is the package's one writer of files.
 
-An ``ast`` scan of ``src/susyqw/*.py`` for the calls that can create or
-write a file: ``open`` with a mode that writes, appends, creates or
-updates (or a mode the scan cannot read), ``os.open``, NumPy's savers, the
-copying and temporary-file calls of ``shutil`` and ``tempfile``, and the
-``write_text``/``write_bytes``/``tofile`` methods.  Opening for reading, as
-``--config`` is read, stays allowed everywhere.  The scan knows these calls
-by the names the package imports them under (``os``, ``np``, ``shutil``,
-``tempfile``); a renamed import, ``Path.open``, a subprocess or a handle
+An ``ast`` scan of ``src/susyqw/*.py`` for the calls that can create, write,
+cut or remove a file: ``open`` with a mode that writes, appends, creates or
+updates (or a mode the scan cannot read), ``os.open``, the cuts and
+removals of ``os`` (``ftruncate``, ``truncate``, ``remove``, ``unlink``,
+``replace``, ``rename``), NumPy's savers, the copying and temporary-file
+calls of ``shutil`` and ``tempfile``, and the ``write_text``/``write_bytes``/
+``tofile``/``truncate`` methods.  Opening for reading, as ``--config`` is
+read, stays allowed everywhere.  The scan knows these calls by the names
+the package imports them under (``os``, ``np``, ``shutil``, ``tempfile``);
+a renamed import, ``Path.open``, ``Path.unlink``, a subprocess or a handle
 passed in from outside would pass it unseen.
 """
 
@@ -21,11 +23,13 @@ SOURCE = Path(__file__).resolve().parents[1] / "src" / "susyqw"
 WRITERS = {"cli.py": {"_emit"}}
 OPENS = {"open", "io.open", "builtins.open"}
 # calls that write a file whatever their arguments, by dotted name or method name
-WRITE_CALLS = {"os.open", "np.save", "np.savez", "np.savez_compressed", "np.savetxt",
+WRITE_CALLS = {"os.open", "os.ftruncate", "os.truncate", "os.remove", "os.unlink",
+               "os.replace", "os.rename",
+               "np.save", "np.savez", "np.savez_compressed", "np.savetxt",
                "shutil.copy", "shutil.copy2", "shutil.copyfile", "shutil.copytree",
                "shutil.move", "tempfile.mkstemp", "tempfile.NamedTemporaryFile",
                "tempfile.TemporaryFile", "tempfile.SpooledTemporaryFile"}
-WRITE_METHODS = {"write_text", "write_bytes", "tofile"}
+WRITE_METHODS = {"write_text", "write_bytes", "tofile", "truncate"}
 
 
 def _mode(call):
@@ -83,10 +87,15 @@ def writers(source, allowed=()):
      "shutil.move(a, b)\nfd, name = tempfile.mkstemp()",
      [(1, "np.savetxt"), (2, ".write_text"), (3, ".tofile"), (4, "shutil.move"),
       (5, "tempfile.mkstemp")]),
+    ("os.ftruncate(fd, 1)\nos.truncate(path, 0)\nfh.truncate()\nos.remove(path)\n"
+     "os.unlink(path)\nos.replace(a, b)\nos.rename(a, b)",
+     [(1, "os.ftruncate"), (2, "os.truncate"), (3, ".truncate"), (4, "os.remove"),
+      (5, "os.unlink"), (6, "os.replace"), (7, "os.rename")]),
     ("with open(cfg, encoding='utf-8') as fh:\n    pass\nb = open(cfg, 'rb')\n"
      "c = open(cfg, mode='rt')\nd = a.copy()\ne = np.load(path)", []),
 ], ids=["write", "append-keyword", "update-and-os-open", "create-and-unread-mode",
-        "nested-function", "savers-methods-shutil-tempfile", "reads-only"])
+        "nested-function", "savers-methods-shutil-tempfile", "cuts-and-removals",
+        "reads-only"])
 def test_scan_flags_writes(source, expected):
     assert writers(source) == expected
 
@@ -105,6 +114,8 @@ def test_only_emit_writes_files(path):
 
 
 def test_emit_is_the_writer_the_scan_sees():
-    """Without its allowance, cli.py shows ``_emit``'s open and os.open, and nothing else."""
+    """Without its allowance, cli.py shows ``_emit``'s open, os.open, one-byte cut and
+    removal of a partial file, and nothing else."""
     found = writers((SOURCE / "cli.py").read_text())
-    assert sorted(what for _, what in found) == ["open('w')", "os.open"]
+    assert sorted(what for _, what in found) == ["open('w')", "os.ftruncate", "os.open",
+                                                 "os.remove"]
