@@ -1,8 +1,9 @@
 """Committed expected outputs of the commands, checked to a cross-host bound.
 
 ``tests/data`` holds the stdout of ``bands --resolution 64``, ``winding
---resolution 256``, ``evolve --steps 13``, ``scan --steps 13``, ``midgap
---n 40`` and ``tomo`` at the default angles.  Each run is compared
+--resolution 256``, ``evolve --steps 13``, ``scan --steps 13``, ``scan
+--steps 100 --cell``, ``midgap --n 40``, ``tomo``, ``tomo --steps 17 --plate
+qwp:33.3`` and ``tomo --noise 0.01 --seed 7`` at the default angles.  Each run is compared
 line by line: the line count, the text and the integers exactly, and every
 float within FLOAT_TOL absolute.
 
@@ -44,9 +45,13 @@ def test_float_pattern_leaves_text_and_integers():
     (["winding", "--resolution", "256"], "winding_resolution_256.txt"),
     (["evolve", "--steps", "13"], "evolve_steps_13.txt"),
     (["scan", "--steps", "13"], "scan_steps_13.txt"),
+    (["scan", "--steps", "100", "--cell"], "scan_steps_100_cell.txt"),
     (["midgap", "--n", "40"], "midgap_n_40.txt"),
     (["tomo"], "tomo.txt"),
-], ids=["bands", "winding", "evolve", "scan", "midgap", "tomo"])
+    (["tomo", "--steps", "17", "--plate", "qwp:33.3"], "tomo_steps_17_plate_qwp.txt"),
+    (["tomo", "--noise", "0.01", "--seed", "7"], "tomo_noise_seed_7.txt"),
+], ids=["bands", "winding", "evolve", "scan", "scan_cell", "midgap", "tomo", "tomo_plate",
+        "tomo_noise"])
 def test_output_matches_the_committed_expectation(argv, name, capsys):
     assert main(argv) == 0
     got = capsys.readouterr().out.splitlines(keepends=True)
