@@ -5,41 +5,28 @@ on (sublattice x coin), built from the coins ``walk.coin_matrix``; sublattice
 1 is the odd sites, which carry phi1 in the bulk pattern.  In the site-local
 primed basis it anticommutes with the sublattice Pauli CELL_Z (unitary
 supersymmetry) and is chiral under the coin Pauli COIN_Y, both defined here
-for ``check_symmetries``; together these pin protected gaps at quasi-energy
-0, pi (lambda = +-1) and pi/2, 3pi/2 (lambda = +-i).
+for ``check_symmetries``; together these pin protected gaps at lambda = +-1
+and +-i, which close only on sin phi1 = +-sin phi2 (``protected_gaps``).
+While they are open, band b stays in the quadrant
+b pi/2 <= epsilon < (b + 1) pi/2, so sorting the eigenvalues by quasi-energy
+at each k connects the bands, and the torus-angle windings are constant, so
+``winding_numbers`` reads them from the angles, with no k loop.
 
-While those gaps are open, band b stays in the quadrant
-b pi/2 <= epsilon < (b + 1) pi/2 of the quasi-energy circle, so ordering the
-four eigenvalues by quasi-energy at each k connects the bands; no overlap
-matching is needed.  Band b + 2 is then the -lambda partner (a, -b) of band
-b = (a, b), which has the same torus angles alpha and beta and a gamma turned
-by pi (see ``torus_angles``), so ``winding_numbers`` evaluates bands 0 and 1.
-
-The one-step unitary is off-diagonal in the sublattice, u = [[0, u12],
-[u21, 0]], so u^2 is the direct sum of the 2x2 SUSY partner walks u12 u21
-and u21 u12.  The partner m = u12 u21 is unitary with determinant 1, so
-its eigenvalues are the roots of a quadratic in its trace, and its
-eigenvectors are a null vector of m - mu and that vector's orthogonal
-complement: bands come from this closed form over all k points at once
-(``_partner_eigvals`` and ``_partner_eigvecs``), with no LAPACK call, lifted
-to the eigenvalues lambda = +-sqrt(mu / |mu|) of u (``_lift_values``).  The
-``bands`` command reads eigenvalues only (``_band_energies``); ``winding``
-reads eigenpairs, lifted to the eigenvectors as well (``band_structure``
-and ``_lift``, which the ring spectrum in ``midgap`` shares).  Both take
-their eigenvalues from the same ``_partner_eigvals``, so both paths print
-the same bands bit for bit.
-
-Swapping the angles moves the unit cell by one site.  In the primed frame
-the shift phases obey d12 = e^{-ik} d21, so the swapped walk is
-u'(k) = D X u(k) X D^dagger, with X the sublattice swap and
-D = diag(1, e^{ik}): the same bands, with alpha and beta traded and gamma
-turned into k - gamma (see ``WindingReport.swapped``).
+The unitary is off-diagonal in the sublattice, u = [[0, u12], [u21, 0]], so
+u^2 is the direct sum of the 2x2 SUSY partner walks u12 u21 and u21 u12,
+whose eigenpairs have a closed form (``_partner_eigvals``,
+``_partner_eigvecs``; no LAPACK call) that lifts to the eigenvalues
+lambda = +-sqrt(mu / |mu|) of u.  ``bands`` and ``winding`` read the
+eigenvalues only (``_band_energies``); ``band_structure`` lifts the
+eigenvectors as well (``_lift``, which the ring spectrum in ``midgap``
+shares), with the same eigenvalues bit for bit.  Swapping the angles moves
+the unit cell by one site (see ``WindingReport.swapped``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -59,7 +46,12 @@ def band_condition_value(k, phi1: float, phi2: float):
 
 
 def protected_gaps(phi1: float, phi2: float) -> tuple[float, float]:
-    """Analytic quasi-energy gaps at lambda = +-1 and lambda = +-i."""
+    """Analytic quasi-energy gaps at lambda = +-1 and lambda = +-i.
+
+    With c, s the cosine and sine of each angle, they close where
+    |c1 c2| -+ s1 s2 = 1; as |c1 c2| + |s1 s2| <= 1, with equality only where
+    |c1| = |c2|, that is exactly on sin phi1 = +-sin phi2.
+    """
     amp = abs(np.cos(phi1) * np.cos(phi2))
     off = np.sin(phi1) * np.sin(phi2)
     c_max = np.clip(amp - off, -1.0, 1.0)
@@ -274,13 +266,19 @@ class _BandEnergies:
     Column b holds the b-th smallest quasi-energy at every k.  With both
     protected gaps open that is band b in the quadrant [b pi/2, (b+1) pi/2);
     where a gap closes, touching bands keep this order instead of following
-    the crossing.  ``band_structure`` and ``_band_energies`` hand out
-    read-only arrays.
+    the crossing.  Every array field, here and in ``BandStructure``, is a
+    read-only copy of the array given: float for ``k_grid`` and
+    ``quasienergies``, complex for the rest.
     """
 
     k_grid: np.ndarray          # (nk,)
     eigenvalues: np.ndarray     # (nk, 4), unit circle, quasi-energy order
     quasienergies: np.ndarray   # (nk, 4)
+
+    def __post_init__(self):
+        for f in fields(self):
+            dtype = float if f.name in ("k_grid", "quasienergies") else complex
+            object.__setattr__(self, f.name, _read_only(np.array(getattr(self, f.name), dtype)))
 
     def gap_at_real(self) -> float:
         """Minimal quasi-energy distance to lambda = +-1 over the grid."""
@@ -290,26 +288,26 @@ class _BandEnergies:
         """Minimal quasi-energy distance to lambda = +-i over the grid."""
         return _gap(self.quasienergies, np.pi / 2)
 
+    def dispersion_residuals(self, phi1: float, phi2: float) -> np.ndarray:
+        """|Re lambda^2 - band_condition_value(k)| of every band at every k, (nk, 4)."""
+        target = band_condition_value(self.k_grid, phi1, phi2)
+        return np.abs((self.eigenvalues ** 2).real - target[:, None])
+
 
 @dataclass(frozen=True, eq=False)
 class BandStructure(_BandEnergies):
-    """Bands over a sorted k grid in quasi-energy order, with eigenvectors.
-
-    The eigenpairs that ``winding`` reads; the ``bands`` command needs only
-    the eigenvalues, and takes them from ``_band_energies``, which gives the
-    same k grid, eigenvalues and quasi-energies bit for bit.
-    """
+    """Bands over a sorted k grid in quasi-energy order, with eigenvectors."""
 
     eigenvectors: np.ndarray    # (nk, 4, 4), column b is band b
 
 
 def _k_points(k_grid: np.ndarray | None, resolution: int) -> np.ndarray:
-    """The k grid as floats: a copy of the given one, or ``resolution`` points on [0, 2pi)."""
+    """The k grid as floats: the given one, or ``resolution`` points on [0, 2pi)."""
     if k_grid is None:
         k_grid = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
         if k_grid.size < resolution:  # near 2**63 points linspace returns an empty array
             raise MemoryError(f"cannot allocate a k grid of {resolution} points")
-    ks = np.array(k_grid, dtype=float)
+    ks = np.asarray(k_grid, dtype=float)
     if ks.size == 0:
         raise ValueError("k grid is empty")
     if not np.isfinite(ks).all():
@@ -342,7 +340,7 @@ def _band_energies(phi1: float, phi2: float,
     ks = _k_points(k_grid, resolution)
     mu = _partner_eigvals(_matmul2(*_bloch_blocks(ks, phi1, phi2, frame)))
     _, lams, eps = _by_quasienergy(_lift_values(mu))
-    return _BandEnergies(*map(_read_only, (ks, lams, eps)))
+    return _BandEnergies(ks, lams, eps)
 
 
 def band_structure(phi1: float, phi2: float,
@@ -352,21 +350,15 @@ def band_structure(phi1: float, phi2: float,
     """Diagonalize the Bloch operator over a k grid through its SUSY partner walk.
 
     The 2x2 partner m = u12(k) u21(k) is solved in closed form at every k
-    (``_partner_eigvals`` and ``_partner_eigvecs``), with no LAPACK call;
-    each pair (mu, v) lifts to lambda = +-sqrt(mu / |mu|) and
-    psi = (v, u21 v / lambda) / sqrt(2), with |mu| - 1 asserted below 1e-10
-    (see ``_lift``).  The two eigenvectors of m are orthogonal by
-    construction, so the eigenvectors stay orthonormal where u12 u21 has a
-    double eigenvalue (a gap closing).  The eigenvalues come from the
+    (``_partner_eigvals`` and ``_partner_eigvecs``, orthonormal at a double
+    eigenvalue too), with no LAPACK call; each pair (mu, v) lifts to
+    lambda = +-sqrt(mu / |mu|) and psi = (v, u21 v / lambda) / sqrt(2), with
+    |mu| - 1 asserted below 1e-10 (``_lift``).  The eigenvalues come from the
     assembled matrices, not from ``band_condition_value``, which stays an
-    independent check.  The four eigenpairs are sorted by ascending
-    quasi-energy at every k, which keeps each band in its own quadrant while
-    the protected gaps are open; where a gap closes, touching bands keep that
-    order rather than following the crossing.  Each eigenvector has its
-    largest component made real positive, then a phase carried along k that
-    makes the overlaps of neighbouring k points real positive.  ``winding``
-    reads these eigenpairs; ``bands`` reads the same eigenvalues from
-    ``_band_energies``, which skips the eigenvectors.  The k grid must be
+    independent check.  The eigenpairs are sorted by ascending quasi-energy
+    at every k (see ``_BandEnergies``).  Each eigenvector has its largest
+    component made real positive, then a phase carried along k that makes
+    the overlaps of neighbouring k points real positive.  The k grid must be
     sorted and finite.
     """
     ks = _k_points(k_grid, resolution)
@@ -383,7 +375,7 @@ def band_structure(phi1: float, phi2: float,
     vecs /= top / np.abs(top)
     overlaps = np.einsum("kab,kab->kb", vecs[:-1].conj(), vecs[1:])
     vecs[1:] *= np.exp(-1j * np.cumsum(np.angle(overlaps), axis=0))[:, None, :]
-    return BandStructure(*map(_read_only, (ks, lams, eps, vecs)))
+    return BandStructure(ks, lams, eps, vecs)
 
 
 def quadruple_closure_distance(lams: np.ndarray) -> float:
@@ -443,7 +435,7 @@ class WindingReport:
     phi2: float
     resolution: int
     windings: tuple[tuple[int, int, int], ...]   # per band: (w_alpha, w_beta, w_gamma)
-    residuals: tuple[float, ...]                 # per band, max |accumulated/2pi - integer|
+    residuals: tuple[float, ...]   # per band, max over k of |Re lambda^2 - band condition|
     gap_at_real: float
     gap_at_imag: float
 
@@ -460,22 +452,29 @@ class WindingReport:
 
 
 def winding_numbers(phi1: float, phi2: float, resolution: int = 512) -> WindingReport:
-    """Accumulate the torus angles along a closed k loop and round to integers."""
+    """Torus-angle windings of the four bands, read from the phase diagram.
+
+    The windings that the torus angles (``torus_angles``) accumulate over a
+    closed k loop change only where a protected gap closes, which is exactly
+    on sin phi1 = +-sin phi2 (``protected_gaps``).  One loop between those
+    lines fixes them there (Kitagawa et al., PRA 82, 033429 (2010); Asboth
+    and Obuse, PRB 88, 121406(R) (2013)): every band has (w_alpha, w_beta) =
+    (sign sin phi1, 0) where |sin phi1| > |sin phi2|, else
+    (0, sign sin phi2), and w_gamma = (1 + w_alpha - w_beta) / 2.  Gaps and
+    residuals are read on the ``bands`` grid (``_band_energies``): a gap
+    below 1e-6 there or analytically raises PhaseTransitionError, and the
+    residual of band b is max over k of |Re lambda_b^2 - band condition|.
+    """
     if resolution < 256:
         raise ValueError("winding needs resolution >= 256")
-    # the default band_structure grid plus k = 2pi, which closes the loop
-    ks = np.append(_k_points(None, resolution), 2 * np.pi)
-    loop = band_structure(phi1, phi2, k_grid=ks, frame=Frame.PRIMED)
-    gap_real, gap_imag = (_gap(loop.quasienergies[:-1], t) for t in (0.0, np.pi / 2))
+    grid = _band_energies(phi1, phi2, resolution=resolution)
+    gap_real, gap_imag = grid.gap_at_real(), grid.gap_at_imag()
     # the analytic gaps catch a closing that falls between grid points
     if min(gap_real, gap_imag, *protected_gaps(phi1, phi2)) < 1e-6:
         raise PhaseTransitionError("cannot compute winding at a phase transition")
-
-    # band b + 2 is the -lambda partner of band b, with the same windings and residuals
-    angles = torus_angles(np.swapaxes(loop.eigenvectors[:, :, :2], 1, 2))   # (k, 2, 3)
-    deltas = np.mod(np.diff(angles, axis=0) + np.pi, 2 * np.pi) - np.pi
-    total = deltas.sum(axis=0) / (2 * np.pi)
-    w = np.rint(total)
-    return WindingReport(float(phi1), float(phi2), resolution,
-                         tuple(tuple(int(x) for x in row) for row in w) * 2,
-                         tuple(np.abs(total - w).max(axis=1).tolist()) * 2, gap_real, gap_imag)
+    s1, s2 = math.sin(phi1), math.sin(phi2)
+    w_alpha, w_beta = (int(np.sign(s1)), 0) if abs(s1) > abs(s2) else (0, int(np.sign(s2)))
+    windings = (w_alpha, w_beta, (1 + w_alpha - w_beta) // 2)
+    return WindingReport(float(phi1), float(phi2), resolution, (windings,) * 4,
+                         tuple(grid.dispersion_residuals(phi1, phi2).max(axis=0).tolist()),
+                         gap_real, gap_imag)

@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bloch import _band_energies, band_condition_value, winding_numbers
+from .bloch import _band_energies, winding_numbers
 from .errors import ConfigError, ProfileError, SusyqwError
 from .midgap import (anomaly_expectation, find_midgap, midgap_spectrum,
                      ring_with_interfaces, site_polarizations)
@@ -299,11 +299,10 @@ def cmd_evolve(opts) -> None:
 
 def cmd_bands(opts) -> None:
     bands = _band_energies(opts.phi1, opts.phi2, resolution=opts.resolution)
-    re_lam2 = (bands.eigenvalues ** 2).real
-    target = band_condition_value(bands.k_grid, opts.phi1, opts.phi2)
     table = [*_table(["k", "eps1", "eps2", "eps3", "eps4", "re_lambda_sq", "residual"],
-                     [[bands.k_grid, *bands.quasienergies.T, re_lam2.mean(axis=1),
-                       np.abs(re_lam2 - target[:, None]).max(axis=1)]])]
+                     [[bands.k_grid, *bands.quasienergies.T,
+                       (bands.eigenvalues ** 2).real.mean(axis=1),
+                       bands.dispersion_residuals(opts.phi1, opts.phi2).max(axis=1)]])]
     _emit(opts.out, table, [("phi1", opts.phi1), ("phi2", opts.phi2),
                             ("resolution", opts.resolution),
                             ("gap_at_real", bands.gap_at_real()),

@@ -402,7 +402,10 @@ def midgap_spectrum(profile: CoinProfile, tol: float | None = None) -> SpectrumR
 
 @dataclass(frozen=True, eq=False)
 class MidgapState:
-    """One canonical midgap eigenstate of an interface ring."""
+    """One canonical midgap eigenstate of an interface ring.
+
+    ``amplitudes`` is a read-only complex copy of the array given.
+    """
 
     eigenvalue: complex
     amplitudes: np.ndarray  # (N, 2) lab-frame
@@ -410,6 +413,9 @@ class MidgapState:
     interface_cut: int      # the interchange bond (cut-1, cut) it is bound to
     decay_length: float
     fit_r2: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "amplitudes", _read_only(np.array(self.amplitudes, dtype=complex)))
 
 
 def _amplitudes(state) -> np.ndarray:
@@ -611,7 +617,7 @@ def find_midgap(spectrum: SpectrumResult, tol: float | None = None) -> list[Midg
         basis = _canonical_cluster_basis(spectrum.eigenvectors[:, sel], profile)
         lam = complex(np.mean(spectrum.eigenvalues[sel]))
         for j in range(basis.shape[1]):
-            amps = _read_only(basis[:, j].reshape(n_sites, 2))
+            amps = basis[:, j].reshape(n_sites, 2)
             probs = (np.abs(amps) ** 2).sum(axis=1)
             # first site within rounding of the maximum: the two sites of an
             # interface bond carry equal probability

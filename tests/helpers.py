@@ -10,7 +10,8 @@ import ast
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from susyqw import evolve
+from susyqw import Topology, evolve
+from susyqw.walk import advance
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -117,6 +118,22 @@ def record_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, recorded)
     return calls
+
+
+def step_residual(spectrum):
+    """max_j ||U psi_j - lambda_j psi_j|| over the eigenpairs of a ring ``SpectrumResult``.
+
+    U is one ``walk.advance`` step on the ring, applied to all eigenvectors
+    at once as a (2, m, N) buffer: matrix-free, so it serves at any N, and
+    independent of how the ring spectrum was assembled.
+    """
+    profile = spectrum.profile
+    n, m = profile.lattice.size, spectrum.eigenvalues.size
+    psi = spectrum.eigenvectors.reshape(n, 2, m).transpose(1, 2, 0)
+    stepped = psi.copy()
+    next(advance(stepped, np.tile(profile.angles, (m, 1)), Topology.RING, 1))
+    residual = stepped - spectrum.eigenvalues[:, None] * psi
+    return float(np.linalg.norm(residual, axis=(0, 2)).max())
 
 
 def trajectory(start, profile, steps):

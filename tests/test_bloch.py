@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import re
 import textwrap
@@ -304,22 +305,15 @@ def test_winding_loop_near_2_63_points_is_unallocatable():
         winding_numbers(1.29, 0.17, 2**63 - 2)
 
 
-def test_winding_loop_is_the_bands_grid_closed_at_2pi(monkeypatch):
-    """The loop is bit for bit ``linspace(0, 2pi, r + 1)``: the bands grid plus k = 2pi."""
-    grids, original = [], bloch.band_structure
-
-    def recorded(*args, **kwargs):
-        grids.append(kwargs["k_grid"])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(bloch, "band_structure", recorded)
+def test_winding_gaps_are_the_bands_grid_gaps_bit_for_bit():
+    """``winding`` reads its gap notes on the ``bands`` grid, even and odd resolutions alike."""
     for r in (256, 257, 1000, 2048, 4097):
-        winding_numbers(1.29, 0.17, r)
-        assert grids[-1].tobytes() == np.linspace(0.0, 2 * np.pi, r + 1).tobytes()
-    assert len(grids) == 5
+        report = winding_numbers(1.29, 0.17, r)
+        grid = bloch._band_energies(1.29, 0.17, resolution=r)
+        assert (report.gap_at_real, report.gap_at_imag) == (grid.gap_at_real(), grid.gap_at_imag())
 
 
-# what ``bands`` and ``winding`` run from the k grid to the sorted eigenpairs
+# what ``bands``, ``winding`` and ``band_structure`` run from the k grid to the sorted bands
 BAND_PATH = (bloch._bloch_blocks, bloch._matmul2, bloch._partner_eigvals,
              bloch._partner_eigvecs, bloch._lift_values, bloch._lift, bloch._by_quasienergy,
              bloch._band_energies, bloch.band_structure, bloch.winding_numbers)
@@ -348,6 +342,24 @@ def test_band_results_are_read_only(solve, fields):
     for field in fields:
         with pytest.raises(ValueError, match="read-only"):
             getattr(bands, field)[0] = 0
+
+
+@pytest.mark.parametrize("cls", [bloch._BandEnergies, bloch.BandStructure],
+                         ids=["band_energies", "band_structure"])
+def test_band_results_own_their_data(cls):
+    """A result keeps read-only copies of its arrays: float k and quasi-energies, else complex."""
+    ref = band_structure(1.29, 0.17, resolution=8)
+    names = [field.name for field in dataclasses.fields(cls)]
+    given = [np.array(getattr(ref, name)) for name in names]
+    bands = cls(*given)
+    for array in given:
+        array[...] = 0
+    for name in names:
+        assert np.array_equal(getattr(bands, name), getattr(ref, name))
+        assert getattr(bands, name).dtype == getattr(ref, name).dtype
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(bands, name)[...] = 0
+    assert cls(*(array.real.astype(int) for array in given)).eigenvalues.dtype == complex
 
 
 @pytest.mark.parametrize("call, exc, fragment", [

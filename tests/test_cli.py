@@ -847,16 +847,17 @@ def test_winding_near_transition_fails_cleanly(capsys):
 
 
 def test_winding_solves_the_bands_once(monkeypatch, capsys):
-    """The swapped report is derived from the forward solve, not solved again.
+    """Both reports come from one eigenvalue-only solve on the ``bands`` grid.
 
-    The partner walks are solved in closed form: no LAPACK eigensolve runs.
+    The windings are read from the angles, so no eigenvector is formed: no
+    ``band_structure``, no torus angles and no LAPACK eigensolve.
     """
-    calls = record_calls(monkeypatch, bloch, "band_structure")
-    eig = record_calls(monkeypatch, np.linalg, "eig")
-    eigvals = record_calls(monkeypatch, np.linalg, "eigvals")
+    energies = record_calls(monkeypatch, bloch, "_band_energies")
+    calls = [record_calls(monkeypatch, bloch, name) for name in ("band_structure", "torus_angles")]
+    calls += [record_calls(monkeypatch, np.linalg, name) for name in ("eig", "eigvals")]
     code, out, _ = run_cli(["winding", "--resolution", "256"], capsys)
     assert code == 0 and "[swapped] band3" in out
-    assert (len(calls), len(eig), len(eigvals)) == (1, 0, 0)
+    assert len(energies) == 1 and [len(c) for c in calls] == [0, 0, 0, 0]
 
 
 def test_bands_solves_eigenvalues_only(monkeypatch, capsys):
@@ -867,14 +868,6 @@ def test_bands_solves_eigenvalues_only(monkeypatch, capsys):
     code, out, _ = run_cli(["bands", "--resolution", "2048"], capsys)
     assert code == 0 and "gap_at_imag" in summary_dict(out)
     assert (len(eig), len(full), len(eigvals)) == (0, 0, 0)
-
-
-def test_winding_reads_the_torus_angles_of_two_bands(monkeypatch, capsys):
-    """Bands 2 and 3 are the -lambda partners of bands 0 and 1, whose angles suffice."""
-    calls = record_calls(monkeypatch, bloch, "torus_angles")
-    code, out, _ = run_cli(["winding", "--resolution", "512"], capsys)
-    assert code == 0 and "[forward] band3" in out
-    assert [np.shape(args[0]) for args in calls] == [(513, 2, 4)]
 
 
 def test_bands_measures_each_gap_once(monkeypatch, capsys):

@@ -3,9 +3,11 @@
 ``tests/data`` holds the stdout of ``bands --resolution 64``, ``winding
 --resolution 256``, ``evolve --steps 13``, ``scan --steps 13``, ``scan
 --steps 100 --cell``, ``midgap --n 40``, ``tomo``, ``tomo --steps 17 --plate
-qwp:33.3`` and ``tomo --noise 0.01 --seed 7`` at the default angles.  Each run is compared
-line by line: the line count, the text and the integers exactly, and every
-float within FLOAT_TOL absolute.
+qwp:33.3`` and ``tomo --noise 0.01 --seed 7`` at the default angles, and of
+``winding --phi1 1.0231724466312961 --phi2 -2.1184237704218063 --resolution
+257``, an odd grid next to a gap closing.  Each run is compared line by
+line: the line count, the text and the integers exactly, and every float
+within FLOAT_TOL absolute.
 
 FLOAT_TOL = 6.1e-15 is the largest spread measured between runs of the same
 invocations under different NumPy SIMD targets (native, X86_V3, X86_V2) and
@@ -43,6 +45,8 @@ def test_float_pattern_leaves_text_and_integers():
 @pytest.mark.parametrize("argv, name", [
     (["bands", "--resolution", "64"], "bands_resolution_64.txt"),
     (["winding", "--resolution", "256"], "winding_resolution_256.txt"),
+    (["winding", "--phi1", "1.0231724466312961", "--phi2", "-2.1184237704218063",
+      "--resolution", "257"], "winding_odd_grid_257.txt"),
     (["evolve", "--steps", "13"], "evolve_steps_13.txt"),
     (["scan", "--steps", "13"], "scan_steps_13.txt"),
     (["scan", "--steps", "100", "--cell"], "scan_steps_100_cell.txt"),
@@ -50,8 +54,8 @@ def test_float_pattern_leaves_text_and_integers():
     (["tomo"], "tomo.txt"),
     (["tomo", "--steps", "17", "--plate", "qwp:33.3"], "tomo_steps_17_plate_qwp.txt"),
     (["tomo", "--noise", "0.01", "--seed", "7"], "tomo_noise_seed_7.txt"),
-], ids=["bands", "winding", "evolve", "scan", "scan_cell", "midgap", "tomo", "tomo_plate",
-        "tomo_noise"])
+], ids=["bands", "winding", "winding_odd_grid", "evolve", "scan", "scan_cell", "midgap", "tomo",
+        "tomo_plate", "tomo_noise"])
 def test_output_matches_the_committed_expectation(argv, name, capsys):
     assert main(argv) == 0
     got = capsys.readouterr().out.splitlines(keepends=True)

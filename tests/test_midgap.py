@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -15,7 +16,7 @@ from susyqw import midgap
 from susyqw.midgap import _dense_sectors, _sector_tridiagonals
 
 from helpers import (SX, assert_same_eigenspaces, assert_same_states, dense_ring_oracle,
-                     primed_frame_rotation, record_calls, ring_bloch_state)
+                     primed_frame_rotation, record_calls, ring_bloch_state, step_residual)
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +273,31 @@ def test_spectrum_results_are_read_only(solve):
     state = find_midgap(spectrum)[0]
     with pytest.raises(ValueError, match="read-only"):
         state.amplitudes[0, 0] = 0
+
+
+def test_midgap_state_owns_its_amplitudes(interface_ring):
+    """A state built from an array keeps a read-only complex copy of it."""
+    ref = interface_ring[2][0]
+    given = np.array(ref.amplitudes)
+    state = dataclasses.replace(ref, amplitudes=given)
+    given[...] = 0
+    assert np.array_equal(state.amplitudes, ref.amplitudes)
+    with pytest.raises(ValueError, match="read-only"):
+        state.amplitudes[0, 0] = 0
+    assert dataclasses.replace(ref, amplitudes=np.ones((40, 2))).amplitudes.dtype == complex
+
+
+@pytest.mark.parametrize("n", [400, 2048])
+@pytest.mark.parametrize("phi1, phi2", [(1.29, 0.17), (0.908, 0.439)])
+def test_midgap_eigenpairs_solve_one_walk_step(n, phi1, phi2):
+    """Each midgap window pair satisfies U psi = lambda psi, with U one ``advance`` step.
+
+    The check needs no dense one-step matrix, so it reaches the size cap;
+    measured at most 1.9e-16.
+    """
+    spectrum = midgap_spectrum(ring_with_interfaces(n, phi1, phi2))
+    assert spectrum.eigenvalues.size == 4
+    assert step_residual(spectrum) <= 1e-14
 
 
 def test_bulk_ring_is_gapped_at_imaginary_axis(interface_ring):

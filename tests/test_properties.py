@@ -6,9 +6,13 @@ gap closing at phi1 = phi2; the spectrum, ring-symmetry, batched-scan,
 partner-solve and eigenvalue-path tests draw any angles, gap closings
 included; the quadrant and anomaly tests draw angles with both protected
 gaps open, and the winding exchange, half-band and torus-oracle tests any
-angles with both gaps at least 1e-3; the midgap-window test draws any
-interface angles in (0, pi/2), small gaps included, and so does the
-sector-inertia test; the Stokes-readout test any angles on explicit rings.
+angles with both gaps at least 1e-3, the winding ones at every resolution
+in [256, 4097], odd included; the whole-torus winding test draws any angles
+with both gaps at least 1e-6, at every such resolution; the midgap-sign
+test draws angles on (-pi, pi) with both gaps at least 0.05 and 30 xi at
+most 150; the midgap-window test draws any interface angles in (0, pi/2),
+small gaps included, and so does the sector-inertia test; the
+Stokes-readout test any angles on explicit rings.
 """
 
 from dataclasses import replace
@@ -19,9 +23,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from susyqw import bloch, midgap, optics
 from susyqw import (Frame, Lattice, Topology, UnoccupiedSiteError, WalkerState,
-                    anomaly_expectation, band_structure, bloch_operator, cell_z_expectation,
-                    coin_y_expectation, decay_length, evolve, find_midgap, full_spectrum,
-                    localized_state, long_time_extrapolation, make_coin_profile,
+                    anomaly_expectation, band_condition_value, band_structure, bloch_operator,
+                    cell_z_expectation, coin_y_expectation, decay_length, evolve, find_midgap,
+                    full_spectrum, localized_state, long_time_extrapolation, make_coin_profile,
                     measure_bases, midgap_spectrum, one_step_matrix, prepare_input,
                     protected_gaps, quadruple_closure_distance, qwp_scan, ring_with_interfaces,
                     segment_for, site_polarization, site_polarizations, to_frame, torus_angles,
@@ -34,6 +38,8 @@ from helpers import (SY, assert_same_eigenspaces, assert_same_states, bloch_orac
 PHI1 = st.floats(min_value=1.1, max_value=1.4)
 PHI2 = st.floats(min_value=0.1, max_value=0.3)
 ANGLE = st.floats(min_value=-np.pi, max_value=np.pi)
+# every resolution ``winding`` accepts, odd ones included, up to 4097
+RESOLUTION = st.integers(min_value=256, max_value=4097)
 
 
 @settings(max_examples=30, deadline=None)
@@ -167,7 +173,7 @@ def test_gapped_bands_keep_their_quadrants(phi1, phi2, resolution):
 
 
 @settings(max_examples=40, deadline=None)
-@given(phi1=ANGLE, phi2=ANGLE, resolution=st.sampled_from([256, 512, 1024]))
+@given(phi1=ANGLE, phi2=ANGLE, resolution=RESOLUTION)
 def test_swapped_winding_report_is_the_direct_solve(phi1, phi2, resolution):
     """Swapping the angles moves the unit cell by one site, so one solve gives both orders.
 
@@ -202,14 +208,25 @@ def test_torus_angles_match_the_operator_expectations(phi1, phi2, k):
     np.testing.assert_allclose(wrapped(torus_angles(stack) - angles), 0.0, rtol=0, atol=1e-14)
 
 
+def loop_windings(loop):
+    """Windings (4, 3) of every band, accumulated by ``torus_oracle`` over a closed k loop.
+
+    ``loop`` is a ``band_structure`` on a grid from 0 to 2 pi, both ends
+    included; each wrapped step of the angles is added up and rounded.
+    """
+    total = wrapped(np.diff(torus_oracle(np.swapaxes(loop.eigenvectors, 1, 2))[0], axis=0))
+    return tuple(tuple(int(x) for x in row) for row in np.rint(total.sum(axis=0) / (2 * np.pi)))
+
+
 @settings(max_examples=40, deadline=None)
-@given(phi1=ANGLE, phi2=ANGLE, resolution=st.sampled_from([256, 512, 1024]))
+@given(phi1=ANGLE, phi2=ANGLE, resolution=RESOLUTION)
 def test_winding_reads_half_the_bands(phi1, phi2, resolution):
-    """Band b + 2 is the -lambda partner of band b, so bands 0 and 1 give every winding.
+    """Band b + 2 is the -lambda partner of band b, with the same windings.
 
     The partner has the same alpha and beta and a gamma turned by pi at
-    every k; ``winding_numbers`` equals a 4-band accumulation of the
-    operator-expectation angles.
+    every k.  ``winding_numbers`` equals a 4-band accumulation of the
+    operator-expectation angles on the same grid, and its residuals are the
+    largest |Re lambda^2 - band condition| of each band on that grid.
     """
     assume(min(protected_gaps(phi1, phi2)) >= 1e-3)
     loop = band_structure(phi1, phi2, k_grid=np.linspace(0.0, 2 * np.pi, resolution + 1))
@@ -218,12 +235,28 @@ def test_winding_reads_half_the_bands(phi1, phi2, resolution):
     np.testing.assert_allclose(turn[..., :2], 0.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(np.abs(turn[..., 2]), np.pi, rtol=0, atol=1e-12)
 
-    total = wrapped(np.diff(torus_oracle(stack)[0], axis=0)).sum(axis=0) / (2 * np.pi)
-    w = np.rint(total)
     report = winding_numbers(phi1, phi2, resolution)
-    assert report.windings == tuple(tuple(int(x) for x in row) for row in w)
-    np.testing.assert_allclose(report.residuals, np.abs(total - w).max(axis=1),
-                               rtol=0, atol=1e-14)
+    assert report.windings == loop_windings(loop)
+    re_lam2 = (loop.eigenvalues[:-1] ** 2).real
+    dispersion = np.abs(re_lam2 - band_condition_value(loop.k_grid[:-1], phi1, phi2)[:, None])
+    assert report.residuals == tuple(dispersion.max(axis=0).tolist())
+    assert max(report.residuals) <= 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@example(phi1=1.0231724466312961, phi2=-2.1184237704218063, resolution=257)
+@given(phi1=ANGLE, phi2=ANGLE, resolution=RESOLUTION)
+def test_winding_is_the_torus_angle_loop_over_the_whole_torus(phi1, phi2, resolution):
+    """The closed-form windings are the loop's at 2048 k points, at any resolution.
+
+    Drawn over the whole torus, near gap closings too, wherever both analytic
+    gaps are at least 1e-6 (the refusal threshold).  The example has a gap
+    at +-1 of 1.78e-6; a loop on its own odd grid of 257 points, which
+    misses k = pi, read (0, 0, 1) there.
+    """
+    assume(min(protected_gaps(phi1, phi2)) >= 1e-6)
+    loop = band_structure(phi1, phi2, k_grid=np.linspace(0.0, 2 * np.pi, 2049))
+    assert winding_numbers(phi1, phi2, resolution).windings == loop_windings(loop)
 
 
 # an angle pair that is often on a gap closing: phi2 = phi1 or phi2 = -phi1
@@ -314,11 +347,11 @@ def test_partner_solve_matches_the_bloch_eig(angles, frame, ks):
 @given(angles=CLOSING_PRONE, frame=st.sampled_from(list(Frame)),
        resolution=st.sampled_from([1, 2, 3, 255, 2048]))
 def test_eigenvalue_path_is_the_band_structure_bit_for_bit(angles, frame, resolution):
-    """``bands`` prints the eigenvalues that ``winding``'s eigenpair solve reads, exactly.
+    """``bands`` and ``winding`` read the eigenvalues of ``band_structure``'s eigenpairs, exactly.
 
     Both take them from the same closed-form partner eigenvalues.  Equality,
     not closeness: an eigenvalue path that rounded apart from the eigenpair
-    path would print bands that ``winding`` does not see.
+    path would print bands whose eigenvectors ``band_structure`` does not give.
     """
     phi1, phi2 = angles
     full = band_structure(phi1, phi2, resolution=resolution, frame=frame)
@@ -405,6 +438,33 @@ def test_trapped_light_is_the_circular_midgap_polarization(phi1, phi2, theta):
     final = evolve(prepare_input(1, [("qwp", theta)], lattice), profile, 401)
     b = measure_bases(final, 0, Frame.PRIMED, profile)
     assert abs((b.i_r - b.i_l) / (b.i_h + b.i_v) - 1) <= 5e-5
+
+
+# both protected gaps at least 0.05, and the two walls of the N = 400 ring
+# (200 sites apart) at least 150 >= 30 xi apart, so their states do not hybridize
+OPEN_ANGLE = st.floats(min_value=-np.pi, max_value=np.pi, exclude_min=True, exclude_max=True)
+BOUND_ANGLES = st.tuples(OPEN_ANGLE, OPEN_ANGLE).filter(
+    lambda a: min(protected_gaps(*a)) >= 0.05 and 30 * decay_length(*a) <= 150)
+
+
+@settings(max_examples=30, deadline=None)
+@given(angles=BOUND_ANGLES)
+def test_midgap_circular_sign_is_the_bulk_winding(angles):
+    """The primed S3 at site 0 of both states bound to cut 1 is 1 - 2 nu, over the whole torus.
+
+    nu = (1 - w_alpha + w_beta) / 2 = 1 - w_gamma of ``winding_numbers``: the
+    wall's states carry the chirality that the bulk topology on either side
+    of it fixes (bulk-boundary correspondence; Kitagawa, Rudner, Berg and
+    Demler, PRA 82, 033429 (2010); Asboth and Obuse, PRB 88, 121406(R)
+    (2013)).  Measured over 150 random pairs (82 read +1, 68 read -1): at
+    most 2.2e-16 from 1 - 2 nu.
+    """
+    phi1, phi2 = angles
+    w_alpha, w_beta, _ = winding_numbers(phi1, phi2, 256).windings[0]
+    nu = (1 - w_alpha + w_beta) // 2
+    ring, states = states_at_first_cut(phi1, phi2)
+    for state in states:
+        assert abs(site_polarization(state, ring, 0)[2] - (1 - 2 * nu)) <= 1e-12
 
 
 @settings(max_examples=6, deadline=None)
