@@ -22,7 +22,7 @@ from susyqw import bloch, cli, midgap
 from susyqw import (BoundaryReachedError, Frame, band_condition_value, band_structure,
                     find_midgap, long_time_extrapolation, make_coin_profile, midgap_spectrum,
                     prepare_input, qwp_scan, ring_with_interfaces, segment_for, site_polarization,
-                    to_frame)
+                    to_frame, torus_angles)
 from susyqw.cli import _summary, _table, main
 
 from helpers import record_calls, trajectory
@@ -858,6 +858,26 @@ def test_winding_solves_the_bands_once(monkeypatch, capsys):
     code, out, _ = run_cli(["winding", "--resolution", "256"], capsys)
     assert code == 0 and "[swapped] band3" in out
     assert len(energies) == 1 and [len(c) for c in calls] == [0, 0, 0, 0]
+
+
+def test_winding_reads_the_torus_angles_of_two_bands(capsys):
+    """Bands 2 and 3 are the -lambda partners of bands 0 and 1, whose angles suffice.
+
+    Every printed winding is the one ``torus_angles`` accumulates for band 0
+    or 1 over the closed loop of 513 k points, both reports included.
+    """
+    code, out, _ = run_cli(["winding", "--resolution", "512"], capsys)
+    assert code == 0 and "[forward] band3" in out
+    for tag, (phi1, phi2) in (("forward", (1.29, 0.17)), ("swapped", (0.17, 1.29))):
+        loop = band_structure(phi1, phi2, k_grid=np.linspace(0.0, 2 * np.pi, 513))
+        angles = torus_angles(np.swapaxes(loop.eigenvectors[:, :, :2], 1, 2))
+        steps = np.mod(np.diff(angles, axis=0) + np.pi, 2 * np.pi) - np.pi
+        pair = [tuple(int(w) for w in row) for row in np.rint(steps.sum(axis=0) / (2 * np.pi))]
+        assert pair[0] == pair[1]
+        w_alpha, w_beta, w_gamma = pair[0]
+        for band in range(4):
+            assert (f"[{tag}] band{band} w_alpha={w_alpha} w_beta={w_beta} "
+                    f"w_gamma={w_gamma} residual=") in out
 
 
 def test_bands_solves_eigenvalues_only(monkeypatch, capsys):
